@@ -45,7 +45,6 @@ from .sk_groups import (
     doubling_witness,
     find_witness,
     replay_witness,
-    signature,
     skk_collapse_check,
     verify_exact_sequence,
 )

@@ -492,7 +492,9 @@ class NormalForm:
 
 
 class _Analysis:
-    """Cached diagonalization of a presentation's relation lattice."""
+    """Diagonalization of the lattice spanned by sparse or dense vectors in
+    Z^n: Hermite echelon, unit pivots dropped, Smith normal form on the
+    remaining rows.  It backs presentations and chain homology alike."""
 
     def __init__(self, n: int, relations):
         self.n = n
@@ -504,7 +506,6 @@ class _Analysis:
         unit_cols = {j for j, p in lat.pivots() if p == 1}
         surviving = [j for j in range(n) if j not in unit_cols]
         self.surviving = surviving
-        self.surv_index = {j: k for k, j in enumerate(surviving)}
         small_rows = []
         for j, p in lat.pivots():
             if p != 1:
@@ -521,11 +522,8 @@ class _Analysis:
             self.small_v = None
         self.free_rank = n - lat.rank
         self.torsion = tuple(dk for dk in self.small_d if dk > 1)
-        # positions in the diagonal basis, in order
-        self._positions = []
-        for k in range(n2):
-            dk = self.small_d[k] if k < len(self.small_d) else 0
-            self._positions.append(dk)
+        # diagonal entry at each position of the surviving basis
+        self._positions = self.small_d + (0,) * (n2 - len(self.small_d))
 
     def normal_form(self, vec) -> NormalForm:
         w = self.lattice.reduce(vec)
@@ -578,11 +576,6 @@ class AbGroupPresentation:
     @cached_property
     def generator_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}
-
-    def generator_vector(self, label: str) -> tuple[int, ...]:
-        vec = [0] * len(self.generators)
-        vec[self.generator_index[label]] = 1
-        return tuple(vec)
 
     def quotient_invariants(self) -> tuple[int, tuple[int, ...]]:
         """Isomorphism type as (free rank, invariant factors > 1)."""

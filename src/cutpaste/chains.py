@@ -2,8 +2,9 @@
 
 Complexes are given by their ranks per degree and exact integer boundary
 matrices (rows index degree n-1, columns degree n); the composite of two
-consecutive boundaries must vanish identically.  Homology is computed with
-the lattice machinery from ``abgroup``:
+consecutive boundaries must vanish identically.  Homology and the cokernel
+torsion test of chain maps run on ``abgroup._Analysis``, the lattice kernel
+that also diagonalizes group presentations:
 
 * rank of H_n is rank C_n minus the ranks of the two adjacent boundaries,
 * torsion of H_n equals the invariant factors (> 1) of the boundary into
@@ -24,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abgroup import IntMatrix, IntegerLattice, smith_normal_form
+from .abgroup import IntMatrix, IntegerLattice, _Analysis, smith_normal_form
 
 
 class ChainComplexError(ValueError):
@@ -156,38 +157,19 @@ class ChainComplex:
 
     @cached_property
     def _boundary_data(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Per degree n: (rank of d_n, invariant factors of d_n)."""
+        """Per degree n: (rank of d_n, invariant factors > 1 of d_n)."""
         out = {}
-        for n in range(self.lo, self.hi + 1):
+        for n in self.degrees():
             d = self.boundary_at(n)
-            if d.rows == 0 or d.cols == 0:
-                out[n] = (0, ())
-                continue
-            lat = IntegerLattice(d.rows)
-            for col in _columns_sparse(d):
-                lat.add(col)
-            lat.normalize()
-            unit = sum(1 for _, p in lat.pivots() if p == 1)
-            nonunit_rows = [row for j, row in sorted(lat.rows.items()) if row[j] != 1]
-            if nonunit_rows:
-                cols_for = sorted({c for row in nonunit_rows for c in row})
-                small = IntMatrix.from_rows(
-                    [[row.get(c, 0) for c in cols_for] for row in nonunit_rows]
-                )
-                snf = smith_normal_form(small)
-                factors = tuple(x for x in snf.d if x > 1)
-            else:
-                factors = ()
-            out[n] = (lat.rank, factors)
+            a = _Analysis(d.rows, _columns_sparse(d))
+            out[n] = (a.lattice.rank, a.torsion)
         return out
 
     def homology(self) -> HomologyType:
         groups = []
-        for n in range(self.lo, self.hi + 1):
+        for n in self.degrees():
             rank_dn = self._boundary_data[n][0]
             rank_up, torsion = self._boundary_data.get(n + 1, (0, ()))
-            if n + 1 > self.hi:
-                rank_up, torsion = 0, ()
             free = self.rank_at(n) - rank_dn - rank_up
             groups.append((free, torsion))
         return HomologyType(lo=self.lo, groups=tuple(groups))
@@ -195,9 +177,8 @@ class ChainComplex:
     def euler_char(self) -> int:
         """Alternating rank sum; asserted equal to the homology version."""
         by_ranks = sum((-1) ** n * self.rank_at(n) for n in self.degrees())
-        by_homology = sum(
-            (-1) ** n * self.homology().at(n)[0] for n in self.degrees()
-        )
+        h = self.homology()
+        by_homology = sum((-1) ** n * h.at(n)[0] for n in self.degrees())
         assert by_ranks == by_homology, "rank and homology Euler characteristics differ"
         return by_ranks
 
@@ -315,13 +296,7 @@ class ChainMap:
     @cached_property
     def cokernel_torsion_free(self) -> bool:
         """True when every level's cokernel is torsion-free (split injection)."""
-        for m in self.mats:
-            if m.cols == 0:
-                continue
-            snf = smith_normal_form(m)
-            if any(d > 1 for d in snf.d):
-                return False
-        return True
+        return not any(_Analysis(m.rows, _columns_sparse(m)).torsion for m in self.mats)
 
     def is_monomial_injection(self) -> bool:
         """Each column hits exactly one row, with a unit, rows distinct."""

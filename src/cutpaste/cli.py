@@ -54,7 +54,7 @@ def _load_surface(path: str) -> TriSurface:
     data = _load_json(path)
     try:
         return TriSurface.from_json(data)
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedInput(f"{path} is not a surface file: {exc}") from exc
 
 
@@ -89,7 +89,7 @@ def _cmd_surface(args) -> int:
         s_data = _load_json(args.file)
         try:
             s = TriSurface.from_json(s_data)
-        except (KeyError, TypeError, IndexError) as exc:
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise MalformedInput(str(exc)) from exc
         violation = s.validate()
         if violation is None:

@@ -30,9 +30,12 @@ from functools import lru_cache
 from .abgroup import AbGroupPresentation, AbHom, NormalForm, check_exact_at
 from .squares_k0 import (
     Caps,
+    SquaresPresentation,
+    classes_of_types,
     glue_class_components,
     k0_presentation,
     surface_squares_presentation,
+    union_squares,
     within_caps,
 )
 from .surface import (
@@ -54,6 +57,7 @@ CIRCLE_LABEL = "[S^1]"
 
 # piece enumeration bound for the closed-group gluing relations: patterns
 # that differ only beyond four glued circles are consequences of smaller ones
+# (the tests check that a bound of five leaves the (3,3,3) group unchanged)
 _MAX_GLUED_CIRCLES = 4
 _MAX_PIECE_COMPONENTS = 3
 
@@ -78,24 +82,6 @@ class SKPresentation:
 
     def coordinate_of(self, cls: DiffeoClass) -> NormalForm:
         return self.group.element_normal_form(self.vector_of([(cls, 1)]))
-
-
-@dataclass(frozen=True)
-class SKClass:
-    """A group element: its presentation and canonical coordinates."""
-
-    presentation: SKPresentation
-    coordinates: NormalForm
-
-
-def closed_classes_within(caps: Caps) -> list[DiffeoClass]:
-    types = [(g, 0) for g in range(caps.genus + 1)]
-    out = [DiffeoClass.empty()]
-    for k in range(1, caps.components + 1):
-        for combo in itertools.combinations_with_replacement(types, k):
-            out.append(DiffeoClass.from_pairs(combo))
-    out.sort(key=lambda c: (-c.component_count, c.components))
-    return out
 
 
 def _piece_multisets(caps: Caps):
@@ -146,25 +132,22 @@ def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
 
 @lru_cache(maxsize=None)
 def closed_sk_presentation(caps: Caps) -> SKPresentation:
-    """Cut-and-paste group of closed oriented surfaces at the truncation."""
+    """Cut-and-paste group of closed oriented surfaces at the truncation:
+    the K0 presentation of the closed disjoint-union squares plus the
+    gluing-difference relations."""
     caps = Caps(*caps)
-    classes = closed_classes_within(caps)
+    classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
     n = len(classes)
-    relations = []
-    base = [0] * n
-    base[index[DiffeoClass.empty()]] = 1
-    relations.append(base)
-    nonempty = [c for c in classes if not c.is_empty]
-    for i, a in enumerate(nonempty):
-        for b in nonempty[i:]:
-            u = a.union(b)
-            if u in index:
-                rel = [0] * n
-                rel[index[u]] += 1
-                rel[index[a]] -= 1
-                rel[index[b]] -= 1
-                relations.append(rel)
+    squares, _ = union_squares(index, caps)
+    unions = k0_presentation(
+        SquaresPresentation(
+            objects=tuple(c.label() for c in classes),
+            basepoint=index[DiffeoClass.empty()],
+            squares=tuple(squares),
+        )
+    )
+    relations = list(unions.relations)
     pieces = _piece_multisets(caps)
     for m, combos in sorted(pieces.items()):
         for x, left in enumerate(combos):
@@ -175,7 +158,7 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
                     rel[index[r1]] += 1
                     rel[index[r2]] -= 1
                     relations.append(rel)
-    group = AbGroupPresentation.make([c.label() for c in classes], relations)
+    group = AbGroupPresentation.make(unions.generators, relations)
     return SKPresentation(
         flavor="closed", caps=caps, group=group, classes=tuple(classes)
     )
@@ -197,17 +180,6 @@ def circles_group() -> AbGroupPresentation:
     """Free abelian group on the circle: every closed oriented 1-manifold is
     a disjoint union of circles and bounds."""
     return AbGroupPresentation.free([CIRCLE_LABEL])
-
-
-def signature(s: TriSurface) -> int:
-    """The signature invariant.
-
-    Identically zero in dimension two (the intersection form on middle
-    homology is antisymmetric); kept as the second classical cut-and-paste
-    invariant slot alongside the Euler characteristic.
-    """
-    s.require_valid()
-    return 0
 
 
 def closed_inclusion_hom(caps: Caps) -> AbHom:

@@ -448,22 +448,46 @@ def connected_types(caps: Caps) -> list[tuple[int, int]]:
     ]
 
 
-def classes_within(caps: Caps) -> list[DiffeoClass]:
-    """All diffeomorphism classes within the caps, the empty class included,
-    ordered by descending component count (the empty class comes last)."""
-    types = connected_types(caps)
+def classes_of_types(types, components: int) -> list[DiffeoClass]:
+    """All disjoint unions of at most ``components`` connected types, the
+    empty class included, ordered by descending component count (the empty
+    class comes last)."""
     out = [DiffeoClass.empty()]
-    for k in range(1, caps.components + 1):
+    for k in range(1, components + 1):
         for combo in itertools.combinations_with_replacement(types, k):
             out.append(DiffeoClass.from_pairs(combo))
     out.sort(key=lambda c: (-c.component_count, c.components))
     return out
 
 
+def classes_within(caps: Caps) -> list[DiffeoClass]:
+    """All diffeomorphism classes within the caps, the empty class included,
+    ordered by descending component count (the empty class comes last)."""
+    return classes_of_types(connected_types(caps), caps.components)
+
+
 def within_caps(cls: DiffeoClass, caps: Caps) -> bool:
     if cls.component_count > caps.components:
         return False
     return all(g <= caps.genus and b <= caps.boundary for g, b in cls.components)
+
+
+def union_squares(index: dict, caps: Caps) -> tuple[list[tuple[int, int, int, int]], int]:
+    """Disjoint-union squares (empty, A, B, A|B) over the nonempty classes
+    of ``index`` (class -> object index, in object order), kept when A|B
+    stays within the caps; returns the squares and the skipped count."""
+    basepoint = index[DiffeoClass.empty()]
+    nonempty = [c for c in index if not c.is_empty]
+    squares = []
+    skipped = 0
+    for i, a in enumerate(nonempty):
+        for b in nonempty[i:]:
+            u = a.union(b)
+            if within_caps(u, caps):
+                squares.append((basepoint, index[a], index[b], index[u]))
+            else:
+                skipped += 1
+    return squares, skipped
 
 
 def glue_connected(m1: tuple[int, int], m2: tuple[int, int], k: int) -> tuple[int, int]:
@@ -532,9 +556,6 @@ class SurfaceSquares:
     classes: tuple[DiffeoClass, ...]
     skipped: int
 
-    def index_of(self, cls: DiffeoClass) -> int:
-        return self.presentation.objects.index(cls.label())
-
 
 def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     """The truncated category-with-squares instance for compact oriented
@@ -550,19 +571,7 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
         raise ValueError("caps must be at least (1,1,1)")
     classes = classes_within(caps)
     index = {c: i for i, c in enumerate(classes)}
-    basepoint = index[DiffeoClass.empty()]
-    squares: list[tuple[int, int, int, int]] = []
-    skipped = 0
-
-    # disjoint-union squares
-    nonempty = [c for c in classes if not c.is_empty]
-    for i, a in enumerate(nonempty):
-        for b in nonempty[i:]:
-            u = a.union(b)
-            if within_caps(u, caps):
-                squares.append((basepoint, index[a], index[b], index[u]))
-            else:
-                skipped += 1
+    squares, skipped = union_squares(index, caps)
 
     # collar squares between connected pieces
     types = [t for t in connected_types(caps) if t[1] >= 1]
@@ -586,7 +595,7 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
 
     pres = SquaresPresentation(
         objects=tuple(c.label() for c in classes),
-        basepoint=basepoint,
+        basepoint=index[DiffeoClass.empty()],
         squares=tuple(squares),
     )
     return SurfaceSquares(

@@ -159,9 +159,6 @@ class TriSurface:
         tri = self.triangles[t]
         return tri[e], tri[(e + 1) % 3]
 
-    def is_boundary_ref(self, ref: Ref) -> bool:
-        return ref not in self._partner
-
     @property
     def triangle_count(self) -> int:
         return len(self.triangles)
@@ -408,13 +405,28 @@ class TriSurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriSurface":
+        """Parse the surface file format.  Malformed files raise ValueError
+        naming the broken rule before anything is canonicalized: ``vertices``
+        must be a non-negative int, vertex ids lie in 0..vertices-1, edge
+        indices in 0..2, and no ref is glued twice."""
+        n = data["vertices"]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertices must be a non-negative int, got {n!r}")
         triangles = [tuple(int(v) for v in t) for t in data["triangles"]]
+        bad = [v for t in triangles for v in t if not 0 <= v < n]
+        if bad:
+            raise ValueError(f"vertex id {bad[0]} outside 0..{n - 1}")
         glue = {}
         for pair in data["gluing"]:
             (t1, e1), (t2, e2) = pair
             a, b = (int(t1), int(e1)), (int(t2), int(e2))
+            if a in glue or b in glue:
+                raise ValueError(f"gluing pair {a}~{b} has a ref that is glued twice")
             glue[a] = b
             glue[b] = a
+        bad = [r for r in glue if not 0 <= r[1] <= 2]
+        if bad:
+            raise ValueError(f"gluing ref {bad[0]} has edge index outside 0..2")
         surf, _ = _canonical_form(triangles, glue)
         return surf
 

@@ -9,6 +9,7 @@ back-substitution, and hands the quotient to AbGroupPresentation.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutpaste.abgroup import AbGroupPresentation, IntMatrix, smith_normal_form
 from cutpaste.chains import (
@@ -133,6 +134,35 @@ def test_homology_random_against_oracle():
 # ---------------------------------------------------------------------------
 # Quasi-isomorphism classes and k0
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Integer matrices up to 6x6 with entries in -9..9, empty shapes and
+    zeroed rows and columns included."""
+    m = draw(st.integers(0, 6))
+    n = draw(st.integers(0, 6))
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0))))
+    zero_cols = draw(st.sets(st.integers(0, max(n - 1, 0))))
+    rows = [
+        [0 if i in zero_rows or j in zero_cols else draw(st.integers(-9, 9)) for j in range(n)]
+        for i in range(m)
+    ]
+    return IntMatrix(m, n, tuple(x for row in rows for x in row))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_int_matrices())
+def test_lattice_kernel_matches_dense_snf(a):
+    d = smith_normal_form(a).d
+    rank = sum(1 for x in d if x)
+    torsion = tuple(x for x in d if x > 1)
+    c = ChainComplex(0, 1, (a.rows, a.cols), (a,))
+    h = c.homology()
+    assert h.at(0) == (a.rows - rank, torsion)
+    assert h.at(1) == (a.cols - rank, ())
+    f = ChainMap(ChainComplex.single(0, a.cols), ChainComplex.single(0, a.rows), (a,))
+    assert f.cokernel_torsion_free == (not any(x > 1 for x in d))
 
 
 def acyclic_summand() -> ChainComplex:

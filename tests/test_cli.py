@@ -225,3 +225,40 @@ def test_invalid_surface_validate_reports(tmp_path, capsys):
     code, out = run(capsys, "surface", "validate", str(path))
     assert code == 1
     assert "violation=" in out and "orientation-reversing" in out
+
+
+def _edge_index_five(data):
+    data["gluing"][0][1][1] = 5
+
+
+def _vertices_not_int(data):
+    data["vertices"] = "x"
+
+
+def _vertex_id_negative(data):
+    data["triangles"] = [[-1 if v == 3 else v for v in t] for t in data["triangles"]]
+
+
+def _ref_glued_twice(data):
+    data["gluing"].append(data["gluing"][0][::-1])
+
+
+@pytest.mark.parametrize(
+    "corrupt, rule",
+    [
+        (_edge_index_five, "edge index outside 0..2"),
+        (_vertices_not_int, "vertices must be a non-negative int"),
+        (_vertex_id_negative, "vertex id -1 outside 0..3"),
+        (_ref_glued_twice, "glued twice"),
+    ],
+    ids=["edge_index", "vertices_type", "vertex_range", "glued_twice"],
+)
+def test_malformed_surface_file_exits_2(corrupt, rule, tmp_path, capsys):
+    data = fan_disk(3).to_json()
+    corrupt(data)
+    path = tmp_path / "bad.surf"
+    path.write_text(json.dumps(data))
+    for argv in (("surface", "classify", str(path)), ("sk", "decide", str(path), str(path))):
+        code, out = run(capsys, *argv)
+        assert code == 2, (argv, out)
+        assert out.startswith("error=malformed_input") and rule in out, out

@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from cutpaste import sk_groups
 from cutpaste.abgroup import NormalForm
 from cutpaste.sk_groups import (
     Caps,
@@ -49,6 +50,26 @@ def test_closed_group_is_z_with_euler_coordinates():
         assert got == want
     # torus class dies
     assert pres.coordinate_of(DiffeoClass.connected(1, 0)).is_zero()
+
+
+def test_fifth_glued_circle_adds_no_closed_relation(monkeypatch):
+    # the closed presentation enumerates gluing patterns of at most
+    # _MAX_GLUED_CIRCLES = 4 circles; one more circle must not change it
+    caps = Caps(3, 3, 3)
+    closed_sk_presentation.cache_clear()
+    try:
+        at_four = closed_sk_presentation(caps)
+        monkeypatch.setattr(sk_groups, "_MAX_GLUED_CIRCLES", 5)
+        closed_sk_presentation.cache_clear()
+        at_five = closed_sk_presentation(caps)
+    finally:
+        closed_sk_presentation.cache_clear()
+    assert len(at_five.group.relations) > len(at_four.group.relations)
+    assert at_four.group.quotient_invariants() == (1, ())
+    assert at_five.group.quotient_invariants() == (1, ())
+    assert at_five.classes == at_four.classes
+    for cls in at_four.classes:
+        assert at_five.coordinate_of(cls) == at_four.coordinate_of(cls), cls
 
 
 def test_boundary_group_is_z2():
@@ -263,13 +284,6 @@ def test_collapse_for_all_pairings(k):
         rep = skk_collapse_check(k, identity, phi)
         assert rep.certified, (k, phi)
         assert rep.coordinates_equal
-
-
-def test_signature_vanishes_in_dimension_two():
-    from cutpaste.sk_groups import signature
-
-    for s in (octahedron(), seven_vertex_torus(), build_standard(2, 1)):
-        assert signature(s) == 0
 
 
 def test_decide_beyond_default_caps():
