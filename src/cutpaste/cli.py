@@ -168,8 +168,9 @@ def _cmd_sk(args) -> int:
         print(f"end_class={replay_witness(w).label()}")
         return 0
     if args.sk_cmd == "exact":
-        _emit(verify_exact_sequence(Caps.parse(args.caps)).to_lines())
-        return 0
+        rep = verify_exact_sequence(Caps.parse(args.caps))
+        _emit(rep.to_lines())
+        return 0 if rep.passed else 1
     if args.sk_cmd == "k0":
         res = k0_of_surfaces(Caps.parse(args.caps))
         _emit(res.to_lines())
@@ -179,7 +180,7 @@ def _cmd_sk(args) -> int:
         second = tuple(int(x) for x in args.second.split(","))
         rep = skk_collapse_check(args.circles, first, second)
         _emit(rep.to_lines())
-        return 0
+        return 0 if rep.certified else 1
     raise MalformedInput(f"unknown sk subcommand {args.sk_cmd}")
 
 
@@ -258,7 +259,9 @@ def _cmd_euler(args) -> int:
         data = _load_json(args.file)
         try:
             q = SquareInstance.from_json(data)
-        except (KeyError, TypeError) as exc:
+        except SurfaceError:
+            raise
+        except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise MalformedInput(f"bad square file: {exc}") from exc
         rep = functor_on_square(q)
         _emit(rep.to_lines())

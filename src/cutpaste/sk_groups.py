@@ -64,13 +64,9 @@ _MAX_PIECE_COMPONENTS = 3
 
 @dataclass(frozen=True)
 class SKPresentation:
-    flavor: str  # "closed" | "with_boundary"
     caps: Caps
     group: AbGroupPresentation
     classes: tuple[DiffeoClass, ...]
-
-    def contains(self, cls: DiffeoClass) -> bool:
-        return cls.label() in self.group.generator_index
 
     def vector_of(self, combo) -> list[int]:
         """Integer vector of a formal sum given as (class, coefficient) pairs
@@ -159,21 +155,14 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
                     rel[index[r2]] -= 1
                     relations.append(rel)
     group = AbGroupPresentation.make(unions.generators, relations)
-    return SKPresentation(
-        flavor="closed", caps=caps, group=group, classes=tuple(classes)
-    )
+    return SKPresentation(caps=caps, group=group, classes=tuple(classes))
 
 
-@lru_cache(maxsize=None)
 def boundary_sk_presentation(caps: Caps) -> SKPresentation:
-    """Cut-and-paste group of surfaces with boundary: exactly the truncated
-    gluing-square presentation."""
-    caps = Caps(*caps)
-    inst = surface_squares_presentation(caps)
-    group = k0_presentation(inst.presentation)
-    return SKPresentation(
-        flavor="with_boundary", caps=caps, group=group, classes=inst.classes
-    )
+    """Cut-and-paste group of surfaces with boundary: the K0 group of the
+    truncated gluing-square instance, shared with ``k0_of_surfaces``."""
+    inst = surface_squares_presentation(Caps(*caps))
+    return SKPresentation(caps=inst.caps, group=inst.group, classes=inst.classes)
 
 
 def circles_group() -> AbGroupPresentation:
@@ -193,14 +182,15 @@ def closed_inclusion_hom(caps: Caps) -> AbHom:
 
 def boundary_count_hom(caps: Caps) -> AbHom:
     """A with-boundary class maps to (number of boundary circles) [S^1]."""
-    bdry = boundary_sk_presentation(Caps(*caps))
-    target = circles_group()
+    return _boundary_count_on(boundary_sk_presentation(Caps(*caps)).group)
 
-    def image(label):
-        cls = DiffeoClass.from_label(label)
-        return {CIRCLE_LABEL: cls.boundary_circles}
 
-    return AbHom.on_generators(bdry.group, target, image)
+def _boundary_count_on(bdry: AbGroupPresentation) -> AbHom:
+    return AbHom.on_generators(
+        bdry,
+        circles_group(),
+        lambda label: {CIRCLE_LABEL: DiffeoClass.from_label(label).boundary_circles},
+    )
 
 
 @dataclass(frozen=True)
@@ -240,12 +230,12 @@ def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
     """Check 0 -> closed -> with-boundary -> circles -> 0 at the truncation."""
     caps = Caps(*caps)
     alpha = closed_inclusion_hom(caps)
-    beta = boundary_count_hom(caps)
+    beta = _boundary_count_on(alpha.target)
     composite = beta.compose(alpha)
     return ExactSequenceReport(
         caps=caps,
-        closed_invariants=closed_sk_presentation(caps).group.quotient_invariants(),
-        boundary_invariants=boundary_sk_presentation(caps).group.quotient_invariants(),
+        closed_invariants=alpha.source.quotient_invariants(),
+        boundary_invariants=alpha.target.quotient_invariants(),
         inclusion_injective=alpha.is_injective(),
         exact_at_middle=check_exact_at(alpha, beta),
         count_surjective=beta.is_surjective(),

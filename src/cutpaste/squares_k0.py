@@ -23,7 +23,9 @@ On top of that sit two concrete providers:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .abgroup import AbGroupPresentation, NormalForm
@@ -475,19 +477,20 @@ def within_caps(cls: DiffeoClass, caps: Caps) -> bool:
 def union_squares(index: dict, caps: Caps) -> tuple[list[tuple[int, int, int, int]], int]:
     """Disjoint-union squares (empty, A, B, A|B) over the nonempty classes
     of ``index`` (class -> object index, in object order), kept when A|B
-    stays within the caps; returns the squares and the skipped count."""
+    stays within the caps; returns the squares and the skipped count.
+    The classes must lie within the caps, by descending component count as
+    ``classes_of_types`` orders them: then the partners B that fit next to
+    A form a suffix of the list, and only the kept pairs are built."""
     basepoint = index[DiffeoClass.empty()]
     nonempty = [c for c in index if not c.is_empty]
+    neg_counts = [-c.component_count for c in nonempty]
     squares = []
-    skipped = 0
     for i, a in enumerate(nonempty):
-        for b in nonempty[i:]:
-            u = a.union(b)
-            if within_caps(u, caps):
-                squares.append((basepoint, index[a], index[b], index[u]))
-            else:
-                skipped += 1
-    return squares, skipped
+        first = bisect_left(neg_counts, a.component_count - caps.components)
+        for b in nonempty[max(i, first):]:
+            squares.append((basepoint, index[a], index[b], index[a.union(b)]))
+    n = len(nonempty)
+    return squares, n * (n + 1) // 2 - len(squares)
 
 
 def glue_connected(m1: tuple[int, int], m2: tuple[int, int], k: int) -> tuple[int, int]:
@@ -556,10 +559,16 @@ class SurfaceSquares:
     classes: tuple[DiffeoClass, ...]
     skipped: int
 
+    @cached_property
+    def group(self) -> AbGroupPresentation:
+        """K0 of the instance: the with-boundary cut-and-paste group."""
+        return k0_presentation(self.presentation)
 
+
+@lru_cache(maxsize=None)
 def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     """The truncated category-with-squares instance for compact oriented
-    surfaces with boundary.
+    surfaces with boundary, built once per caps.
 
     Squares are (i) disjoint-union squares (empty, A, B, A|B) and (ii)
     collar squares (annulus stack, M, M', glued result) for connected M, M'
@@ -632,7 +641,7 @@ def k0_of_surfaces(caps: Caps) -> K0Computation:
     if caps.genus < 2 or caps.boundary < 2 or caps.components < 2:
         raise ValueError("k0_of_surfaces needs caps of at least (2,2,2)")
     inst = surface_squares_presentation(caps)
-    group = k0_presentation(inst.presentation)
+    group = inst.group
     rank, torsion = group.quotient_invariants()
     coords = {}
     n = len(group.generators)

@@ -407,19 +407,25 @@ class TriSurface:
     def from_json(cls, data: dict) -> "TriSurface":
         """Parse the surface file format.  Malformed files raise ValueError
         naming the broken rule before anything is canonicalized: ``vertices``
-        must be a non-negative int, vertex ids lie in 0..vertices-1, edge
-        indices in 0..2, and no ref is glued twice."""
+        must be a non-negative int, vertex ids, triangle indices and edge
+        indices must be JSON integers (not floats, strings or booleans),
+        vertex ids lie in 0..vertices-1, edge indices in 0..2, and no ref is
+        glued twice."""
         n = data["vertices"]
         if type(n) is not int or n < 0:
             raise ValueError(f"vertices must be a non-negative int, got {n!r}")
-        triangles = [tuple(int(v) for v in t) for t in data["triangles"]]
-        bad = [v for t in triangles for v in t if not 0 <= v < n]
+        triangles = [tuple(t) for t in data["triangles"]]
+        bad = [v for t in triangles for v in t if type(v) is not int or not 0 <= v < n]
+        if bad and type(bad[0]) is not int:
+            raise ValueError(f"vertex id {bad[0]!r} is not a JSON integer")
         if bad:
             raise ValueError(f"vertex id {bad[0]} outside 0..{n - 1}")
         glue = {}
         for pair in data["gluing"]:
             (t1, e1), (t2, e2) = pair
-            a, b = (int(t1), int(e1)), (int(t2), int(e2))
+            a, b = (t1, e1), (t2, e2)
+            if not (type(t1) is type(e1) is type(t2) is type(e2) is int):
+                raise ValueError(f"gluing pair {a}~{b} holds an index that is not a JSON integer")
             if a in glue or b in glue:
                 raise ValueError(f"gluing pair {a}~{b} has a ref that is glued twice")
             glue[a] = b

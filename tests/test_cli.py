@@ -88,6 +88,19 @@ def test_sk_decide_and_exact(tmp_path, capsys):
     code, out = run(capsys, "sk", "exact", "--caps", "2,2,2")
     assert code == 0
     assert out.count("PASS") >= 4
+    code, out = run(capsys, "sk", "exact", "--caps", "1,1,1")
+    assert code == 1
+    assert "exact_at_middle=FAIL" in out
+
+
+def test_square_file_with_uncovered_triangles_exits_1(tmp_path, capsys):
+    path = tmp_path / "uncovered.square"
+    path.write_text(
+        json.dumps({"d": fan_disk(3).to_json(), "b_triangles": [0], "c_triangles": [0]})
+    )
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 1
+    assert out.startswith("error=domain") and "must cover" in out, out
 
 
 def test_sk_skk(capsys):
@@ -243,6 +256,18 @@ def _ref_glued_twice(data):
     data["gluing"].append(data["gluing"][0][::-1])
 
 
+def _vertex_id_float(data):
+    data["triangles"][0][1] = 1.5
+
+
+def _vertex_id_string(data):
+    data["triangles"][0][0] = "0"
+
+
+def _edge_index_float(data):
+    data["gluing"][0][1][1] = 2.0
+
+
 @pytest.mark.parametrize(
     "corrupt, rule",
     [
@@ -250,15 +275,35 @@ def _ref_glued_twice(data):
         (_vertices_not_int, "vertices must be a non-negative int"),
         (_vertex_id_negative, "vertex id -1 outside 0..3"),
         (_ref_glued_twice, "glued twice"),
+        (_vertex_id_float, "vertex id 1.5 is not a JSON integer"),
+        (_vertex_id_string, "vertex id '0' is not a JSON integer"),
+        (_edge_index_float, "index that is not a JSON integer"),
     ],
-    ids=["edge_index", "vertices_type", "vertex_range", "glued_twice"],
+    ids=[
+        "edge_index",
+        "vertices_type",
+        "vertex_range",
+        "glued_twice",
+        "vertex_id_float",
+        "vertex_id_string",
+        "edge_index_float",
+    ],
 )
 def test_malformed_surface_file_exits_2(corrupt, rule, tmp_path, capsys):
     data = fan_disk(3).to_json()
+    all_triangles = list(range(len(data["triangles"])))
     corrupt(data)
     path = tmp_path / "bad.surf"
     path.write_text(json.dumps(data))
-    for argv in (("surface", "classify", str(path)), ("sk", "decide", str(path), str(path))):
+    square = tmp_path / "bad.square"
+    square.write_text(
+        json.dumps({"d": data, "b_triangles": all_triangles, "c_triangles": all_triangles})
+    )
+    for argv in (
+        ("surface", "classify", str(path)),
+        ("sk", "decide", str(path), str(path)),
+        ("euler", "verify-square", str(square)),
+    ):
         code, out = run(capsys, *argv)
         assert code == 2, (argv, out)
         assert out.startswith("error=malformed_input") and rule in out, out

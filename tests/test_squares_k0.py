@@ -10,13 +10,17 @@ from cutpaste.squares_k0 import (
     Morphism,
     SquaresPresentation,
     check_lemma_hypotheses,
+    classes_of_types,
+    connected_types,
     glue_class_components,
     glue_connected,
     k0_of_surfaces,
     k0_presentation,
     surface_squares_presentation,
+    union_squares,
     within_caps,
 )
+from cutpaste.sk_groups import boundary_sk_presentation
 from cutpaste.surface import (
     BoundaryGluing,
     DiffeoClass,
@@ -368,6 +372,41 @@ def test_instance_monotone_in_caps():
         }
 
     assert labeled(small) <= labeled(big)
+
+
+def all_pairs_union_squares(index, caps):
+    """Every pair of nonempty classes, kept when the union fits the caps."""
+    basepoint = index[DiffeoClass.empty()]
+    nonempty = [c for c in index if not c.is_empty]
+    squares, skipped = [], 0
+    for i, a in enumerate(nonempty):
+        for b in nonempty[i:]:
+            u = a.union(b)
+            if within_caps(u, caps):
+                squares.append((basepoint, index[a], index[b], index[u]))
+            else:
+                skipped += 1
+    return squares, skipped
+
+
+@pytest.mark.parametrize("closed", [False, True], ids=["with_boundary", "closed"])
+@pytest.mark.parametrize("caps", [Caps(2, 2, 2), Caps(3, 2, 3), Caps(1, 1, 4)])
+def test_union_squares_match_all_pairs_filter(caps, closed):
+    types = [(g, 0) for g in range(caps.genus + 1)] if closed else connected_types(caps)
+    classes = classes_of_types(types, caps.components)
+    index = {c: i for i, c in enumerate(classes)}
+    assert union_squares(index, caps) == all_pairs_union_squares(index, caps)
+
+
+def test_instance_square_counts_at_333():
+    inst = surface_squares_presentation(Caps(3, 3, 3))
+    assert len(inst.presentation.squares) == 2370
+    assert inst.skipped == 466750
+
+
+def test_k0_of_surfaces_shares_the_boundary_group():
+    caps = Caps(2, 2, 2)
+    assert k0_of_surfaces(caps).group is boundary_sk_presentation(caps).group
 
 
 def test_k0_of_surfaces_small_caps():
