@@ -43,21 +43,50 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-@dataclass(frozen=True)
+def require_json_ints(values, what: str) -> None:
+    """Raise ValueError naming the first value that is not a JSON integer
+    (floats, strings and booleans are not); ``int()`` would truncate or
+    convert them silently."""
+    for x in values:
+        if type(x) is not int:
+            raise ValueError(f"{what} {x!r} is not a JSON integer")
+
+
 class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
+    """Immutable integer matrix, stored as its nonzero entries by column.
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    ``columns[j]`` maps a row index to the nonzero entry at (row, j); zeros
+    are never stored, so equal matrices have equal columns.  The constructor
+    takes dense row-major entries and ``from_columns`` takes the sparse form
+    as it is.  ``entries``, ``row`` and ``to_rows`` are dense views derived
+    from the columns, built on first use.
+    """
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries):
+        entries = tuple(entries)
+        if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        self.rows = rows
+        self.cols = cols
+        self.columns = tuple(
+            {i: x for i, x in enumerate(entries[j::cols]) if x} for j in range(cols)
+        )
+        self.__dict__["entries"] = entries
+
+    @classmethod
+    def from_columns(cls, rows: int, cols: int, columns) -> "IntMatrix":
+        """Build from one {row: nonzero entry} dict per column.  The dicts
+        are kept, not copied, so the caller must not change them later."""
+        columns = tuple(columns)
+        if rows < 0 or len(columns) != cols:
+            raise ValueError(f"expected {cols} columns of height {rows}, got {len(columns)}")
+        out = cls.__new__(cls)
+        out.rows = rows
+        out.cols = cols
+        out.columns = columns
+        return out
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -71,46 +100,62 @@ class IntMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        return cls.from_columns(n, n, ({j: 1} for j in range(n)))
 
     @classmethod
     def zeros(cls, m: int, n: int) -> "IntMatrix":
-        return cls(m, n, (0,) * (m * n))
+        return cls.from_columns(m, n, ({} for _ in range(n)))
+
+    @cached_property
+    def entries(self) -> tuple[int, ...]:
+        """Row-major dense entries."""
+        out = [0] * (self.rows * self.cols)
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i * self.cols + j] = x
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.columns) == (other.rows, other.cols, other.columns)
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self.columns)))
+
+    def __repr__(self):
+        return f"IntMatrix({self.rows}, {self.cols}, {self.entries!r})"
 
     def entry(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
+        return self.columns[j].get(i, 0)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return self.entries[j :: self.cols][: self.rows] if self.cols else ()
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entry(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+        rows: list[dict] = [{} for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return IntMatrix.from_columns(self.cols, self.rows, rows)
+
+    def times_column(self, vec: dict) -> dict:
+        """Matrix times a sparse column vector {index: coeff}, zeros dropped."""
+        acc: dict[int, int] = {}
+        for k, b in vec.items():
+            for i, a in self.columns[k].items():
+                acc[i] = acc.get(i, 0) + a * b
+        return {i: x for i, x in acc.items() if x}
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [0] * other.cols
-            for k, a in enumerate(srow):
-                if a:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-            out.extend(acc)
-        return IntMatrix(self.rows, other.cols, tuple(out))
+        return IntMatrix.from_columns(
+            self.rows, other.cols, [self.times_column(col) for col in other.columns]
+        )
 
     def vec_times(self, v) -> tuple[int, ...]:
         """Row vector times matrix: v (len rows) -> v @ M (len cols)."""
@@ -185,7 +230,12 @@ class IntMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "IntMatrix":
-        return cls(int(data["rows"]), int(data["cols"]), tuple(int(x) for x in data["entries"]))
+        """Parse {"rows", "cols", "entries"}; every one of them must hold JSON
+        integers (not floats, strings or booleans), else ValueError."""
+        rows, cols, entries = data["rows"], data["cols"], data["entries"]
+        require_json_ints((rows, cols), "matrix shape")
+        require_json_ints(entries, "matrix entry")
+        return cls(rows, cols, entries)
 
 
 @dataclass(frozen=True)
@@ -425,10 +475,13 @@ class IntegerLattice:
         """Sorted (column, pivot value) pairs."""
         return [(j, self.rows[j][j]) for j in sorted(self.rows)]
 
-    def normalize(self) -> None:
-        """Fully reduce rows against each other (entries above pivots into [0, p))."""
+    def normalize(self, only=None) -> None:
+        """Reduce each row (or each row whose pivot column is in ``only``)
+        against the later rows, so its entries at later pivot columns lie in
+        [0, p).  A reduced row is the unique such residue of the row modulo
+        the rows after it, whether or not those rows are reduced themselves."""
         pivot_cols = sorted(self.rows)
-        for j0 in pivot_cols:
+        for j0 in pivot_cols if only is None else only:
             row = self.rows[j0]
             for j in pivot_cols:
                 if j <= j0:
@@ -494,23 +547,24 @@ class NormalForm:
 class _Analysis:
     """Diagonalization of the lattice spanned by sparse or dense vectors in
     Z^n: Hermite echelon, unit pivots dropped, Smith normal form on the
-    remaining rows.  It backs presentations and chain homology alike."""
+    remaining rows.  It backs presentations and chain homology alike.
+
+    Only the non-unit rows, the Smith input, are normalized here; chain
+    homology reads nothing else.  ``normalized_lattice`` normalizes the rest
+    on first use, for normal forms and membership tests."""
 
     def __init__(self, n: int, relations):
         self.n = n
         lat = IntegerLattice(n)
         for r in relations:
             lat.add(r)
-        lat.normalize()
+        nonunit = [j for j, p in lat.pivots() if p != 1]
+        lat.normalize(nonunit)
         self.lattice = lat
-        unit_cols = {j for j, p in lat.pivots() if p == 1}
+        unit_cols = set(lat.rows).difference(nonunit)
         surviving = [j for j in range(n) if j not in unit_cols]
         self.surviving = surviving
-        small_rows = []
-        for j, p in lat.pivots():
-            if p != 1:
-                row = lat.rows[j]
-                small_rows.append([row.get(c, 0) for c in surviving])
+        small_rows = [[lat.rows[j].get(c, 0) for c in surviving] for j in nonunit]
         n2 = len(surviving)
         if small_rows:
             m2 = IntMatrix.from_rows(small_rows)
@@ -525,8 +579,15 @@ class _Analysis:
         # diagonal entry at each position of the surviving basis
         self._positions = self.small_d + (0,) * (n2 - len(self.small_d))
 
+    @cached_property
+    def normalized_lattice(self) -> IntegerLattice:
+        """The relation lattice with every row normalized, so that ``reduce``
+        needs one pass over the rows."""
+        self.lattice.normalize()
+        return self.lattice
+
     def normal_form(self, vec) -> NormalForm:
-        w = self.lattice.reduce(vec)
+        w = self.normalized_lattice.reduce(vec)
         u = [w.get(j, 0) for j in self.surviving]
         if self.small_v is not None:
             u = list(self.small_v.vec_times(u))
@@ -591,10 +652,10 @@ class AbGroupPresentation:
         """True iff vec lies in the relation lattice (represents zero)."""
         if len(vec) != len(self.generators):
             raise ValueError("vector length does not match generator count")
-        return self._analysis.lattice.contains(vec)
+        return self._analysis.normalized_lattice.contains(vec)
 
     def relation_lattice(self) -> IntegerLattice:
-        return self._analysis.lattice.copy()
+        return self._analysis.normalized_lattice.copy()
 
     def describe(self) -> str:
         """Human-readable isomorphism type, e.g. 'Z^2' or 'Z + Z/6'."""
@@ -667,11 +728,11 @@ class AbHom:
             rows,
             len(self.source.generators),
             len(self.target.generators),
-            self.target._analysis.lattice,
+            self.target._analysis.normalized_lattice,
         )
 
     def is_injective(self) -> bool:
-        src_lat = self.source._analysis.lattice
+        src_lat = self.source._analysis.normalized_lattice
         return all(src_lat.contains(k) for k in self.kernel_lattice_rows())
 
     def is_surjective(self) -> bool:

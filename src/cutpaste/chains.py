@@ -25,21 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .abgroup import IntMatrix, IntegerLattice, _Analysis, smith_normal_form
+from .abgroup import IntMatrix, IntegerLattice, _Analysis, require_json_ints, smith_normal_form
 
 
 class ChainComplexError(ValueError):
     pass
-
-
-def _columns_sparse(m: IntMatrix) -> list[dict]:
-    cols: list[dict] = [dict() for _ in range(m.cols)]
-    for i in range(m.rows):
-        row = m.row(i)
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
 
 
 @dataclass(frozen=True)
@@ -110,14 +100,8 @@ class ChainComplex:
                 )
         for k in range(len(self.boundaries) - 1):
             lower = self.boundaries[k]
-            upper = self.boundaries[k + 1]
-            lower_cols = _columns_sparse(lower)
-            for j, col in enumerate(_columns_sparse(upper)):
-                acc: dict[int, int] = {}
-                for i, x in col.items():
-                    for i2, y in lower_cols[i].items():
-                        acc[i2] = acc.get(i2, 0) + x * y
-                if any(acc.values()):
+            for j, col in enumerate(self.boundaries[k + 1].columns):
+                if lower.times_column(col):
                     raise ChainComplexError(
                         f"boundary composite does not vanish at degree {self.lo + k + 2}, column {j}"
                     )
@@ -161,7 +145,7 @@ class ChainComplex:
         out = {}
         for n in self.degrees():
             d = self.boundary_at(n)
-            a = _Analysis(d.rows, _columns_sparse(d))
+            a = _Analysis(d.rows, d.columns)
             out[n] = (a.lattice.rank, a.torsion)
         return out
 
@@ -217,15 +201,7 @@ class ChainComplex:
         bnds = []
         for n in range(lo + 1, hi + 1):
             da, db = a.boundary_at(n), b.boundary_at(n)
-            rows = []
-            for i in range(da.rows):
-                rows.append(list(da.row(i)) + [0] * db.cols)
-            for i in range(db.rows):
-                rows.append([0] * da.cols + list(db.row(i)))
-            if rows:
-                bnds.append(IntMatrix.from_rows(rows))
-            else:
-                bnds.append(IntMatrix.zeros(ranks[n - 1 - lo], ranks[n - lo]))
+            bnds.append(_block_diagonal(da, db))
         return ChainComplex(lo, hi, ranks, tuple(bnds))
 
     def to_json(self) -> dict:
@@ -238,12 +214,13 @@ class ChainComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "ChainComplex":
-        return cls(
-            int(data["lo"]),
-            int(data["hi"]),
-            tuple(int(r) for r in data["ranks"]),
-            tuple(IntMatrix.from_json(m) for m in data["boundaries"]),
-        )
+        """Parse the chain file format.  ``lo``, ``hi``, ``ranks`` and every
+        matrix's ``rows``, ``cols`` and ``entries`` must be JSON integers;
+        anything else raises ValueError naming the value."""
+        lo, hi, ranks = data["lo"], data["hi"], data["ranks"]
+        require_json_ints((lo, hi), "degree bound")
+        require_json_ints(ranks, "rank")
+        return cls(lo, hi, tuple(ranks), tuple(IntMatrix.from_json(m) for m in data["boundaries"]))
 
 
 @dataclass(frozen=True)
@@ -285,31 +262,26 @@ class ChainMap:
             if m.cols == 0:
                 continue
             lat = IntegerLattice(m.rows)
-            rank = 0
-            for col in _columns_sparse(m):
-                if lat.add(col):
-                    rank += 1
-            if rank != m.cols:
+            if sum(lat.add(col) for col in m.columns) != m.cols:
                 return False
         return True
 
     @cached_property
     def cokernel_torsion_free(self) -> bool:
         """True when every level's cokernel is torsion-free (split injection)."""
-        return not any(_Analysis(m.rows, _columns_sparse(m)).torsion for m in self.mats)
+        return not any(_Analysis(m.rows, m.columns).torsion for m in self.mats)
 
     def is_monomial_injection(self) -> bool:
         """Each column hits exactly one row, with a unit, rows distinct."""
         for m in self.mats:
             hit_rows = set()
-            for j in range(m.cols):
-                col = [m.entry(i, j) for i in range(m.rows)]
-                nz = [(i, x) for i, x in enumerate(col) if x]
-                if len(nz) != 1 or abs(nz[0][1]) != 1:
+            for col in m.columns:
+                if len(col) != 1:
                     return False
-                if nz[0][0] in hit_rows:
+                (i, x), = col.items()
+                if abs(x) != 1 or i in hit_rows:
                     return False
-                hit_rows.add(nz[0][0])
+                hit_rows.add(i)
         return True
 
     @classmethod
@@ -370,96 +342,67 @@ def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
     bc = b.direct_sum(c)
 
     def stacked(n: int) -> IntMatrix:
-        fm = f.mat_at(n)
-        gm = g.mat_at(n)
-        rows = [list(fm.row(i)) for i in range(fm.rows)]
-        rows += [[-x for x in gm.row(i)] for i in range(gm.rows)]
-        if rows:
-            return IntMatrix.from_rows(rows)
-        return IntMatrix.zeros(0, a.rank_at(n))
+        """h_n = (f_n, -g_n): A_n -> B_n (+) C_n."""
+        fm, gm = f.mat_at(n), g.mat_at(n)
+        cols = ({**fc, **_shift(gc, fm.rows, -1)} for fc, gc in zip(fm.columns, gm.columns))
+        return IntMatrix.from_columns(fm.rows + gm.rows, fm.cols, cols)
 
     if f.is_monomial_injection():
-        return _pushout_monomial(f, g, a, b, c, bc)
+        return _pushout_monomial(f, g, a, b, c)
     if f.cokernel_torsion_free:
         return _pushout_snf(f, g, a, b, c, bc, stacked)
     return _pushout_cone(f, g, a, b, c, bc, stacked)
 
 
-def _pushout_monomial(f, g, a, b, c, bc) -> PushoutResult:
+def _shift(col: dict, offset: int, sign: int = 1) -> dict:
+    """A sparse column moved down by offset rows and multiplied by sign."""
+    return {i + offset: sign * x for i, x in col.items()}
+
+
+def _block_diagonal(x: IntMatrix, y: IntMatrix) -> IntMatrix:
+    """The matrix [[x, 0], [0, y]]."""
+    cols = x.columns + tuple(_shift(col, x.rows) for col in y.columns)
+    return IntMatrix.from_columns(x.rows + y.rows, x.cols + y.cols, cols)
+
+
+def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
     """f sends each basis element of A to a signed basis element of B: the
     quotient basis is (B minus the image) plus C, and the B-image coordinates
     are rerouted through g."""
     lo, hi = a.lo, a.hi
     proj_b = []
     proj_c = []
-    ranks = []
+    survivors = []
     for n in range(lo, hi + 1):
-        fm = f.mat_at(n)
-        gm = g.mat_at(n)
-        image_row_sign: dict[int, tuple[int, int]] = {}
-        for j in range(fm.cols):
-            i, s = next(
-                (i, fm.entry(i, j)) for i in range(fm.rows) if fm.entry(i, j)
-            )
-            image_row_sign[i] = (j, s)
-        survivors = [i for i in range(b.rank_at(n)) if i not in image_row_sign]
-        rank_p = len(survivors) + c.rank_at(n)
-        ranks.append(rank_p)
-        pb = [[0] * b.rank_at(n) for _ in range(rank_p)]
-        for pos, i in enumerate(survivors):
-            pb[pos][i] = 1
-        for i, (j, s) in image_row_sign.items():
-            # [e_i] = s * [g(a_j)] in the quotient
-            for i2 in range(gm.rows):
-                coeff = s * gm.entry(i2, j)
-                if coeff:
-                    pb[len(survivors) + i2][i] += coeff
-        pc = [[0] * c.rank_at(n) for _ in range(rank_p)]
-        for i2 in range(c.rank_at(n)):
-            pc[len(survivors) + i2][i2] = 1
-        proj_b.append(_matrix_or_zero(pb, rank_p, b.rank_at(n)))
-        proj_c.append(_matrix_or_zero(pc, rank_p, c.rank_at(n)))
-    # sections: survivor basis lifts to B, C part lifts to C
+        image = [next(iter(col.items())) for col in f.mat_at(n).columns]
+        hit = {i for i, _ in image}
+        surv = [i for i in range(b.rank_at(n)) if i not in hit]
+        ns = len(surv)
+        rank_p = ns + c.rank_at(n)
+        cols_b = [None] * b.rank_at(n)
+        for k, i in enumerate(surv):
+            cols_b[i] = {k: 1}
+        # [e_i] = s * [g(a_j)] in the quotient when f(a_j) = s * e_i
+        for (i, s), gcol in zip(image, g.mat_at(n).columns):
+            cols_b[i] = _shift(gcol, ns, s)
+        proj_b.append(IntMatrix.from_columns(rank_p, b.rank_at(n), cols_b))
+        proj_c.append(IntMatrix.from_columns(rank_p, c.rank_at(n), ({ns + i: 1} for i in range(c.rank_at(n)))))
+        survivors.append(surv)
+    # boundary of a P-basis vector: lift it (survivors to B, the C part to
+    # C), apply the boundary of B (+) C, project
     bnds = []
     for n in range(lo + 1, hi + 1):
         k = n - lo
-        # boundary of a P-basis vector: lift, apply boundary in B (+) C, project
+        pb, pc = proj_b[k - 1], proj_c[k - 1]
         db = b.boundary_at(n)
-        dc = c.boundary_at(n)
-        cols = []
-        fm = f.mat_at(n)
-        image_rows = set()
-        for j in range(fm.cols):
-            i = next(i for i in range(fm.rows) if fm.entry(i, j))
-            image_rows.add(i)
-        survivors = [i for i in range(b.rank_at(n)) if i not in image_rows]
-        for i in survivors:
-            vec_b = db.column(i)
-            col = _project_bc(proj_b[k - 1], proj_c[k - 1], list(vec_b), [0] * c.rank_at(n - 1))
-            cols.append(col)
-        for i2 in range(c.rank_at(n)):
-            vec_c = dc.column(i2)
-            col = _project_bc(proj_b[k - 1], proj_c[k - 1], [0] * b.rank_at(n - 1), list(vec_c))
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(ranks[k - 1])]
-        bnds.append(_matrix_or_zero(rows, ranks[k - 1], ranks[k]))
-    p = ChainComplex(lo, hi, tuple(ranks), tuple(bnds))
+        cols = [pb.times_column(db.columns[i]) for i in survivors[k]]
+        cols += [pc.times_column(col) for col in c.boundary_at(n).columns]
+        bnds.append(IntMatrix.from_columns(pb.rows, proj_b[k].rows, cols))
+    ranks = tuple(m.rows for m in proj_b)
+    p = ChainComplex(lo, hi, ranks, tuple(bnds))
     map_b = ChainMap(b, p, tuple(proj_b))
     map_c = ChainMap(c, p, tuple(proj_c))
     return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="quotient")
-
-
-def _project_bc(pb: IntMatrix, pc: IntMatrix, vec_b, vec_c):
-    out = [0] * pb.rows
-    for j, x in enumerate(vec_b):
-        if x:
-            for i in range(pb.rows):
-                out[i] += x * pb.entry(i, j)
-    for j, x in enumerate(vec_c):
-        if x:
-            for i in range(pc.rows):
-                out[i] += x * pc.entry(i, j)
-    return out
 
 
 def _matrix_or_zero(rows, nrows, ncols) -> IntMatrix:
@@ -527,34 +470,24 @@ def _pushout_cone(f, g, a, b, c, bc, stacked) -> PushoutResult:
     ranks = []
     for n in range(lo, hi + 1):
         ranks.append(bc.rank_at(n) + a.rank_at(n - 1))
+    # basis of degree n: B (+) C in degree n, then A in degree n-1
     bnds = []
     for n in range(lo + 1, hi + 1):
-        rows_out = bc.rank_at(n - 1) + a.rank_at(n - 2)
-        cols_in = bc.rank_at(n) + a.rank_at(n - 1)
-        d_bc = bc.boundary_at(n)
-        h = stacked(n - 1)
-        d_a = a.boundary_at(n - 1)
-        rows = []
-        for i in range(bc.rank_at(n - 1)):
-            row = list(d_bc.row(i)) if d_bc.cols else []
-            row += [h.entry(i, j) for j in range(a.rank_at(n - 1))]
-            rows.append(row)
-        for i in range(a.rank_at(n - 2)):
-            row = [0] * bc.rank_at(n)
-            row += [-d_a.entry(i, j) for j in range(a.rank_at(n - 1))]
-            rows.append(row)
-        bnds.append(_matrix_or_zero(rows, rows_out, cols_in))
+        top = bc.rank_at(n - 1)
+        cols = list(bc.boundary_at(n).columns)
+        cols += [
+            {**hc, **_shift(ac, top, -1)}
+            for hc, ac in zip(stacked(n - 1).columns, a.boundary_at(n - 1).columns)
+        ]
+        bnds.append(IntMatrix.from_columns(top + a.rank_at(n - 2), ranks[n - lo], cols))
     p = ChainComplex(lo, hi, tuple(ranks), tuple(bnds))
     include_b = []
     include_c = []
     for n in range(lo, hi + 1):
         rb = b.rank_at(n)
-        rc = c.rank_at(n)
         total = ranks[n - lo]
-        ib = [[1 if i == j else 0 for j in range(rb)] for i in range(total)]
-        ic = [[1 if i == j + rb else 0 for j in range(rc)] for i in range(total)]
-        include_b.append(_matrix_or_zero(ib, total, rb))
-        include_c.append(_matrix_or_zero(ic, total, rc))
+        include_b.append(IntMatrix.from_columns(total, rb, ({j: 1} for j in range(rb))))
+        include_c.append(IntMatrix.from_columns(total, c.rank_at(n), ({rb + j: 1} for j in range(c.rank_at(n)))))
     bp = b.pad(lo, hi)
     cp = c.pad(lo, hi)
     map_b = ChainMap(bp, p, tuple(include_b))

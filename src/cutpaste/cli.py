@@ -62,7 +62,9 @@ def _load_chain(path: str) -> ChainComplex:
     data = _load_json(path)
     try:
         return ChainComplex.from_json(data)
-    except (KeyError, TypeError) as exc:
+    except ChainComplexError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{path} is not a chain complex file: {exc}") from exc
 
 
@@ -229,7 +231,9 @@ def _cmd_chain(args) -> int:
             c = ChainComplex.from_json(data["c"])
             fmats = tuple(IntMatrix.from_json(m) for m in data["f"])
             gmats = tuple(IntMatrix.from_json(m) for m in data["g"])
-        except (KeyError, TypeError) as exc:
+        except ChainComplexError:
+            raise
+        except (KeyError, TypeError, ValueError) as exc:
             raise MalformedInput(f"bad pushout file: {exc}") from exc
         f = ChainMap(a, b, fmats)
         g = ChainMap(a, c, gmats)

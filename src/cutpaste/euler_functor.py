@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .abgroup import IntMatrix
+from .abgroup import IntMatrix, require_json_ints
 from .chains import ChainComplex, ChainMap, HomologyType, pushout
 from .surface import (
     Ref,
@@ -58,18 +58,21 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
     eidx = {r: i for i, r in enumerate(edges)}
     nv, ne, nf = len(verts), len(edges), len(tris)
 
-    d2 = [[0] * nf for _ in range(ne)]
-    for j, t in enumerate(tris):
+    d2 = []
+    for t in tris:
+        col: dict[int, int] = {}
         for e in range(3):
             rep, sign = s.edge_rep((t, e))
-            d2[eidx[rep]][j] += sign
-    d1 = [[0] * ne for _ in range(nv)]
-    for j, rep in enumerate(edges):
+            i = eidx[rep]
+            col[i] = col.get(i, 0) + sign
+        d2.append({i: x for i, x in col.items() if x})
+    d1 = []
+    for rep in edges:
         u, v = s.endpoints(rep)
-        if u != v:
-            d1[vidx[v]][j] += 1
-            d1[vidx[u]][j] -= 1
-    cx = ChainComplex.make(0, 2, (nv, ne, nf), [d1, d2])
+        d1.append({vidx[v]: 1, vidx[u]: -1} if u != v else {})
+    cx = ChainComplex.make(
+        0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
+    )
     return ChainData(
         complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris)
     )
@@ -91,16 +94,9 @@ def inclusion_chain_map(small: ChainData, big: ChainData) -> ChainMap:
         (small.edges, epos, len(big.edges)),
         (small.triangles, tpos, len(big.triangles)),
     ):
-        rows = [[0] * len(keys) for _ in range(nbig)]
-        for j, key in enumerate(keys):
-            if key not in positions:
-                raise SurfaceError("not a subcomplex: cell missing from the bigger piece")
-            rows[positions[key]][j] = 1
-        mats.append(
-            IntMatrix.from_rows(rows)
-            if nbig and keys
-            else IntMatrix.zeros(nbig, len(keys))
-        )
+        if any(key not in positions for key in keys):
+            raise SurfaceError("not a subcomplex: cell missing from the bigger piece")
+        mats.append(IntMatrix.from_columns(nbig, len(keys), ({positions[key]: 1} for key in keys)))
     return ChainMap(small.complex, big.complex, tuple(mats))
 
 
@@ -162,11 +158,10 @@ class SquareInstance:
     @classmethod
     def from_json(cls, data: dict) -> "SquareInstance":
         surf = TriSurface.from_json(data["d"])
-        return cls(
-            surface=surf,
-            b_triangles=frozenset(int(t) for t in data["b_triangles"]),
-            c_triangles=frozenset(int(t) for t in data["c_triangles"]),
-        )
+        b_tris, c_tris = data["b_triangles"], data["c_triangles"]
+        require_json_ints(b_tris, "triangle index")
+        require_json_ints(c_tris, "triangle index")
+        return cls(surface=surf, b_triangles=frozenset(b_tris), c_triangles=frozenset(c_tris))
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
-from .abgroup import AbGroupPresentation, NormalForm
+from .abgroup import AbGroupPresentation, NormalForm, require_json_ints
 from .surface import DiffeoClass
 
 
@@ -73,11 +73,14 @@ class SquaresPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "SquaresPresentation":
-        return cls(
-            tuple(str(x) for x in data["objects"]),
-            int(data["basepoint"]),
-            tuple(tuple(int(i) for i in q) for q in data["squares"]),
-        )
+        """Parse the squares file format; the basepoint and the square
+        indices must be JSON integers, else ValueError naming the value."""
+        basepoint = data["basepoint"]
+        squares = tuple(tuple(q) for q in data["squares"])
+        require_json_ints((basepoint,), "basepoint")
+        for q in squares:
+            require_json_ints(q, "square index")
+        return cls(tuple(str(x) for x in data["objects"]), basepoint, squares)
 
 
 def k0_presentation(p: SquaresPresentation) -> AbGroupPresentation:

@@ -19,6 +19,7 @@ from cutpaste.abgroup import (
     IntMatrix,
     IntegerLattice,
     NormalForm,
+    _Analysis,
     check_exact_at,
     smith_normal_form,
     to_sparse,
@@ -267,6 +268,27 @@ def test_element_normal_form_examples():
 
     free = AbGroupPresentation.free(["x", "y"])
     assert free.element_normal_form([7, -2]) == NormalForm((), (), (7, -2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_deferred_normalization_matches_eager(n, data):
+    """_Analysis normalizes only its non-unit rows up front.  Normal forms
+    must equal those of an analysis whose lattice is normalized eagerly,
+    as every row was before the Smith form."""
+    entry = st.integers(-6, 6)
+    rels = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=7))
+    vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    deferred = _Analysis(n, rels)
+    full_normalize = IntegerLattice.normalize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IntegerLattice, "normalize", lambda self, only=None: full_normalize(self))
+        eager = _Analysis(n, rels)
+    eager_rows = eager.lattice.basis_rows()
+    assert (deferred.small_d, deferred.small_v) == (eager.small_d, eager.small_v)
+    for v in vecs:
+        assert deferred.normal_form(v) == eager.normal_form(v)
+    assert deferred.lattice.basis_rows() == eager_rows
 
 
 def test_element_normal_form_iff_lattice_membership():

@@ -169,6 +169,67 @@ def acyclic_summand() -> ChainComplex:
     return ChainComplex.make(0, 1, (1, 1), [[[1]]])
 
 
+def torsion_fixture() -> ChainComplex:
+    return ChainComplex.make(0, 2, (2, 3, 1), [[[0, 2, 0], [0, 0, 2]], [[2], [0], [0]]])
+
+
+FIXTURES = (
+    times_two_complex,
+    acyclic_summand,
+    torsion_fixture,
+    lambda: ChainComplex.single(0, 2),
+    lambda: ChainComplex.single(1, 1),
+    ChainComplex.zero,
+    lambda: ChainComplex.make(0, 2, (1, 0, 1), [[[]], []]),
+)
+
+
+def unimodular_pair(r: int, ops) -> tuple[IntMatrix, IntMatrix]:
+    """P and P^-1 from elementary row operations (i, j, q): row i += q row j."""
+    p = IntMatrix.identity(r).to_rows()
+    p_inv = IntMatrix.identity(r).to_rows()
+    for i, j, q in ops:
+        if r and i % r != j % r:
+            i, j = i % r, j % r
+            for k in range(r):
+                p[i][k] += q * p[j][k]
+            for row in p_inv:
+                row[j] -= q * row[i]
+    return IntMatrix(r, r, tuple(x for row in p for x in row)), IntMatrix(r, r, tuple(x for row in p_inv for x in row))
+
+
+@st.composite
+def conjugated_sums(draw):
+    """Direct sums of the fixtures, conjugated degreewise by unimodular
+    matrices: boundaries P_{n-1} d_n P_n^-1, so d o d = 0 still holds."""
+    picks = draw(st.lists(st.sampled_from(FIXTURES), min_size=1, max_size=3))
+    c = picks[0]()
+    for make in picks[1:]:
+        c = c.direct_sum(make())
+    op = st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(-2, 2))
+    pairs = [unimodular_pair(r, draw(st.lists(op, max_size=4))) for r in c.ranks]
+    bnds = tuple(pairs[k][0] * d * pairs[k + 1][1] for k, d in enumerate(c.boundaries))
+    return c, ChainComplex(c.lo, c.hi, c.ranks, bnds)
+
+
+@settings(max_examples=120, deadline=None)
+@given(conjugated_sums())
+def test_sparse_homology_against_dense_oracle(pair):
+    c, conj = pair
+    h = conj.homology()
+    assert h == full_homology_oracle(conj)
+    assert h == c.homology()
+    ChainMap.identity(conj)
+    # doubling one degree commutes only when both boundaries at it vanish
+    for k in range(len(conj.ranks)):
+        touching = conj.boundaries[max(k - 1, 0) : k + 1]
+        if any(d != IntMatrix.zeros(d.rows, d.cols) for d in touching):
+            mats = [IntMatrix.identity(r) for r in conj.ranks]
+            mats[k] = IntMatrix(conj.ranks[k], conj.ranks[k], tuple(2 * x for x in mats[k].entries))
+            with pytest.raises(ChainComplexError):
+                ChainMap(conj, conj, tuple(mats))
+
+
 def test_quasi_iso_acyclic_summand():
     c = times_two_complex()
     c2 = c.direct_sum(acyclic_summand())
@@ -203,7 +264,7 @@ def test_quasi_iso_is_equivalence_relation():
 
 def test_k0_class_invariances():
     rng = random.Random(17)
-    c = ChainComplex.make(0, 2, (2, 3, 1), [[[0, 2, 0], [0, 0, 2]], [[2], [0], [0]]])
+    c = torsion_fixture()
     base = k0_class(c)
     assert base == euler_char(c)
     # acyclic two-term summands

@@ -146,9 +146,66 @@ def test_chain_corrupted_boundary_is_domain_error(tmp_path, capsys):
     }
     path = tmp_path / "bad.chain"
     path.write_text(json.dumps(chain))
-    code, out = run(capsys, "chain", "homology", str(path))
-    assert code == 1
-    assert "boundary composite does not vanish" in out
+    for cmd in ("homology", "chi"):
+        code, out = run(capsys, "chain", cmd, str(path))
+        assert code == 1
+        assert "boundary composite does not vanish" in out
+
+
+def _times_two_chain():
+    return {
+        "lo": 0,
+        "hi": 1,
+        "ranks": [1, 1],
+        "boundaries": [{"rows": 1, "cols": 1, "entries": [2]}],
+    }
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def corrupt(data):
+        for k in path:
+            data = data[k]
+        data[key] = value
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "corrupt, rule",
+    [
+        (_set("boundaries", 0, "entries", [2.7]), "matrix entry 2.7 is not a JSON integer"),
+        (_set("boundaries", 0, "entries", ["2"]), "matrix entry '2' is not a JSON integer"),
+        (_set("boundaries", 0, "entries", [2, 2]), "expected 1 entries, got 2"),
+        (_set("boundaries", 0, "rows", 1.0), "matrix shape 1.0 is not a JSON integer"),
+        (_set("boundaries", 0, "cols", "1"), "matrix shape '1' is not a JSON integer"),
+        (_set("ranks", [True, 1]), "rank True is not a JSON integer"),
+        (_set("lo", "0"), "degree bound '0' is not a JSON integer"),
+        (_set("hi", 1.0), "degree bound 1.0 is not a JSON integer"),
+    ],
+    ids=["entry_float", "entry_string", "entry_count", "rows_float", "cols_string", "rank_bool", "lo_string", "hi_float"],
+)
+def test_malformed_chain_file_exits_2(corrupt, rule, tmp_path, capsys):
+    bad = _times_two_chain()
+    corrupt(bad)
+    path = tmp_path / "bad.chain"
+    path.write_text(json.dumps(bad))
+    good = tmp_path / "good.chain"
+    good.write_text(json.dumps(_times_two_chain()))
+    zero = {"lo": 0, "hi": 1, "ranks": [0, 0], "boundaries": [{"rows": 0, "cols": 0, "entries": []}]}
+    empty_maps = [{"rows": 1, "cols": 0, "entries": []}] * 2
+    bundle = tmp_path / "bad.bundle"
+    bundle.write_text(json.dumps({"a": zero, "b": bad, "c": _times_two_chain(), "f": empty_maps, "g": empty_maps}))
+    for argv in (
+        ("chain", "homology", str(path)),
+        ("chain", "chi", str(path)),
+        ("chain", "qiso", str(good), str(path)),
+        ("chain", "pushout", str(bundle)),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2, (argv, out)
+        assert out.startswith("error=malformed_input") and rule in out, out
 
 
 def test_chain_qiso(tmp_path, capsys):
@@ -183,6 +240,72 @@ def test_chain_pushout_file(tmp_path, capsys):
     assert code == 0
     assert "model=quotient" in out
     assert "degree=0 rank=2 torsion=[]" in out
+
+
+def _mat(rows, cols, entries):
+    return {"rows": rows, "cols": cols, "entries": entries}
+
+
+def _cx(ranks, *boundaries):
+    return {"lo": 0, "hi": len(ranks) - 1, "ranks": ranks, "boundaries": list(boundaries)}
+
+
+_CIRCLE = _cx([3, 3, 0], _mat(3, 3, [-1, 0, 1, 1, -1, 0, 0, 1, -1]), _mat(3, 0, []))
+_DISK = _cx(
+    [4, 6, 3],
+    _mat(4, 6, [-1, 0, 1, -1, 0, 0, 1, -1, 0, 0, -1, 0, 0, 1, -1, 0, 0, -1, 0, 0, 0, 1, 1, 1]),
+    _mat(6, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1, -1, 0, 1, 1, -1, 0, 0, 1, -1]),
+)
+_CIRCLE_IN_DISK = [
+    _mat(4, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0]),
+    _mat(6, 3, [1, 0, 0, 0, 1, 0, 0, 0, 1] + [0] * 9),
+    _mat(3, 0, []),
+]
+_KERNEL_DIAGONAL = _cx([2, 2], _mat(2, 2, [1, -1, -1, 1]))
+_ZERO_Z = _cx([1, 1], _mat(1, 1, [0]))
+_ONES = [_mat(2, 1, [1, 1])] * 2
+_TIMES_TWO = _cx([1, 1], _mat(1, 1, [2]))
+
+
+@pytest.mark.parametrize(
+    "bundle, expected",
+    [
+        (
+            {"a": _CIRCLE, "b": _DISK, "c": _DISK, "f": _CIRCLE_IN_DISK, "g": _CIRCLE_IN_DISK},
+            "model=quotient\ndegree=0 rank=1 torsion=[]\ndegree=1 rank=0 torsion=[]\n"
+            "degree=2 rank=1 torsion=[]\n"
+            '{"boundaries": [{"cols": 9, "entries": [1, 1, 1, 0, 0, 0, 0, 0, 0, -1, 0, 0, -1, 0, '
+            "1, -1, 0, 0, 0, -1, 0, 1, -1, 0, 0, -1, 0, 0, 0, -1, 0, 1, -1, 0, 0, -1, 0, 0, 0, 0, "
+            '0, 0, 1, 1, 1], "rows": 5}, {"cols": 6, "entries": [-1, 0, 1, 0, 0, 0, 1, -1, 0, 0, '
+            "0, 0, 0, 1, -1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, "
+            '0, -1, 0, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0, 1, -1], "rows": 9}], "hi": 2, "lo": 0, '
+            '"ranks": [5, 9, 6]}\n',
+        ),
+        (
+            {"a": _ZERO_Z, "b": _KERNEL_DIAGONAL, "c": _ZERO_Z, "f": _ONES, "g": [_mat(1, 1, [1])] * 2},
+            "model=quotient\ndegree=0 rank=1 torsion=[]\ndegree=1 rank=1 torsion=[]\n"
+            '{"boundaries": [{"cols": 2, "entries": [2, 0, -1, 0], "rows": 2}], "hi": 1, "lo": 0, '
+            '"ranks": [2, 2]}\n',
+        ),
+        (
+            {"a": _TIMES_TWO, "b": _TIMES_TWO, "c": _TIMES_TWO, "f": [_mat(1, 1, [3])] * 2, "g": [_mat(1, 1, [1])] * 2},
+            "model=cone\ndegree=0 rank=0 torsion=[2]\ndegree=1 rank=0 torsion=[]\n"
+            "degree=2 rank=0 torsion=[]\n"
+            '{"boundaries": [{"cols": 3, "entries": [2, 0, 3, 0, 2, -1], "rows": 2}, {"cols": 1, '
+            '"entries": [3, -1, -2], "rows": 3}], "hi": 2, "lo": 0, "ranks": [2, 3, 1]}\n',
+        ),
+    ],
+    ids=["quotient_monomial", "quotient_smith", "cone"],
+)
+def test_chain_pushout_output_is_pinned(bundle, expected, tmp_path, capsys):
+    """Exact stdout, JSON included, of the three pushout models: quotient
+    through a coordinate inclusion, quotient through Smith transforms, and
+    the mapping cone.  The matrix storage must not change a byte of it."""
+    path = tmp_path / "po.json"
+    path.write_text(json.dumps(bundle))
+    code, out = run(capsys, "chain", "pushout", str(path))
+    assert code == 0
+    assert out == expected
 
 
 def test_euler_chi_and_square(tmp_path, capsys, octa_file):
@@ -303,6 +426,25 @@ def test_malformed_surface_file_exits_2(corrupt, rule, tmp_path, capsys):
         ("surface", "classify", str(path)),
         ("sk", "decide", str(path), str(path)),
         ("euler", "verify-square", str(square)),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2, (argv, out)
+        assert out.startswith("error=malformed_input") and rule in out, out
+
+
+def test_float_and_string_indices_exit_2(tmp_path, capsys):
+    data = fan_disk(3).to_json()
+    square = tmp_path / "bad.square"
+    square.write_text(json.dumps({"d": data, "b_triangles": [0, 1.7, 2], "c_triangles": [0, 1, 2]}))
+    objects = ["O", "X", "Y"]
+    basepoint = tmp_path / "basepoint.sq"
+    basepoint.write_text(json.dumps({"objects": objects, "basepoint": 0.9, "squares": []}))
+    index = tmp_path / "index.sq"
+    index.write_text(json.dumps({"objects": objects, "basepoint": 0, "squares": [[0, 1.5, "1", 2]]}))
+    for argv, rule in (
+        (("euler", "verify-square", str(square)), "triangle index 1.7 is not a JSON integer"),
+        (("k0", str(basepoint)), "basepoint 0.9 is not a JSON integer"),
+        (("k0", str(index)), "square index 1.5 is not a JSON integer"),
     ):
         code, out = run(capsys, *argv)
         assert code == 2, (argv, out)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from cutpaste.abgroup import IntMatrix
 from cutpaste.euler_functor import (
     SquareInstance,
     chains_of,
@@ -24,6 +25,7 @@ from cutpaste.surface import (
     seven_vertex_torus,
     sk_system_move,
     standard_library,
+    subdivide,
 )
 
 from test_surface import equator_circle, torus_meridian
@@ -227,3 +229,24 @@ def test_many_random_squares_pass():
         assert rep.passed, f"square failed on {(g, b)} trial {trial}"
         count += 1
     assert count >= 20
+
+
+def test_chain_paths_build_no_dense_matrix(monkeypatch):
+    """Surface chains, inclusions, the d o d and commutation checks, the
+    monomial pushout and homology all work on sparse columns: with every
+    dense form of IntMatrix raising, a square and a subdivided surface still
+    go through."""
+    lib = standard_library(1, 2)
+    q = square_from_circles(lib.surface, lib.nulls[:2])
+    s = subdivide(lib.surface)
+
+    def dense(self, *args):
+        raise AssertionError("a dense matrix was built")
+
+    monkeypatch.setattr(IntMatrix, "entries", property(dense))
+    monkeypatch.setattr(IntMatrix, "to_rows", dense)
+    monkeypatch.setattr(IntMatrix, "__init__", dense)
+    rep = functor_on_square(q)
+    assert rep.passed and rep.pushout_model == "quotient"
+    h = chains_of(s).homology()
+    assert [h.at(n) for n in range(3)] == [(1, ()), (3, ()), (0, ())]
