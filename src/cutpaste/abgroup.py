@@ -133,7 +133,11 @@ class IntMatrix:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
+        out = [[0] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return out
 
     def transpose(self) -> "IntMatrix":
         rows: list[dict] = [{} for _ in range(self.rows)]
@@ -590,7 +594,7 @@ class _Analysis:
         w = self.normalized_lattice.reduce(vec)
         u = [w.get(j, 0) for j in self.surviving]
         if self.small_v is not None:
-            u = list(self.small_v.vec_times(u))
+            u = [sum(u[i] * x for i, x in col.items()) for col in self.small_v.columns]
         torsion = []
         moduli = []
         free = []
@@ -604,39 +608,87 @@ class _Analysis:
         return NormalForm(torsion=tuple(torsion), moduli=tuple(moduli), free=tuple(free))
 
 
-@dataclass(frozen=True)
 class AbGroupPresentation:
-    """Free abelian group on named generators modulo integer relation rows."""
+    """Free abelian group on named generators modulo integer relation rows.
 
-    generators: tuple[str, ...]
-    relations: tuple[tuple[int, ...], ...]
+    Each relation row is stored sparse in ``rows``, as a {generator index:
+    nonzero coefficient} dict; ``relations`` is the dense view, built on
+    first use.  The constructor (and ``make``) takes dense rows, sparse
+    rows or a mix."""
 
-    def __post_init__(self):
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, generators, relations):
+        generators = tuple(str(g) for g in generators)
+        if len(set(generators)) != len(generators):
             raise ValueError("generator labels must be pairwise distinct")
-        n = len(self.generators)
-        for r in self.relations:
-            if len(r) != n:
-                raise ValueError("relation length does not match generator count")
+        n = len(generators)
+        rows = []
+        for r in relations:
+            if isinstance(r, dict):
+                if any(type(c) is not int or not 0 <= c < n for c in r):
+                    raise ValueError("relation index outside the generators")
+                items = r.items()
+            else:
+                r = tuple(r)
+                if len(r) != n:
+                    raise ValueError("relation length does not match generator count")
+                items = enumerate(r)
+            row = {}
+            for c, x in items:
+                x = int(x)
+                if x:
+                    row[c] = x
+            rows.append(row)
+        self.generators = generators
+        self.rows = tuple(rows)
 
     @classmethod
     def make(cls, generators, relations) -> "AbGroupPresentation":
-        return cls(
-            tuple(str(g) for g in generators),
-            tuple(tuple(int(x) for x in r) for r in relations),
-        )
+        return cls(generators, relations)
 
     @classmethod
     def free(cls, generators) -> "AbGroupPresentation":
         return cls.make(generators, [])
 
     @cached_property
+    def relations(self) -> tuple[tuple[int, ...], ...]:
+        """Dense view of the relation rows."""
+        out = []
+        for row in self.rows:
+            dense = [0] * len(self.generators)
+            for c, x in row.items():
+                dense[c] = x
+            out.append(tuple(dense))
+        return tuple(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, AbGroupPresentation):
+            return NotImplemented
+        return self is other or (self.generators, self.rows) == (other.generators, other.rows)
+
+    def __hash__(self):
+        return hash((self.generators, tuple(frozenset(r.items()) for r in self.rows)))
+
+    def __repr__(self):
+        return f"AbGroupPresentation({self.generators!r}, {self.rows!r})"
+
+    @cached_property
     def _analysis(self) -> _Analysis:
-        return _Analysis(len(self.generators), self.relations)
+        return _Analysis(len(self.generators), self.rows)
 
     @cached_property
     def generator_index(self) -> dict[str, int]:
         return {g: i for i, g in enumerate(self.generators)}
+
+    def _checked(self, vec):
+        """vec itself, once it is known to be a dense vector of the right
+        length or a sparse {index: coeff} dict inside the generators."""
+        n = len(self.generators)
+        if isinstance(vec, dict):
+            if any(not 0 <= c < n for c in vec):
+                raise ValueError("vector index outside the generators")
+        elif len(vec) != n:
+            raise ValueError("vector length does not match generator count")
+        return vec
 
     def quotient_invariants(self) -> tuple[int, tuple[int, ...]]:
         """Isomorphism type as (free rank, invariant factors > 1)."""
@@ -644,15 +696,13 @@ class AbGroupPresentation:
         return a.free_rank, a.torsion
 
     def element_normal_form(self, vec) -> NormalForm:
-        if len(vec) != len(self.generators):
-            raise ValueError("vector length does not match generator count")
-        return self._analysis.normal_form(vec)
+        """Normal form of a dense vector or a sparse {index: coeff} dict."""
+        return self._analysis.normal_form(self._checked(vec))
 
     def is_relation(self, vec) -> bool:
-        """True iff vec lies in the relation lattice (represents zero)."""
-        if len(vec) != len(self.generators):
-            raise ValueError("vector length does not match generator count")
-        return self._analysis.normalized_lattice.contains(vec)
+        """True iff vec (dense or sparse) lies in the relation lattice
+        (represents zero)."""
+        return self._analysis.normalized_lattice.contains(self._checked(vec))
 
     def relation_lattice(self) -> IntegerLattice:
         return self._analysis.normalized_lattice.copy()
@@ -686,7 +736,8 @@ class AbHom:
     ``matrix`` has one row per source generator; row i is the image of
     source generator i written in target generator coordinates.  The
     constructor rejects matrices that do not send every source relation
-    into the target relation lattice (ill-defined maps).
+    into the target relation lattice (ill-defined maps).  The checks read
+    the images as sparse rows, the columns of the transposed matrix.
     """
 
     source: AbGroupPresentation
@@ -698,34 +749,34 @@ class AbHom:
             raise ValueError("matrix rows must match source generator count")
         if self.matrix.cols != len(self.target.generators):
             raise ValueError("matrix cols must match target generator count")
-        for rel in self.source.relations:
-            img = self.matrix.vec_times(rel)
-            if not self.target.is_relation(img):
+        lat = self.target._analysis.normalized_lattice
+        for rel in self.source.rows:
+            if not lat.contains(self._transpose.times_column(rel)):
                 raise ValueError("map is not well-defined: a source relation escapes the target lattice")
+
+    @cached_property
+    def _transpose(self) -> IntMatrix:
+        """Column i is the sparse image of source generator i."""
+        return self.matrix.transpose()
 
     @classmethod
     def on_generators(cls, source, target, image_of) -> "AbHom":
         """Build from a mapping generator-label -> sparse {target label: coeff}."""
-        rows = []
-        for g in source.generators:
-            vec = [0] * len(target.generators)
+        columns = [{} for _ in target.generators]
+        for i, g in enumerate(source.generators):
             for lbl, coeff in image_of(g).items():
-                vec[target.generator_index[lbl]] += coeff
-            rows.append(vec)
-        if rows:
-            matrix = IntMatrix.from_rows(rows)
-        else:
-            matrix = IntMatrix(0, len(target.generators), ())
-        return cls(source, target, matrix)
+                col = columns[target.generator_index[lbl]]
+                col[i] = col.get(i, 0) + coeff
+        columns = [{i: x for i, x in col.items() if x} for col in columns]
+        return cls(source, target, IntMatrix.from_columns(len(source.generators), len(columns), columns))
 
     def apply(self, vec) -> tuple[int, ...]:
         return self.matrix.vec_times(vec)
 
     def kernel_lattice_rows(self) -> list[dict]:
         """Generators of the full preimage of the target relation lattice."""
-        rows = [to_sparse(self.matrix.row(i)) for i in range(self.matrix.rows)]
         return kernel_into_quotient(
-            rows,
+            self._transpose.columns,
             len(self.source.generators),
             len(self.target.generators),
             self.target._analysis.normalized_lattice,
@@ -737,13 +788,14 @@ class AbHom:
 
     def is_surjective(self) -> bool:
         lat = self.target.relation_lattice()
-        for i in range(self.matrix.rows):
-            lat.add(to_sparse(self.matrix.row(i)))
+        for r in self._transpose.columns:
+            lat.add(r)
         pivs = lat.pivots()
         return len(pivs) == len(self.target.generators) and all(p == 1 for _, p in pivs)
 
     def is_zero(self) -> bool:
-        return all(self.target.is_relation(self.matrix.row(i)) for i in range(self.matrix.rows))
+        lat = self.target._analysis.normalized_lattice
+        return all(lat.contains(r) for r in self._transpose.columns)
 
     def compose(self, first: "AbHom") -> "AbHom":
         """self after first (first: A->B, self: B->C)."""
@@ -761,15 +813,15 @@ def check_exact_at(f: AbHom, g: AbHom) -> bool:
     if f.target != g.source:
         raise ValueError("target of f must equal source of g")
     mid = f.target
-    image_rows = [to_sparse(f.matrix.row(i)) for i in range(f.matrix.rows)]
+    image_rows = f._transpose.columns
     kernel_rows = g.kernel_lattice_rows()
 
     im_lat = mid.relation_lattice()
     for r in image_rows:
-        im_lat.add(dict(r))
+        im_lat.add(r)
     ker_lat = mid.relation_lattice()
     for r in kernel_rows:
-        ker_lat.add(dict(r))
+        ker_lat.add(r)
 
     if not all(im_lat.contains(k) for k in kernel_rows):
         return False

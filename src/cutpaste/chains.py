@@ -339,7 +339,6 @@ def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
     a = f.source
     b = f.target
     c = g.target
-    bc = b.direct_sum(c)
 
     def stacked(n: int) -> IntMatrix:
         """h_n = (f_n, -g_n): A_n -> B_n (+) C_n."""
@@ -349,6 +348,7 @@ def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
 
     if f.is_monomial_injection():
         return _pushout_monomial(f, g, a, b, c)
+    bc = b.direct_sum(c)
     if f.cokernel_torsion_free:
         return _pushout_snf(f, g, a, b, c, bc, stacked)
     return _pushout_cone(f, g, a, b, c, bc, stacked)

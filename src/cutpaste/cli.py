@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .abgroup import IntMatrix
@@ -40,6 +41,23 @@ from .surface import (
 
 class MalformedInput(ValueError):
     pass
+
+
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int_list(text: str, option: str, count: int | None = None) -> tuple[int, ...]:
+    """The comma-separated integers of an option (``count`` of them, if
+    given); anything else is malformed input, named with the rule."""
+    parts = [x.strip() for x in text.split(",")]
+    if not all(_INT.fullmatch(x) for x in parts) or count not in (None, len(parts)):
+        rule = f"{count} comma-separated integers" if count else "comma-separated integers"
+        raise MalformedInput(f"{option} takes {rule}, got {text!r}")
+    return tuple(int(x) for x in parts)
+
+
+def _caps(text: str) -> Caps:
+    return Caps(*_int_list(text, "--caps (genus,boundary,components)", 3))
 
 
 def _load_json(path: str) -> dict:
@@ -170,16 +188,16 @@ def _cmd_sk(args) -> int:
         print(f"end_class={replay_witness(w).label()}")
         return 0
     if args.sk_cmd == "exact":
-        rep = verify_exact_sequence(Caps.parse(args.caps))
+        rep = verify_exact_sequence(_caps(args.caps))
         _emit(rep.to_lines())
         return 0 if rep.passed else 1
     if args.sk_cmd == "k0":
-        res = k0_of_surfaces(Caps.parse(args.caps))
+        res = k0_of_surfaces(_caps(args.caps))
         _emit(res.to_lines())
         return 0
     if args.sk_cmd == "skk":
-        first = tuple(int(x) for x in args.first.split(","))
-        second = tuple(int(x) for x in args.second.split(","))
+        first = _int_list(args.first, "--first")
+        second = _int_list(args.second, "--second")
         rep = skk_collapse_check(args.circles, first, second)
         _emit(rep.to_lines())
         return 0 if rep.certified else 1
@@ -271,7 +289,7 @@ def _cmd_euler(args) -> int:
         _emit(rep.to_lines())
         return 0 if rep.passed else 1
     if args.euler_cmd == "commute":
-        caps = Caps.parse(args.caps)
+        caps = _caps(args.caps)
         samples = [
             build_standard(g, b)
             for g in range(caps.genus + 1)
@@ -287,7 +305,7 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    only = {int(x) for x in args.only.split(",")} if args.only else None
+    only = set(_int_list(args.only, "--only")) if args.only else None
     report = run_acceptance_suite(seed=args.seed, only=only)
     _emit(report.to_lines(with_timing=args.timings))
     return 0 if report.passed else 1

@@ -157,11 +157,20 @@ class SquareInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "SquareInstance":
-        surf = TriSurface.from_json(data["d"])
+        """Parse the gluing-square format.  Parsing canonicalizes ``d`` and
+        may renumber its triangles, so both subsets are renumbered the same
+        way; an index outside ``d`` stays outside it, and the cover check
+        rejects it."""
+        surf, refmap = TriSurface.parse_json(data["d"])
         b_tris, c_tris = data["b_triangles"], data["c_triangles"]
         require_json_ints(b_tris, "triangle index")
         require_json_ints(c_tris, "triangle index")
-        return cls(surface=surf, b_triangles=frozenset(b_tris), c_triangles=frozenset(c_tris))
+        tri_map = refmap.tri_map
+        return cls(
+            surface=surf,
+            b_triangles=frozenset(tri_map.get(t, t) for t in b_tris),
+            c_triangles=frozenset(tri_map.get(t, t) for t in c_tris),
+        )
 
 
 @dataclass(frozen=True)

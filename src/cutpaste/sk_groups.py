@@ -32,11 +32,9 @@ from .squares_k0 import (
     Caps,
     SquaresPresentation,
     classes_of_types,
-    glue_class_components,
     k0_presentation,
     surface_squares_presentation,
     union_squares,
-    within_caps,
 )
 from .surface import (
     DiffeoClass,
@@ -97,32 +95,79 @@ def _piece_multisets(caps: Caps):
     return by_circles
 
 
+def _bounded_compositions(total: int, bounds: tuple[int, ...]):
+    """Every tuple x with sum(x) == total and 0 <= x[j] <= bounds[j]."""
+    if len(bounds) == 1:
+        if total <= bounds[0]:
+            yield (total,)
+        return
+    for x in range(min(total, bounds[0]) + 1):
+        for rest in _bounded_compositions(total - x, bounds[1:]):
+            yield (x,) + rest
+
+
+def _degree_tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]):
+    """Every nonnegative integer matrix, as a tuple of rows, with the given
+    row and column sums (whose totals must agree)."""
+    if not row_sums:
+        yield ()
+        return
+    for row in _bounded_compositions(row_sums[0], col_sums):
+        rest = tuple(c - x for c, x in zip(col_sums, row))
+        for tail in _degree_tables(row_sums[1:], rest):
+            yield (row,) + tail
+
+
+@lru_cache(maxsize=None)
+def _block_partitions(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> tuple:
+    """The distinct ways the degree tables with these margins split their
+    row and column nodes (rows 0..p-1, then columns p..p+q-1) into
+    connected blocks, each a tuple of nodes."""
+    p = len(row_sums)
+    out = set()
+    for table in _degree_tables(row_sums, col_sums):
+        root = list(range(p + len(col_sums)))
+
+        def find(x):
+            while root[x] != x:
+                x = root[x]
+            return x
+
+        for i, row in enumerate(table):
+            for j, x in enumerate(row):
+                if x:
+                    root[find(p + j)] = find(i)
+        blocks: dict[int, list[int]] = {}
+        for node in range(len(root)):
+            blocks.setdefault(find(node), []).append(node)
+        out.add(tuple(sorted(tuple(b) for b in blocks.values())))
+    return tuple(sorted(out))
+
+
 def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
     """All closed classes obtainable by gluing every circle of the left
-    pieces to a circle of the right pieces, truncated to the caps."""
-    lslots = [i for i, (_, b) in enumerate(left) for _ in range(b)]
-    rslots = [j for j, (_, b) in enumerate(right) for _ in range(b)]
-    lcls = DiffeoClass.from_pairs(left)
-    rcls = DiffeoClass.from_pairs(right)
-    # indices into the *sorted* class components
-    lorder = {}
-    for i, comp in enumerate(sorted(range(len(left)), key=lambda i: left[i])):
-        lorder[comp] = i
-    rorder = {}
-    for j, comp in enumerate(sorted(range(len(right)), key=lambda j: right[j])):
-        rorder[comp] = j
+    pieces to a circle of the right pieces, truncated to the caps.
+
+    A gluing pattern is its degree table: how many circles of left piece i
+    are glued to right piece j.  Gluing along circles adds Euler
+    characteristics and every circle is glued, so each connected block of
+    the table is a closed surface whose chi is the sum over its pieces."""
+    chis = [2 - 2 * g - b for g, b in left + right]
+    # Every piece has a boundary circle, so each glued component holds a
+    # left and a right piece: there are at most k of them, and within the
+    # caps each has chi >= 2 - 2 * genus.
+    k = min(len(left), len(right), caps.components)
+    floor = 2 - 2 * caps.genus
+    if sum(chis) < min(floor, k * floor):
+        return set()
     out = set()
-    seen_patterns = set()
-    for perm in itertools.permutations(range(len(rslots))):
-        edges = tuple(
-            sorted((lorder[lslots[a]], rorder[rslots[perm[a]]]) for a in range(len(lslots)))
-        )
-        if edges in seen_patterns:
+    partitions = _block_partitions(tuple(b for _, b in left), tuple(b for _, b in right))
+    for blocks in partitions:
+        if len(blocks) > caps.components:
             continue
-        seen_patterns.add(edges)
-        glued = glue_class_components(lcls, rcls, edges)
-        if within_caps(glued, caps):
-            out.add(glued)
+        genera = sorted((2 - sum(chis[x] for x in block)) // 2 for block in blocks)
+        if genera[-1] <= caps.genus:
+            out.add(DiffeoClass(tuple((g, 0) for g in genera)))
     return out
 
 
@@ -134,7 +179,6 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
     caps = Caps(*caps)
     classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
-    n = len(classes)
     squares, _ = union_squares(index, caps)
     unions = k0_presentation(
         SquaresPresentation(
@@ -143,17 +187,14 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
             squares=tuple(squares),
         )
     )
-    relations = list(unions.relations)
+    relations = list(unions.rows)
     pieces = _piece_multisets(caps)
     for m, combos in sorted(pieces.items()):
         for x, left in enumerate(combos):
             for right in combos[x:]:
                 results = sorted(_gluing_results(left, right, caps))
                 for r1, r2 in zip(results, results[1:]):
-                    rel = [0] * n
-                    rel[index[r1]] += 1
-                    rel[index[r2]] -= 1
-                    relations.append(rel)
+                    relations.append({index[r1]: 1, index[r2]: -1})
     group = AbGroupPresentation.make(unions.generators, relations)
     return SKPresentation(caps=caps, group=group, classes=tuple(classes))
 

@@ -40,13 +40,6 @@ class Caps(NamedTuple):
     boundary: int
     components: int
 
-    @classmethod
-    def parse(cls, text: str) -> "Caps":
-        parts = [int(x) for x in text.replace(" ", "").split(",")]
-        if len(parts) != 3:
-            raise ValueError("caps must be genus,boundary,components")
-        return cls(*parts)
-
 
 @dataclass(frozen=True)
 class SquaresPresentation:
@@ -85,23 +78,17 @@ class SquaresPresentation:
 
 def k0_presentation(p: SquaresPresentation) -> AbGroupPresentation:
     """Free abelian group on the objects modulo [O] = 0 and, per square
-    (A, B, C, D), the relation [A] + [D] - [B] - [C] = 0."""
-    n = len(p.objects)
-    relations = []
-    base = [0] * n
-    base[p.basepoint] = 1
-    relations.append(base)
+    (A, B, C, D), the relation [A] + [D] - [B] - [C] = 0, built as sparse
+    rows."""
+    relations = [{p.basepoint: 1}]
     seen = set()
-    for a, b, c, d in p.squares:
-        key = (a, b, c, d)
-        if key in seen:
+    for q in p.squares:
+        if q in seen:
             continue
-        seen.add(key)
-        rel = [0] * n
-        rel[a] += 1
-        rel[d] += 1
-        rel[b] -= 1
-        rel[c] -= 1
+        seen.add(q)
+        rel: dict[int, int] = {}
+        for i, x in zip(q, (1, -1, -1, 1)):
+            rel[i] = rel.get(i, 0) + x
         relations.append(rel)
     return AbGroupPresentation.make(p.objects, relations)
 
@@ -646,12 +633,7 @@ def k0_of_surfaces(caps: Caps) -> K0Computation:
     inst = surface_squares_presentation(caps)
     group = inst.group
     rank, torsion = group.quotient_invariants()
-    coords = {}
-    n = len(group.generators)
-    for i, label in enumerate(group.generators):
-        vec = [0] * n
-        vec[i] = 1
-        coords[label] = group.element_normal_form(vec)
+    coords = {label: group.element_normal_form({i: 1}) for i, label in enumerate(group.generators)}
     return K0Computation(
         caps=caps,
         group=group,

@@ -405,12 +405,18 @@ class TriSurface:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriSurface":
+        """Parse the surface file format (see ``parse_json``)."""
+        return cls.parse_json(data)[0]
+
+    @staticmethod
+    def parse_json(data: dict) -> tuple["TriSurface", "RefMap"]:
         """Parse the surface file format.  Malformed files raise ValueError
         naming the broken rule before anything is canonicalized: ``vertices``
         must be a non-negative int, vertex ids, triangle indices and edge
         indices must be JSON integers (not floats, strings or booleans),
         vertex ids lie in 0..vertices-1, edge indices in 0..2, and no ref is
-        glued twice."""
+        glued twice.  Returns the canonical surface and the map from the
+        file's numbering to the canonical one."""
         n = data["vertices"]
         if type(n) is not int or n < 0:
             raise ValueError(f"vertices must be a non-negative int, got {n!r}")
@@ -433,8 +439,7 @@ class TriSurface:
         bad = [r for r in glue if not 0 <= r[1] <= 2]
         if bad:
             raise ValueError(f"gluing ref {bad[0]} has edge index outside 0..2")
-        surf, _ = _canonical_form(triangles, glue)
-        return surf
+        return _canonical_form(triangles, glue)
 
 
 # ---------------------------------------------------------------------------

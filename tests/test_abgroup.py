@@ -403,3 +403,39 @@ def test_json_round_trip():
 
 def test_sparse_helpers():
     assert to_sparse([0, 3, 0, -1]) == {1: 3, 3: -1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_sparse_and_dense_relation_rows_agree(n, data):
+    """make keeps relation rows sparse.  Dense rows and the same rows as
+    {index: coeff} dicts (zeros left in or dropped) give one presentation:
+    equal relations, JSON, invariants and normal forms."""
+    entry = st.integers(-6, 6)
+    rels = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=7))
+    keep_zeros = data.draw(st.booleans())
+    sparse = [{i: x for i, x in enumerate(r) if x or keep_zeros} for r in rels]
+    gens = [f"g{i}" for i in range(n)]
+    dense_g = AbGroupPresentation.make(gens, rels)
+    sparse_g = AbGroupPresentation.make(gens, sparse)
+    assert sparse_g == dense_g and hash(sparse_g) == hash(dense_g)
+    assert sparse_g.relations == dense_g.relations == tuple(tuple(r) for r in rels)
+    assert sparse_g.to_json() == dense_g.to_json()
+    assert sparse_g.quotient_invariants() == dense_g.quotient_invariants()
+    vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
+    for v in vecs:
+        want = dense_g.element_normal_form(v)
+        assert sparse_g.element_normal_form(v) == want
+        assert sparse_g.element_normal_form(to_sparse(v)) == want
+        assert sparse_g.is_relation(to_sparse(v)) == dense_g.is_relation(v)
+
+
+def test_sparse_relation_rows_are_checked():
+    with pytest.raises(ValueError, match="outside the generators"):
+        AbGroupPresentation.make(["a", "b"], [{2: 1}])
+    with pytest.raises(ValueError, match="does not match"):
+        AbGroupPresentation.make(["a", "b"], [[1, 2, 3]])
+    g = AbGroupPresentation.make(["a", "b"], [{1: 2}])
+    with pytest.raises(ValueError, match="outside the generators"):
+        g.element_normal_form({5: 1})
+    assert g.rows == ({1: 2},) and g.relations == ((0, 2),)

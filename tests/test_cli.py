@@ -449,3 +449,42 @@ def test_float_and_string_indices_exit_2(tmp_path, capsys):
         code, out = run(capsys, *argv)
         assert code == 2, (argv, out)
         assert out.startswith("error=malformed_input") and rule in out, out
+
+
+@pytest.mark.parametrize(
+    "argv, rule",
+    [
+        (("sk", "k0", "--caps", "2,2,x"), "--caps (genus,boundary,components) takes 3 comma-separated integers"),
+        (("sk", "k0", "--caps", "2,2"), "--caps (genus,boundary,components) takes 3 comma-separated integers"),
+        (("sk", "exact", "--caps", "2,2.5,2"), "--caps (genus,boundary,components) takes 3 comma-separated integers"),
+        (("euler", "commute", "--caps", "1,1,1,1"), "--caps (genus,boundary,components) takes 3 comma-separated integers"),
+        (("sk", "skk", "--first", "1,x"), "--first takes comma-separated integers"),
+        (("sk", "skk", "--second", "1,"), "--second takes comma-separated integers"),
+        (("accept", "--only", "1,x"), "--only takes comma-separated integers"),
+    ],
+    ids=["caps_letter", "caps_two", "caps_float", "caps_four", "first", "second_empty", "only"],
+)
+def test_malformed_integer_option_exits_2(argv, rule, capsys):
+    code, out = run(capsys, *argv)
+    assert code == 2, (argv, out)
+    assert out.startswith("error=malformed_input") and rule in out, out
+
+
+def test_out_of_range_integer_option_exits_1(capsys):
+    # well-formed integers that the domain rejects stay domain errors
+    for argv in (("sk", "exact", "--caps", "0,0,0"), ("sk", "skk", "--first", "0,0")):
+        code, out = run(capsys, *argv)
+        assert code == 1, (argv, out)
+        assert out.startswith("error=domain"), out
+
+
+def test_square_file_round_trip_verifies(tmp_path, capsys):
+    # the square's surface is renumbered when parsed; its subsets follow
+    from cutpaste.surface import standard_library
+
+    lib = standard_library(2, 1)
+    q = square_from_circles(lib.surface, [lib.seams[0], lib.nulls[0]])
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(q.to_json()))
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 0 and "square_check=PASS" in out, out

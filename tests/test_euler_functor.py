@@ -1,10 +1,12 @@
 """Chain functor tests: simplicial chains, gluing squares, commutation."""
 
+import json
 import random
 
 import pytest
 
 from cutpaste.abgroup import IntMatrix
+from cutpaste.chains import ChainComplex
 from cutpaste.euler_functor import (
     SquareInstance,
     chains_of,
@@ -250,3 +252,31 @@ def test_chain_paths_build_no_dense_matrix(monkeypatch):
     assert rep.passed and rep.pushout_model == "quotient"
     h = chains_of(s).homology()
     assert [h.at(n) for n in range(3)] == [(1, ()), (3, ()), (0, ())]
+
+
+def test_square_json_round_trip_renumbers_subsets():
+    """Parsing canonicalizes the surface and may renumber its triangles; the
+    two subsets are renumbered with it, so the square keeps its pieces."""
+    lib = standard_library(2, 1)
+    q = square_from_circles(lib.surface, [lib.seams[0], lib.nulls[0]])
+    back = SquareInstance.from_json(json.loads(json.dumps(q.to_json())))
+    assert back.surface != q.surface  # this surface is renumbered
+    assert [p.classify() for p in back.piece_surfaces()] == [
+        p.classify() for p in q.piece_surfaces()
+    ]
+    assert functor_on_square(back).passed
+    assert SquareInstance.from_json(back.to_json()) == back
+
+
+def test_monomial_pushout_builds_no_direct_sum(monkeypatch):
+    """Only the Smith and cone pushouts read B (+) C; the monomial quotient
+    taken by every surface square must not build it."""
+    lib = standard_library(1, 2)
+    q = square_from_circles(lib.surface, lib.nulls[:2])
+
+    def direct_sum(self, other):
+        raise AssertionError("B (+) C was built")
+
+    monkeypatch.setattr(ChainComplex, "direct_sum", direct_sum)
+    rep = functor_on_square(q)
+    assert rep.passed and rep.pushout_model == "quotient"

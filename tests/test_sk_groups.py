@@ -1,11 +1,18 @@
 """Scissors-congruence group tests: presentations, exactness, witnesses."""
 
 import itertools
+from functools import lru_cache
 
 import pytest
 
 from cutpaste import sk_groups
-from cutpaste.abgroup import NormalForm
+from cutpaste.abgroup import AbGroupPresentation, IntMatrix, NormalForm
+from cutpaste.squares_k0 import (
+    glue_class_components,
+    k0_of_surfaces,
+    surface_squares_presentation,
+    within_caps,
+)
 from cutpaste.sk_groups import (
     Caps,
     SearchExhausted,
@@ -70,6 +77,96 @@ def test_fifth_glued_circle_adds_no_closed_relation(monkeypatch):
     assert at_five.classes == at_four.classes
     for cls in at_four.classes:
         assert at_five.coordinate_of(cls) == at_four.coordinate_of(cls), cls
+
+
+@lru_cache(maxsize=None)
+def permutation_gluings(left, right):
+    """Oracle for the closed gluing relations: every bijection of the left
+    pieces' boundary circles onto the right pieces', one glued class per
+    distinct edge pattern, untruncated; also returns the pattern count."""
+    lslots = [i for i, (_, b) in enumerate(left) for _ in range(b)]
+    rslots = [j for j, (_, b) in enumerate(right) for _ in range(b)]
+    lcls, rcls = DiffeoClass.from_pairs(left), DiffeoClass.from_pairs(right)
+    lorder = {c: i for i, c in enumerate(sorted(range(len(left)), key=lambda i: left[i]))}
+    rorder = {c: j for j, c in enumerate(sorted(range(len(right)), key=lambda j: right[j]))}
+    patterns = {
+        tuple(sorted((lorder[lslots[a]], rorder[rslots[p[a]]]) for a in range(len(lslots))))
+        for p in itertools.permutations(range(len(rslots)))
+    }
+    return {glue_class_components(lcls, rcls, e) for e in patterns}, len(patterns)
+
+
+def piece_pairs(caps):
+    for _, combos in sorted(sk_groups._piece_multisets(caps).items()):
+        for x, left in enumerate(combos):
+            for right in combos[x:]:
+                yield left, right
+
+
+@pytest.mark.parametrize(
+    "caps", [(1, 1, 1), (2, 2, 2), (3, 2, 3), (3, 3, 3), (4, 2, 3), (3, 2, 4)]
+)
+def test_gluing_results_match_permutation_oracle(caps):
+    caps = Caps(*caps)
+    pairs = 0
+    for left, right in piece_pairs(caps):
+        want = {c for c in permutation_gluings(left, right)[0] if within_caps(c, caps)}
+        assert sk_groups._gluing_results(left, right, caps) == want, (left, right)
+        pairs += 1
+    assert pairs > 0
+
+
+def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
+    # The permutation enumeration evaluated one glued class per distinct
+    # edge pattern of every piece pair; the degree-table enumeration skips
+    # piece pairs whose chi cannot fit the caps and evaluates each block
+    # partition once per remaining pair.
+    caps = Caps(3, 2, 3)
+    oracle_patterns = sum(permutation_gluings(l, r)[1] for l, r in piece_pairs(caps))
+    assert oracle_patterns == 13107
+    evaluated = []
+    partitions = sk_groups._block_partitions
+
+    def counting(row_sums, col_sums):
+        out = partitions(row_sums, col_sums)
+        evaluated.append(len(out))
+        return out
+
+    monkeypatch.setattr(sk_groups, "_block_partitions", counting)
+    closed_sk_presentation.cache_clear()
+    try:
+        pres = closed_sk_presentation(caps)
+    finally:
+        closed_sk_presentation.cache_clear()
+    assert len(pres.group.relations) == 353
+    assert sum(evaluated) < oracle_patterns
+    assert sum(evaluated) == 4676
+
+
+def test_caps_requests_build_no_dense_relation(monkeypatch):
+    """Presentations, AbHom checks and K0 coordinates run on sparse relation
+    rows and sparse hom images: with the dense relation view, the dense
+    matrix views and the dense vector product raising, both cold caps
+    requests still pass."""
+
+    def dense(self, *args):
+        raise AssertionError("a dense relation row or matrix row was read")
+
+    monkeypatch.setattr(AbGroupPresentation, "relations", property(dense))
+    monkeypatch.setattr(IntMatrix, "entries", property(dense))
+    monkeypatch.setattr(IntMatrix, "row", dense)
+    monkeypatch.setattr(IntMatrix, "vec_times", dense)
+    caches = (surface_squares_presentation, closed_sk_presentation)
+    for f in caches:
+        f.cache_clear()
+    try:
+        k0 = k0_of_surfaces(Caps(3, 2, 3))
+        report = verify_exact_sequence(Caps(3, 2, 3))
+    finally:
+        for f in caches:
+            f.cache_clear()
+    assert (k0.free_rank, k0.torsion) == (2, ())
+    assert report.passed
 
 
 def test_boundary_group_is_z2():
