@@ -161,18 +161,6 @@ class IntMatrix:
             self.rows, other.cols, [self.times_column(col) for col in other.columns]
         )
 
-    def vec_times(self, v) -> tuple[int, ...]:
-        """Row vector times matrix: v (len rows) -> v @ M (len cols)."""
-        if len(v) != self.rows:
-            raise ValueError("vector length mismatch")
-        acc = [0] * self.cols
-        for i, a in enumerate(v):
-            if a:
-                row = self.row(i)
-                for j in range(self.cols):
-                    acc[j] += a * row[j]
-        return tuple(acc)
-
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
         if self.rows != self.cols:
@@ -500,17 +488,14 @@ class IntegerLattice:
     def basis_rows(self) -> list[dict]:
         return [dict(self.rows[j]) for j in sorted(self.rows)]
 
-    def copy(self) -> "IntegerLattice":
-        out = IntegerLattice(self.width)
-        out.rows = {j: dict(r) for j, r in self.rows.items()}
-        return out
-
 
 def kernel_into_quotient(rows: list[dict], m: int, width: int, target: IntegerLattice) -> list[dict]:
     """Generators of {x in Z^m : sum x_i rows_i lies in the target lattice}.
 
     Works by echelon-reducing the stacked, identity-augmented system; rows
-    whose lattice part dies carry the kernel combination in their tail.
+    whose lattice part dies carry the kernel combination in their tail.  The
+    echelon is ``width + m`` columns wide, so homomorphism checks call it on
+    Smith quotient coordinates, never on generator coordinates.
     """
     aug = IntegerLattice(width + m)
     for r in target.basis_rows():
@@ -524,6 +509,16 @@ def kernel_into_quotient(rows: list[dict], m: int, width: int, target: IntegerLa
         if j >= width:
             out.append({c - width: x for c, x in aug.rows[j].items()})
     return out
+
+
+def moduli_lattice(moduli) -> IntegerLattice:
+    """Relations of the quotient (+) Z/d_k: the row d_k e_k for each d_k > 0
+    (a modulus 0 is a free coordinate)."""
+    lat = IntegerLattice(len(moduli))
+    for k, d in enumerate(moduli):
+        if d:
+            lat.add({k: d})
+    return lat
 
 
 # ---------------------------------------------------------------------------
@@ -589,6 +584,23 @@ class _Analysis:
         needs one pass over the rows."""
         self.lattice.normalize()
         return self.lattice
+
+    @cached_property
+    def quotient(self) -> tuple[tuple[int, ...], tuple[dict, ...]]:
+        """The group as Q = (+) Z/d_k over the Smith positions with d_k != 1,
+        torsion positions first and then free ones (d_k = 0), in the order of
+        ``normal_form``.  Returns (moduli, lifts): lift k is a sparse vector
+        of Z^n whose normal form is the k-th unit vector of Q, namely row k
+        of the inverse of ``small_v`` placed on the surviving columns.
+        Built on first use, so chain homology never inverts ``small_v``."""
+        pos = self._positions
+        order = [k for k, d in enumerate(pos) if d > 1] + [k for k, d in enumerate(pos) if d == 0]
+        if self.small_v is None:
+            rows = [{k: 1} for k in range(len(pos))]
+        else:
+            rows = self.small_v.inverse_unimodular().transpose().columns
+        lifts = tuple({self.surviving[i]: x for i, x in rows[k].items()} for k in order)
+        return tuple(pos[k] for k in order), lifts
 
     def normal_form(self, vec) -> NormalForm:
         w = self.normalized_lattice.reduce(vec)
@@ -704,9 +716,6 @@ class AbGroupPresentation:
         (represents zero)."""
         return self._analysis.normalized_lattice.contains(self._checked(vec))
 
-    def relation_lattice(self) -> IntegerLattice:
-        return self._analysis.normalized_lattice.copy()
-
     def describe(self) -> str:
         """Human-readable isomorphism type, e.g. 'Z^2' or 'Z + Z/6'."""
         rank, torsion = self.quotient_invariants()
@@ -736,8 +745,10 @@ class AbHom:
     ``matrix`` has one row per source generator; row i is the image of
     source generator i written in target generator coordinates.  The
     constructor rejects matrices that do not send every source relation
-    into the target relation lattice (ill-defined maps).  The checks read
-    the images as sparse rows, the columns of the transposed matrix.
+    into the target relation lattice (ill-defined maps); that check reads the
+    images as sparse rows, the columns of the transposed matrix.
+    Injectivity, surjectivity, zero and exactness run on the induced map
+    between the Smith quotients, a matrix a few columns wide.
     """
 
     source: AbGroupPresentation
@@ -770,32 +781,39 @@ class AbHom:
         columns = [{i: x for i, x in col.items() if x} for col in columns]
         return cls(source, target, IntMatrix.from_columns(len(source.generators), len(columns), columns))
 
-    def apply(self, vec) -> tuple[int, ...]:
-        return self.matrix.vec_times(vec)
+    @cached_property
+    def _induced(self) -> tuple[dict, ...]:
+        """The induced map Q_source -> Q_target on Smith quotients: column k
+        is the target normal form (torsion, then free coordinates) of the
+        image of the source's k-th lift, as a sparse dict."""
+        _, lifts = self.source._analysis.quotient
+        image = self._transpose.times_column
+        out = []
+        for lift in lifts:
+            nf = self.target.element_normal_form(image(lift))
+            out.append(to_sparse(nf.torsion + nf.free))
+        return tuple(out)
 
-    def kernel_lattice_rows(self) -> list[dict]:
-        """Generators of the full preimage of the target relation lattice."""
+    def _kernel(self) -> list[dict]:
+        """Generators, in Q_source coordinates, of the preimage of zero."""
+        moduli, _ = self.target._analysis.quotient
         return kernel_into_quotient(
-            self._transpose.columns,
-            len(self.source.generators),
-            len(self.target.generators),
-            self.target._analysis.normalized_lattice,
+            self._induced, len(self._induced), len(moduli), moduli_lattice(moduli)
         )
 
     def is_injective(self) -> bool:
-        src_lat = self.source._analysis.normalized_lattice
-        return all(src_lat.contains(k) for k in self.kernel_lattice_rows())
+        src = moduli_lattice(self.source._analysis.quotient[0])
+        return all(src.contains(k) for k in self._kernel())
 
     def is_surjective(self) -> bool:
-        lat = self.target.relation_lattice()
-        for r in self._transpose.columns:
-            lat.add(r)
+        lat = moduli_lattice(self.target._analysis.quotient[0])
+        for c in self._induced:
+            lat.add(c)
         pivs = lat.pivots()
-        return len(pivs) == len(self.target.generators) and all(p == 1 for _, p in pivs)
+        return len(pivs) == lat.width and all(p == 1 for _, p in pivs)
 
     def is_zero(self) -> bool:
-        lat = self.target._analysis.normalized_lattice
-        return all(lat.contains(r) for r in self._transpose.columns)
+        return not any(self._induced)
 
     def compose(self, first: "AbHom") -> "AbHom":
         """self after first (first: A->B, self: B->C)."""
@@ -807,19 +825,20 @@ class AbHom:
 def check_exact_at(f: AbHom, g: AbHom) -> bool:
     """Exactness at the middle of  source(f) -> target(f)=source(g) -> target(g).
 
-    Compares image-of-f + middle relations against kernel-of-g + middle
-    relations by mutual lattice membership.
+    In the middle group's Smith quotient coordinates, compares image-of-f +
+    quotient relations against kernel-of-g + quotient relations by mutual
+    lattice membership.
     """
     if f.target != g.source:
         raise ValueError("target of f must equal source of g")
-    mid = f.target
-    image_rows = f._transpose.columns
-    kernel_rows = g.kernel_lattice_rows()
+    moduli, _ = g.source._analysis.quotient
+    image_rows = f._induced
+    kernel_rows = g._kernel()
 
-    im_lat = mid.relation_lattice()
+    im_lat = moduli_lattice(moduli)
     for r in image_rows:
         im_lat.add(r)
-    ker_lat = mid.relation_lattice()
+    ker_lat = moduli_lattice(moduli)
     for r in kernel_rows:
         ker_lat.add(r)
 

@@ -29,10 +29,13 @@ from functools import lru_cache
 
 from .abgroup import AbGroupPresentation, AbHom, NormalForm, check_exact_at
 from .squares_k0 import (
+    MAX_CLASSES,
     Caps,
     SquaresPresentation,
     classes_of_types,
     k0_presentation,
+    multiset_count,
+    refuse_oversized,
     surface_squares_presentation,
     union_squares,
 )
@@ -175,8 +178,17 @@ def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
 def closed_sk_presentation(caps: Caps) -> SKPresentation:
     """Cut-and-paste group of closed oriented surfaces at the truncation:
     the K0 presentation of the closed disjoint-union squares plus the
-    gluing-difference relations."""
+    gluing-difference relations.  Caps spanning more than MAX_CLASSES
+    with-boundary classes, or gluing-piece multisets, are refused before
+    anything is enumerated."""
     caps = Caps(*caps)
+    refuse_oversized(caps)
+    pieces = multiset_count((caps.genus + 1) * _MAX_GLUED_CIRCLES, _MAX_PIECE_COMPONENTS) - 1
+    if pieces > MAX_CLASSES:
+        raise ValueError(
+            f"caps {caps.genus},{caps.boundary},{caps.components} need at least {pieces} "
+            f"gluing-piece multisets, above the ceiling of {MAX_CLASSES}"
+        )
     classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
     squares, _ = union_squares(index, caps)

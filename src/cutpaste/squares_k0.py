@@ -432,6 +432,44 @@ def check_lemma_hypotheses(cat: FiniteSquaresCategory) -> HypothesisReport:
 # ---------------------------------------------------------------------------
 
 
+# Largest number of classes a caps request may span.  Class lists, union
+# squares and the relation lattice all grow with it.  The tests, the
+# acceptance run and the benchmark reach (4,3,3), 1,771 classes.  A cold k0
+# takes about 2.5 s at (5,3,3), 2,925 classes, and about 18 s at (6,4,3),
+# 8,436 classes (Python 3.11, one core of a 2-core x86-64 host).
+MAX_CLASSES = 10_000
+
+
+def multiset_count(types: int, most: int) -> int:
+    """Multisets of at most ``most`` items from ``types`` kinds, the empty
+    one included: sum over k <= most of C(types + k - 1, k).  The sum stops
+    once it passes MAX_CLASSES, so huge arguments cost a few steps; a result
+    above MAX_CLASSES is then a lower bound."""
+    types, most = max(types, 0), max(most, 0)
+    if types <= 1:
+        return 1 + most * types
+    total = term = 1
+    for k in range(1, most + 1):
+        term = term * (types + k - 1) // k
+        total += term
+        if total > MAX_CLASSES:
+            break
+    return total
+
+
+def refuse_oversized(caps: Caps) -> None:
+    """Raise ValueError, before anything is enumerated, when the caps span
+    more than MAX_CLASSES classes: multisets of at most ``components`` of
+    the (genus+1)(boundary+1) connected types."""
+    types = max(caps.genus + 1, 0) * max(caps.boundary + 1, 0)
+    count = multiset_count(types, caps.components)
+    if count > MAX_CLASSES:
+        raise ValueError(
+            f"caps {caps.genus},{caps.boundary},{caps.components} span at least "
+            f"{count} classes, above the ceiling of {MAX_CLASSES}"
+        )
+
+
 def connected_types(caps: Caps) -> list[tuple[int, int]]:
     return [
         (g, b)
@@ -568,6 +606,7 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     caps = Caps(*caps)
     if min(caps) < 1:
         raise ValueError("caps must be at least (1,1,1)")
+    refuse_oversized(caps)
     classes = classes_within(caps)
     index = {c: i for i, c in enumerate(classes)}
     squares, skipped = union_squares(index, caps)

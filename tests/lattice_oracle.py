@@ -1,0 +1,70 @@
+"""Homomorphism checks on the full generator lattices: the test reference.
+
+``AbHom`` decides injectivity, surjectivity, zero and exactness on the
+induced map between Smith quotients.  The functions here answer the same
+questions the direct way: every lattice is as wide as the generator space
+(the kernel's identity-augmented echelon is as wide as target and source
+generators together), and the relation lattices are built from the
+presentations' own relation rows, not from their ``_Analysis``.
+"""
+
+from cutpaste.abgroup import IntegerLattice
+
+
+def relation_lattice(pres) -> IntegerLattice:
+    lat = IntegerLattice(len(pres.generators))
+    for r in pres.rows:
+        lat.add(r)
+    return lat
+
+
+def images(h) -> tuple[dict, ...]:
+    """Sparse image of each source generator, in target generator coordinates."""
+    return h.matrix.transpose().columns
+
+
+def kernel_rows(h) -> list[dict]:
+    """Generators of {x : x * matrix lies in the target relation lattice}."""
+    width = len(h.target.generators)
+    aug = IntegerLattice(width + len(h.source.generators))
+    for r in h.target.rows:
+        aug.add(r)
+    for i, r in enumerate(images(h)):
+        v = dict(r)
+        v[width + i] = 1
+        aug.add(v)
+    return [
+        {c - width: x for c, x in aug.rows[j].items()} for j in sorted(aug.rows) if j >= width
+    ]
+
+
+def is_injective(h) -> bool:
+    src = relation_lattice(h.source)
+    return all(src.contains(k) for k in kernel_rows(h))
+
+
+def is_surjective(h) -> bool:
+    lat = relation_lattice(h.target)
+    for r in images(h):
+        lat.add(r)
+    pivs = lat.pivots()
+    return len(pivs) == len(h.target.generators) and all(p == 1 for _, p in pivs)
+
+
+def is_zero(h) -> bool:
+    lat = relation_lattice(h.target)
+    return all(lat.contains(r) for r in images(h))
+
+
+def exact_at(f, g) -> bool:
+    """Image of f + middle relations against kernel of g + middle relations,
+    by mutual lattice membership."""
+    image_rows = images(f)
+    kernel = kernel_rows(g)
+    im_lat = relation_lattice(f.target)
+    for r in image_rows:
+        im_lat.add(r)
+    ker_lat = relation_lattice(f.target)
+    for r in kernel:
+        ker_lat.add(r)
+    return all(im_lat.contains(k) for k in kernel) and all(ker_lat.contains(r) for r in image_rows)

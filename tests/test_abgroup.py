@@ -13,6 +13,7 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lattice_oracle
 from cutpaste.abgroup import (
     AbGroupPresentation,
     AbHom,
@@ -374,15 +375,17 @@ def test_exactness_mod_two_sequence():
 
 
 def test_kernel_lattice_of_projection():
+    """The full-width oracle kernel and the quotient-coordinate kernel of
+    Z^2 -> Z, (a, b) -> a, are both spanned by (0, 1)."""
     z2 = AbGroupPresentation.free(["a", "b"])
     z = AbGroupPresentation.free(["t"])
     proj = AbHom(z2, z, IntMatrix.from_rows([[1], [0]]))
-    ker = proj.kernel_lattice_rows()
-    lat = IntegerLattice(2)
-    for r in ker:
-        lat.add(r)
-    assert lat.contains([0, 1])
-    assert not lat.contains([1, 0])
+    for ker in (lattice_oracle.kernel_rows(proj), proj._kernel()):
+        lat = IntegerLattice(2)
+        for r in ker:
+            lat.add(r)
+        assert lat.contains([0, 1])
+        assert not lat.contains([1, 0])
 
 
 def test_compose_and_zero():
@@ -392,6 +395,149 @@ def test_compose_and_zero():
     times2 = AbHom(z, z, IntMatrix.from_rows([[2]]))
     comp = quot.compose(times2)
     assert comp.is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Quotient-coordinate checks against the full-width lattice oracle
+# ---------------------------------------------------------------------------
+
+
+def _matmul(a, b):
+    return [[sum(x * b[k][j] for k, x in enumerate(row)) for j in range(len(b[0]))] for row in a]
+
+
+def _disguised(moduli, ops):
+    """Presentation of (+) Z/d over ``moduli`` (0: free coordinate, 1: a
+    redundant generator) after the change of generators P built from the row
+    operations ``ops`` = (i, j, c): row i += c * row j.  Relations are the
+    rows d_i P_i; canonical coordinates are x P^-1.  Returns (presentation,
+    moduli, P, P^-1)."""
+    n = len(moduli)
+    p = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        p[i] = [a + c * b for a, b in zip(p[i], p[j])]
+    p_inv = [[int(x) for x in row] for row in rational_inverse(p)] if n else []
+    rels = [[d * x for x in p[i]] for i, d in enumerate(moduli) if d]
+    return AbGroupPresentation.make([f"g{i}" for i in range(n)], rels), tuple(moduli), p, p_inv
+
+
+def _hom_from_canonical(src, tgt, h):
+    """The hom whose canonical matrix is h (row i: image of canonical source
+    coordinate i), written on generators as P_src^-1 h P_tgt.  An entry with
+    d_i h[i][j] nonzero modulo d_j is scaled until it vanishes, so the map is
+    well-defined."""
+    pres_s, mod_s, _, pinv_s = src
+    pres_t, mod_t, p_t, _ = tgt
+    fixed = []
+    for i, row in enumerate(h):
+        out = []
+        for j, x in enumerate(row):
+            di, dj = mod_s[i], mod_t[j]
+            if dj == 0:
+                out.append(x if di == 0 else 0)
+            elif di * x % dj:
+                out.append(x * (dj // gcd(di, dj)))
+            else:
+                out.append(x)
+        fixed.append(out)
+    n_s, n_t = len(mod_s), len(mod_t)
+    t = _matmul(_matmul(pinv_s, fixed), p_t) if n_s and n_t else []
+    return AbHom(pres_s, pres_t, IntMatrix(n_s, n_t, tuple(x for row in t for x in row)))
+
+
+def _assert_matches_oracle(f, g):
+    for h in (f, g, g.compose(f)):
+        assert h.is_injective() == lattice_oracle.is_injective(h)
+        assert h.is_surjective() == lattice_oracle.is_surjective(h)
+        assert h.is_zero() == lattice_oracle.is_zero(h)
+    assert check_exact_at(f, g) == lattice_oracle.exact_at(f, g)
+
+
+MODULI = st.lists(st.sampled_from((0, 1, 2, 4, 6)), max_size=4)
+
+
+@st.composite
+def disguised_groups(draw, moduli=MODULI):
+    moduli = draw(moduli)
+    n = len(moduli)
+    ops = []
+    if n >= 2:
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            ops.append((i, j, draw(st.integers(-2, 2))))
+    return _disguised(moduli, ops)
+
+
+def _canonical_matrix(data, src, tgt):
+    entry = st.integers(-3, 3)
+    return [[data.draw(entry) for _ in tgt[1]] for _ in src[1]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(disguised_groups(), disguised_groups(), disguised_groups(), st.data())
+def test_quotient_checks_match_lattice_oracle(a, b, c, data):
+    """On random presentations with torsion (Z/2, Z/4, Z/6), free parts and
+    redundant generators, each under a random change of generators, random
+    well-defined maps A -> B -> C get the same injective, surjective, zero
+    and exact-at-B verdicts from the quotient checks as from the full-width
+    lattice oracle."""
+    f = _hom_from_canonical(a, b, _canonical_matrix(data, a, b))
+    g = _hom_from_canonical(b, c, _canonical_matrix(data, b, c))
+    _assert_matches_oracle(f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(disguised_groups(), disguised_groups(), st.data())
+def test_quotient_checks_on_split_sequences(a, c, data):
+    """A -> A + C -> C, inclusion then projection, with each group under its
+    own random change of generators: exact, injective then surjective, on
+    both paths.  Unlike random maps, these verdicts depend on every Smith
+    coordinate of the middle group being lifted correctly."""
+    na, nc = len(a[1]), len(c[1])
+    b = data.draw(disguised_groups(st.just(a[1] + c[1])))
+    include = [[int(i == j) for j in range(na + nc)] for i in range(na)]
+    project = [[int(i == na + j) for j in range(nc)] for i in range(na + nc)]
+    f = _hom_from_canonical(a, b, include)
+    g = _hom_from_canonical(b, c, project)
+    assert check_exact_at(f, g) and f.is_injective() and g.is_surjective()
+    _assert_matches_oracle(f, g)
+
+
+OPS = ((0, 1, 2), (1, 0, -1), (0, 2, 1), (2, 1, 3), (1, 2, -2))
+
+
+@pytest.mark.parametrize(
+    "mods_a, mods_b, mods_c, hf, hg, exact",
+    [
+        # Z/2 -x2-> Z/4 -mod 2-> Z/2, next to a redundant generator
+        ((2,), (4, 1), (2,), [[2, 0]], [[1], [0]], True),
+        # Z -x2-> Z -mod 4-> Z/4: image 2Z, kernel 4Z
+        ((0,), (0,), (4,), [[2]], [[1]], False),
+        # Z -x4-> Z -mod 4-> Z/4, exact
+        ((0,), (0,), (4,), [[4]], [[1]], True),
+        # Z/2 into the Z/2 summand of Z/2 + Z/6, then the projection onto Z/6
+        ((2,), (2, 6), (6,), [[1, 0]], [[0], [1]], True),
+        # the image in the 2-part of the Z/6 summand instead: not exact
+        ((2,), (2, 6), (6,), [[0, 3]], [[0], [1]], False),
+        # Z + Z/4 onto its copy in Z + Z/4 + (redundant), then onto Z: the
+        # kernel Z/4 is the image of the Z/4 summand only
+        ((0, 4), (0, 4, 1), (0,), [[1, 0, 0], [0, 1, 0]], [[1], [0], [0]], False),
+        ((4,), (0, 4, 1), (0,), [[0, 1, 0]], [[1], [0], [0]], True),
+    ],
+)
+def test_quotient_checks_on_known_sequences(mods_a, mods_b, mods_c, hf, hg, exact):
+    """Known exact and non-exact sequences, each under three changes of
+    generators: the quotient checks give the expected exactness and agree
+    with the oracle on every verdict."""
+    for shift in range(3):
+        a, b, c = (
+            _disguised(m, [op for op in OPS[shift:] if max(op[:2]) < len(m)])
+            for m in (mods_a, mods_b, mods_c)
+        )
+        f = _hom_from_canonical(a, b, hf)
+        g = _hom_from_canonical(b, c, hg)
+        assert check_exact_at(f, g) == exact
+        _assert_matches_oracle(f, g)
 
 
 def test_json_round_trip():

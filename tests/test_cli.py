@@ -478,6 +478,25 @@ def test_out_of_range_integer_option_exits_1(capsys):
         assert out.startswith("error=domain"), out
 
 
+def test_oversized_caps_exit_1_before_enumeration(monkeypatch, capsys):
+    """Caps above the class ceiling are domain errors, refused before any
+    enumerator runs."""
+    from cutpaste import sk_groups, squares_k0
+
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("enumeration reached for oversized caps")
+
+    monkeypatch.setattr(squares_k0, "classes_within", enumerate_)
+    monkeypatch.setattr(sk_groups, "classes_of_types", enumerate_)
+    monkeypatch.setattr(sk_groups, "_piece_multisets", enumerate_)
+    for sub in ("exact", "k0"):
+        code, out = run(capsys, "sk", sub, "--caps", "1000000,1000000,1000000")
+        assert code == 1, (sub, out)
+        assert out.startswith("error=domain") and "above the ceiling of 10000" in out, out
+    code, out = run(capsys, "sk", "exact", "--caps", "1000,1,1")
+    assert code == 1 and "gluing-piece multisets" in out, out
+
+
 def test_square_file_round_trip_verifies(tmp_path, capsys):
     # the square's surface is renumbered when parsed; its subsets follow
     from cutpaste.surface import standard_library

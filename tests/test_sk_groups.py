@@ -6,7 +6,8 @@ from functools import lru_cache
 import pytest
 
 from cutpaste import sk_groups
-from cutpaste.abgroup import AbGroupPresentation, IntMatrix, NormalForm
+import lattice_oracle
+from cutpaste.abgroup import AbGroupPresentation, IntMatrix, IntegerLattice, NormalForm, to_sparse
 from cutpaste.squares_k0 import (
     glue_class_components,
     k0_of_surfaces,
@@ -145,9 +146,8 @@ def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
 
 def test_caps_requests_build_no_dense_relation(monkeypatch):
     """Presentations, AbHom checks and K0 coordinates run on sparse relation
-    rows and sparse hom images: with the dense relation view, the dense
-    matrix views and the dense vector product raising, both cold caps
-    requests still pass."""
+    rows and sparse hom images: with the dense relation view and the dense
+    matrix views raising, both cold caps requests still pass."""
 
     def dense(self, *args):
         raise AssertionError("a dense relation row or matrix row was read")
@@ -155,7 +155,6 @@ def test_caps_requests_build_no_dense_relation(monkeypatch):
     monkeypatch.setattr(AbGroupPresentation, "relations", property(dense))
     monkeypatch.setattr(IntMatrix, "entries", property(dense))
     monkeypatch.setattr(IntMatrix, "row", dense)
-    monkeypatch.setattr(IntMatrix, "vec_times", dense)
     caches = (surface_squares_presentation, closed_sk_presentation)
     for f in caches:
         f.cache_clear()
@@ -200,8 +199,10 @@ def test_circles_group():
 def test_boundary_count_on_disk():
     beta = boundary_count_hom(Caps(2, 2, 2))
     pres = boundary_sk_presentation(Caps(2, 2, 2))
-    disk_vec = pres.vector_of([(DiffeoClass.connected(0, 1), 1)])
-    assert beta.apply(disk_vec) == (1,)
+    disk_vec = to_sparse(pres.vector_of([(DiffeoClass.connected(0, 1), 1)]))
+    img = beta._transpose.times_column(disk_vec)
+    assert img == {0: 1}
+    assert beta.target.element_normal_form(img) == NormalForm((), (), (1,))
     assert beta.is_surjective()
 
 
@@ -216,7 +217,8 @@ def test_inclusion_coordinates_of_sphere():
     closed = closed_sk_presentation(Caps(2, 2, 2))
     bdry = boundary_sk_presentation(Caps(2, 2, 2))
     sphere = DiffeoClass.connected(0, 0)
-    img = alpha.apply(closed.vector_of([(sphere, 1)]))
+    img = alpha._transpose.times_column(to_sparse(closed.vector_of([(sphere, 1)])))
+    assert img == {bdry.group.generator_index[sphere.label()]: 1}
     assert bdry.group.element_normal_form(img) == bdry.coordinate_of(sphere)
 
 
@@ -228,6 +230,57 @@ def test_exact_sequence(caps):
     assert report.count_surjective
     assert report.composite_zero
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "caps", [Caps(1, 1, 1), Caps(2, 2, 2), Caps(3, 2, 3), Caps(3, 3, 3)]
+)
+def test_exact_sequence_matches_lattice_oracle(caps):
+    """The four report fields, decided in Smith quotient coordinates, equal
+    the full-width lattice verdicts; at (1,1,1) both read exact_at_middle
+    FAIL."""
+    report = verify_exact_sequence(caps)
+    alpha = closed_inclusion_hom(caps)
+    beta = boundary_count_hom(caps)
+    assert (
+        report.inclusion_injective,
+        report.exact_at_middle,
+        report.count_surjective,
+        report.composite_zero,
+    ) == (
+        lattice_oracle.is_injective(alpha),
+        lattice_oracle.exact_at(alpha, beta),
+        lattice_oracle.is_surjective(beta),
+        lattice_oracle.is_zero(beta.compose(alpha)),
+    )
+    assert report.passed == (caps != Caps(1, 1, 1))
+
+
+# Widest lattice the hom checks of the exact sequence may build, in columns:
+# the quotient-coordinate kernel of beta is augmented over Q(with boundary)
+# + Q(circles) = Z^2 + Z, three columns.  The generator space at (3,3,3) has
+# 969 with-boundary generators.
+HOM_CHECK_WIDTH_BOUND = 3
+
+
+def test_exact_sequence_hom_checks_stay_narrow(monkeypatch):
+    """With both presentations and their lattices warm, no IntegerLattice
+    that verify_exact_sequence builds at (3,3,3) is wider than
+    HOM_CHECK_WIDTH_BOUND."""
+    caps = Caps(3, 3, 3)
+    for pres in (closed_sk_presentation(caps), boundary_sk_presentation(caps)):
+        pres.group._analysis.normalized_lattice
+    widths = []
+    init = IntegerLattice.__init__
+
+    def recording(self, width):
+        widths.append(width)
+        init(self, width)
+
+    monkeypatch.setattr(IntegerLattice, "__init__", recording)
+    assert verify_exact_sequence(caps).passed
+    assert widths
+    assert max(widths) <= HOM_CHECK_WIDTH_BOUND
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from cutpaste import sk_groups, squares_k0
 from cutpaste.squares_k0 import (
+    MAX_CLASSES,
     Caps,
     FiniteSquaresCategory,
     Morphism,
@@ -16,11 +18,13 @@ from cutpaste.squares_k0 import (
     glue_connected,
     k0_of_surfaces,
     k0_presentation,
+    classes_within,
+    multiset_count,
     surface_squares_presentation,
     union_squares,
     within_caps,
 )
-from cutpaste.sk_groups import boundary_sk_presentation
+from cutpaste.sk_groups import boundary_sk_presentation, closed_sk_presentation
 from cutpaste.surface import (
     BoundaryGluing,
     DiffeoClass,
@@ -450,3 +454,39 @@ def test_k0_invariants_stable_under_square_permutation_hypothesis(data):
     b = data.draw(st.integers(0, n - 1))
     p3 = SquaresPresentation(objects, 0, squares + ((a, b, a, b),))
     assert k0_presentation(p3).quotient_invariants() == inv
+
+
+def test_class_count_matches_enumeration():
+    """The closed form sum_{k <= components} C(types + k - 1, k), with
+    (genus+1)(boundary+1) types, counts the enumerated classes, and the
+    ceiling admits (5,3,3) with 2,925 classes."""
+    for caps in (Caps(1, 1, 1), Caps(2, 3, 2), Caps(3, 2, 3), Caps(4, 3, 3), Caps(8, 3, 2)):
+        types = (caps.genus + 1) * (caps.boundary + 1)
+        assert multiset_count(types, caps.components) == len(classes_within(caps))
+    assert multiset_count(24, 3) == 2925 <= MAX_CLASSES
+    assert multiset_count(1, 7) == 8 and multiset_count(0, 7) == 1
+
+
+@pytest.mark.parametrize(
+    "caps",
+    [Caps(10**9, 10**9, 10**9), Caps(7, 4, 3), Caps(2, 2, 10**12), Caps(1000, 1, 1)],
+)
+def test_oversized_caps_refused_before_enumeration(monkeypatch, caps):
+    """Both cached builders refuse caps above the ceiling from the count
+    alone: every enumerator raises if it is reached.  (1000,1,1) spans few
+    with-boundary classes, but its closed group would enumerate millions of
+    gluing-piece multisets."""
+
+    def enumerate_(*args, **kwargs):
+        raise AssertionError("enumeration reached for oversized caps")
+
+    for mod in (squares_k0, sk_groups):
+        for name in ("classes_within", "classes_of_types", "union_squares", "_piece_multisets"):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, enumerate_)
+    builders = [closed_sk_presentation]
+    if caps != Caps(1000, 1, 1):
+        builders.append(surface_squares_presentation)
+    for build in builders:
+        with pytest.raises(ValueError, match=f"above the ceiling of {MAX_CLASSES}"):
+            build(caps)
