@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -401,6 +402,8 @@ class IntegerLattice:
     with existing pivots where needed), ``reduce`` returns the canonical
     residue of a vector modulo the lattice (entries at pivot columns lie in
     [0, pivot)), which makes coset equality a plain dict comparison.
+    ``reduce`` and ``normalize`` cost the pivot columns a vector reaches,
+    never the whole pivot set; ``normalize`` reduces rows last pivot first.
     """
 
     def __init__(self, width: int):
@@ -443,17 +446,34 @@ class IntegerLattice:
                 v = new_v
         return False
 
+    def _reduce_after(self, v: dict, start: int) -> None:
+        """Reduce v in place at the pivot columns after ``start``, so its
+        entries there lie in [0, p).  Columns are popped in increasing order
+        from a heap of v's own pivot columns; each ``_submul`` pushes the
+        pivot columns the subtracted row brings in.  So the cost is in the
+        pivot columns v reaches, not in the rank of the lattice."""
+        rows = self.rows
+        heap = [c for c in v if c > start and c in rows]
+        heapify(heap)
+        queued = set(heap)
+        while heap:
+            j = heappop(heap)
+            x = v.get(j)
+            if x:
+                row = rows[j]
+                q = x // row[j]
+                if q:
+                    _submul(v, row, q)
+                    for c in row:
+                        if c not in queued and c in rows:
+                            queued.add(c)
+                            heappush(heap, c)
+
     def reduce(self, vec) -> dict:
         """Canonical residue of vec modulo the lattice (sparse dict)."""
         v = dict(vec) if isinstance(vec, dict) else to_sparse(vec)
         v = {c: x for c, x in v.items() if x}
-        for j in sorted(self.rows):
-            x = v.get(j)
-            if x:
-                row = self.rows[j]
-                q = x // row[j]
-                if q:
-                    _submul(v, row, q)
+        self._reduce_after(v, -1)
         return v
 
     def contains(self, vec) -> bool:
@@ -471,19 +491,12 @@ class IntegerLattice:
         """Reduce each row (or each row whose pivot column is in ``only``)
         against the later rows, so its entries at later pivot columns lie in
         [0, p).  A reduced row is the unique such residue of the row modulo
-        the rows after it, whether or not those rows are reduced themselves."""
-        pivot_cols = sorted(self.rows)
-        for j0 in pivot_cols if only is None else only:
-            row = self.rows[j0]
-            for j in pivot_cols:
-                if j <= j0:
-                    continue
-                x = row.get(j)
-                if x:
-                    other = self.rows[j]
-                    q = x // other[j]
-                    if q:
-                        _submul(row, other, q)
+        the rows after it, whether or not those rows are reduced themselves.
+        Rows are reduced last pivot first, so each one meets later rows that
+        are already reduced: no fill-in reaches a unit pivot column, and a
+        row costs the pivot columns it reaches."""
+        for j0 in sorted(self.rows if only is None else only, reverse=True):
+            self._reduce_after(self.rows[j0], j0)
 
     def basis_rows(self) -> list[dict]:
         return [dict(self.rows[j]) for j in sorted(self.rows)]

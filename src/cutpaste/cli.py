@@ -269,6 +269,14 @@ def _cmd_chain(args) -> int:
 # -- euler -------------------------------------------------------------------
 
 
+# Largest number of standard surfaces `euler commute --caps` may build: one
+# per (genus, boundary) within the caps, (genus+1)(boundary+1) in all, with
+# `components` playing no part.  The ceiling admits caps 9,9,x, which take
+# about 3 s; 20,20,x (441 surfaces) took 31 s (Python 3.11, one core of a
+# 2-core x86-64 host).
+MAX_COMMUTE_SURFACES = 100
+
+
 def _cmd_euler(args) -> int:
     if args.euler_cmd == "chi":
         s = _load_surface(args.file).require_valid()
@@ -290,6 +298,12 @@ def _cmd_euler(args) -> int:
         return 0 if rep.passed else 1
     if args.euler_cmd == "commute":
         caps = _caps(args.caps)
+        count = max(caps.genus + 1, 0) * max(caps.boundary + 1, 0)
+        if count > MAX_COMMUTE_SURFACES:
+            raise ValueError(
+                f"caps {caps.genus},{caps.boundary},{caps.components} span {count} "
+                f"standard surfaces, above the ceiling of {MAX_COMMUTE_SURFACES}"
+            )
         samples = [
             build_standard(g, b)
             for g in range(caps.genus + 1)

@@ -1,14 +1,60 @@
-"""Homomorphism checks on the full generator lattices: the test reference.
+"""Reference lattice algorithms for the tests.
 
+``full_walk_reduce`` and ``top_down_normalize`` are the plain forms of
+``IntegerLattice.reduce`` and ``IntegerLattice.normalize``: they probe every
+pivot column of the lattice in increasing order, and normalize rows first
+pivot first, each against later rows that may not be reduced yet.
+
+The homomorphism checks below run on the full generator lattices.
 ``AbHom`` decides injectivity, surjectivity, zero and exactness on the
-induced map between Smith quotients.  The functions here answer the same
+induced map between Smith quotients.  These functions answer the same
 questions the direct way: every lattice is as wide as the generator space
 (the kernel's identity-augmented echelon is as wide as target and source
 generators together), and the relation lattices are built from the
 presentations' own relation rows, not from their ``_Analysis``.
 """
 
-from cutpaste.abgroup import IntegerLattice
+from cutpaste.abgroup import IntegerLattice, to_sparse
+
+
+def _subtract(v: dict, row: dict, q: int) -> None:
+    for c, x in row.items():
+        nv = v.get(c, 0) - q * x
+        if nv:
+            v[c] = nv
+        else:
+            v.pop(c, None)
+
+
+def full_walk_reduce(lat: IntegerLattice, vec) -> dict:
+    """Residue of vec modulo lat, reduced at every pivot column in turn."""
+    v = dict(vec) if isinstance(vec, dict) else to_sparse(vec)
+    v = {c: x for c, x in v.items() if x}
+    for j in sorted(lat.rows):
+        x = v.get(j)
+        if x:
+            row = lat.rows[j]
+            q = x // row[j]
+            if q:
+                _subtract(v, row, q)
+    return v
+
+
+def top_down_normalize(lat: IntegerLattice, only=None) -> None:
+    """Reduce each row (or each row whose pivot is in ``only``), first pivot
+    first, against every later pivot column."""
+    pivot_cols = sorted(lat.rows)
+    for j0 in pivot_cols if only is None else only:
+        row = lat.rows[j0]
+        for j in pivot_cols:
+            if j <= j0:
+                continue
+            x = row.get(j)
+            if x:
+                other = lat.rows[j]
+                q = x // other[j]
+                if q:
+                    _subtract(row, other, q)
 
 
 def relation_lattice(pres) -> IntegerLattice:

@@ -217,6 +217,66 @@ def test_lattice_gcd_combination():
     assert not lat.contains([3])
 
 
+@st.composite
+def lattice_rows(draw):
+    """Rows in Z^n with torsion and free parts: up to two rows m e_k + tail
+    per column k, with m from {1, 2, 4, 6} (so 4 and 6 merge to a pivot 2
+    by gcd), a few random rows, and redundant integer combinations, in a
+    drawn order."""
+    n = draw(st.integers(1, 7))
+    rows = []
+    for k in range(n):
+        for m in draw(st.lists(st.sampled_from((1, 2, 4, 6)), max_size=2)):
+            tail = draw(st.lists(st.integers(-3, 3), min_size=n - k - 1, max_size=n - k - 1))
+            rows.append([0] * k + [m] + tail)
+    rows += draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            cs = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+            rows.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+    return n, draw(st.permutations(rows))
+
+
+def _lattice(n, rows):
+    lat = IntegerLattice(n)
+    for r in rows:
+        lat.add(r)
+    return lat
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_rows(), st.data())
+def test_lattice_normalize_and_reduce_match_full_walk(nrows, data):
+    """normalize (last pivot first) and reduce (heap of reached pivot
+    columns) give the rows and residues of the full-walk oracle."""
+    n, rows = nrows
+    oracle = _lattice(n, rows)
+    lattice_oracle.top_down_normalize(oracle)
+    lat = _lattice(n, rows)
+    lat.normalize()
+    assert lat.rows == oracle.rows
+
+    subset = data.draw(st.lists(st.sampled_from(sorted(lat.rows)), unique=True)) if lat.rows else []
+    partial, partial_oracle = _lattice(n, rows), _lattice(n, rows)
+    partial.normalize(only=subset)
+    lattice_oracle.top_down_normalize(partial_oracle, only=sorted(subset))
+    assert partial.rows == partial_oracle.rows
+    partial.normalize()
+    assert partial.rows == oracle.rows
+
+    vecs = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), max_size=4))
+    if rows:
+        cs = data.draw(st.lists(st.integers(-3, 3), min_size=len(rows), max_size=len(rows)))
+        vecs.append([sum(c * r[j] for c, r in zip(cs, rows)) for j in range(n)])
+    unnormalized = _lattice(n, rows)
+    for v in vecs:
+        for basis in (lat, unnormalized):
+            want = lattice_oracle.full_walk_reduce(basis, v)
+            assert basis.reduce(v) == want
+            assert basis.reduce(to_sparse(v)) == want
+            assert basis.contains(v) == (not want)
+
+
 # ---------------------------------------------------------------------------
 # Presentations
 # ---------------------------------------------------------------------------

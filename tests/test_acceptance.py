@@ -6,6 +6,7 @@ and asserts both the outcome and the runtime limit pinned in the suite.
 
 import pytest
 
+from cutpaste import abgroup
 from cutpaste.acceptance import (
     criterion_1_snf,
     criterion_2_surfaces,
@@ -17,6 +18,7 @@ from cutpaste.acceptance import (
     criterion_8_engine_sanity,
     run_acceptance_suite,
 )
+from cutpaste.squares_k0 import Caps, k0_of_surfaces, surface_squares_presentation
 
 CRITERIA = [
     criterion_1_snf,
@@ -46,3 +48,58 @@ def test_suite_report_is_deterministic():
     rep2 = run_acceptance_suite(seed=0, only={7, 8})
     assert rep1.to_lines() == rep2.to_lines()
     assert rep1.passed
+
+
+# Work bounds: counts of lattice operations, which repeat exactly from run to
+# run.  They sit beside the wall-clock limits above and do not replace them.
+
+# `_submul` calls made while fully normalizing the with-boundary lattice at
+# caps (3,3,3) (969 generators, rank 967), starting from the state
+# `_Analysis` leaves.  Normalizing last pivot first makes 2,628; the
+# first-pivot-first walk, which meets later rows before they are reduced,
+# made 85,954.
+MAX_NORMALIZE_SUBMULS_333 = 3_000
+
+
+@pytest.fixture
+def cold_group_333():
+    """The (3,3,3) with-boundary group, built afresh around the cache."""
+    return surface_squares_presentation.__wrapped__(Caps(3, 3, 3)).group
+
+
+def test_normalize_work_bound_at_333(monkeypatch, cold_group_333):
+    analysis = cold_group_333._analysis
+    calls = 0
+    submul = abgroup._submul
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        submul(*args)
+
+    monkeypatch.setattr(abgroup, "_submul", counting)
+    analysis.normalized_lattice
+    assert 0 < calls <= MAX_NORMALIZE_SUBMULS_333
+
+
+class _NoWalk(dict):
+    """Pivot rows that may be probed by column but never walked whole."""
+
+    def __iter__(self):
+        raise AssertionError("walked every pivot column of the lattice")
+
+    keys = __iter__
+
+
+def test_normal_forms_never_walk_the_pivots(cold_group_333):
+    """`reduce` and `contains` cost the pivot columns a vector reaches: the
+    969 unit-vector normal forms and membership tests at (3,3,3) run with
+    a pivot-row dict that refuses to be iterated."""
+    group = cold_group_333
+    lat = group._analysis.normalized_lattice
+    lat.rows = _NoWalk(lat.rows)
+    n = len(group.generators)
+    forms = [group.element_normal_form({i: 1}) for i in range(n)]
+    assert [group.is_relation({i: 1}) for i in range(n)] == [f.is_zero() for f in forms]
+    assert all(group.is_relation(r) for r in group.rows)
+    assert forms == list(k0_of_surfaces(Caps(3, 3, 3)).coordinates.values())

@@ -324,6 +324,26 @@ def test_euler_commute(capsys):
     assert "commutation=PASS" in out
 
 
+def test_euler_commute_refuses_oversized_caps(monkeypatch, capsys):
+    """Caps spanning more than MAX_COMMUTE_SURFACES standard surfaces are
+    refused from the count alone, before any surface is built."""
+    from cutpaste import cli
+
+    def build(*args):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(cli, "build_standard", build)
+    for caps, count in (("10,9,1", 110), ("1000000000,1000000000,1", (10**9 + 1) ** 2)):
+        code, out = run(capsys, "euler", "commute", "--caps", caps)
+        assert code == 1, out
+        assert out.startswith("error=domain"), out
+        assert f"span {count} standard surfaces, above the ceiling of {cli.MAX_COMMUTE_SURFACES}" in out
+    # the ceiling itself is admitted, and so are the caps the docs use
+    for caps in ("9,9,1", "3,3,3"):
+        with pytest.raises(AssertionError, match="a surface was built"):
+            main(["euler", "commute", "--caps", caps])
+
+
 def test_malformed_input_exit_2(tmp_path, capsys):
     path = tmp_path / "garbage.surf"
     path.write_text("{not json")
