@@ -251,20 +251,21 @@ class SNFResult:
         return IntMatrix(m, n, tuple(ents))
 
     def verify(self, a: IntMatrix) -> None:
-        """Assert every SNF invariant exactly; raises AssertionError otherwise."""
-        assert self.U * a * self.V == self.diagonal_matrix(), "U*A*V is not diag(d)"
-        assert abs(self.U.det()) == 1, "U not unimodular"
-        assert abs(self.V.det()) == 1, "V not unimodular"
-        assert all(dk >= 0 for dk in self.d), "negative invariant factor"
+        """Check every SNF invariant exactly; raises AssertionError otherwise,
+        also under ``python -O``."""
+        if self.U * a * self.V != self.diagonal_matrix():
+            raise AssertionError("U*A*V is not diag(d)")
+        if abs(self.U.det()) != 1:
+            raise AssertionError("U not unimodular")
+        if abs(self.V.det()) != 1:
+            raise AssertionError("V not unimodular")
+        if any(dk < 0 for dk in self.d):
+            raise AssertionError("negative invariant factor")
         nz = [dk for dk in self.d if dk]
-        for a_, b_ in zip(nz, nz[1:]):
-            assert b_ % a_ == 0, "divisibility chain broken"
-        seen_zero = False
-        for dk in self.d:
-            if dk == 0:
-                seen_zero = True
-            elif seen_zero:
-                raise AssertionError("zero invariant factor before a nonzero one")
+        if any(b_ % a_ for a_, b_ in zip(nz, nz[1:])):
+            raise AssertionError("divisibility chain broken")
+        if list(self.d[: len(nz)]) != nz:
+            raise AssertionError("zero invariant factor before a nonzero one")
 
 
 def _find_pivot(m, t, rows, cols):

@@ -298,7 +298,12 @@ def _cmd_euler(args) -> int:
         return 0 if rep.passed else 1
     if args.euler_cmd == "commute":
         caps = _caps(args.caps)
-        count = max(caps.genus + 1, 0) * max(caps.boundary + 1, 0)
+        if caps.genus < 0 or caps.boundary < 0:
+            raise ValueError(
+                f"euler commute needs nonnegative genus and boundary caps, "
+                f"got {caps.genus},{caps.boundary},{caps.components}"
+            )
+        count = (caps.genus + 1) * (caps.boundary + 1)
         if count > MAX_COMMUTE_SURFACES:
             raise ValueError(
                 f"caps {caps.genus},{caps.boundary},{caps.components} span {count} "

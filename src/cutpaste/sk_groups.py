@@ -301,34 +301,12 @@ def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
 # ---------------------------------------------------------------------------
 
 
-def _add_mirror_raw(b: _Builder, s: TriSurface) -> tuple[int, int]:
-    """Append the orientation reversal of s; returns (vertex, triangle) offsets."""
-    voff = b.next_vertex
-    toff = len(b.triangles)
-    for (x, y, z) in s.triangles:
-        b.triangles.append([x + voff, z + voff, y + voff])
-    emap = {0: 2, 1: 1, 2: 0}
-    for r1, r2 in s.gluing:
-        a = (r1[0] + toff, emap[r1[1]])
-        bb = (r2[0] + toff, emap[r2[1]])
-        b.glue[a] = bb
-        b.glue[bb] = a
-    b.next_vertex += s.vertex_count
-    return voff, toff
-
-
-_MIRROR_EMAP = {0: 2, 1: 1, 2: 0}
-
-
 def double_surface(m: TriSurface) -> TriSurface:
     """Glue m to its orientation reversal along the whole boundary by the
     identity correspondence of boundary edges."""
     b = _Builder.from_surface(m)
-    _, toff = _add_mirror_raw(b, m)
-    pairs = [
-        (ref, (ref[0] + toff, _MIRROR_EMAP[ref[1]])) for ref in m.boundary_refs
-    ]
-    _glue_ref_pairs(b, pairs)
+    place = b.add_surface(m, mirrored=True)
+    _glue_ref_pairs(b, [(ref, place(ref)) for ref in m.boundary_refs])
     out, _ = b.finish()
     return out.require_valid()
 
@@ -339,11 +317,9 @@ def glue_to_mirror(n: TriSurface, m: TriSurface) -> TriSurface:
     if n.boundary_circle_count() != m.boundary_circle_count():
         raise SurfaceError("boundary circle counts differ; cannot glue")
     b = _Builder.from_surface(n)
-    _, toff = _add_mirror_raw(b, m)
+    place = b.add_surface(m, mirrored=True)
     n_cycles = [list(cyc) for cyc in n.boundary_cycles]
-    m_cycles = [
-        [(t + toff, _MIRROR_EMAP[e]) for (t, e) in cyc] for cyc in m.boundary_cycles
-    ]
+    m_cycles = [[place(r) for r in cyc] for cyc in m.boundary_cycles]
     all_lists = n_cycles + m_cycles
     for left, right in zip(n_cycles, m_cycles):
         target = max(len(left), len(right))

@@ -131,6 +131,59 @@ class DiffeoClass:
 
 
 # ---------------------------------------------------------------------------
+# Walks over a gluing
+# ---------------------------------------------------------------------------
+
+# Orientation reversal turns triangle (a, b, c) into (a, c, b); its edge e is
+# the reverse of the original's edge _MIRROR_EDGE[e].
+_MIRROR_EDGE = (2, 1, 0)
+
+
+def _components(n: int, glue: dict[Ref, Ref]) -> list[int]:
+    """Component index of each of n triangles, numbered in order of first triangle."""
+    comp = [-1] * n
+    cur = 0
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = cur
+        dq = deque([start])
+        while dq:
+            t = dq.popleft()
+            for e in range(3):
+                p = glue.get((t, e))
+                if p is not None and comp[p[0]] == -1:
+                    comp[p[0]] = cur
+                    dq.append(p[0])
+        cur += 1
+    return comp
+
+
+def _boundary_cycles(n: int, glue: dict[Ref, Ref]) -> tuple[tuple[Ref, ...], ...]:
+    """The unglued edges of n triangles as directed cycles.  Each cycle starts
+    at its least ref, and the cycles come in increasing order."""
+    seen: set[Ref] = set()
+    cycles = []
+    for start in ((t, e) for t in range(n) for e in range(3)):
+        if start in glue or start in seen:
+            continue
+        cyc = [start]
+        while True:
+            # rotate around the endpoint vertex to the next unglued edge
+            t, e = cyc[-1]
+            corner = (t, (e + 1) % 3)
+            while corner in glue:
+                p = glue[corner]
+                corner = (p[0], (p[1] + 1) % 3)
+            if corner == start:
+                break
+            cyc.append(corner)
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+# ---------------------------------------------------------------------------
 # The surface type
 # ---------------------------------------------------------------------------
 
@@ -194,23 +247,7 @@ class TriSurface:
 
     @cached_property
     def component_of_triangle(self) -> tuple[int, ...]:
-        n = len(self.triangles)
-        comp = [-1] * n
-        cur = 0
-        for start in range(n):
-            if comp[start] != -1:
-                continue
-            dq = deque([start])
-            comp[start] = cur
-            while dq:
-                t = dq.popleft()
-                for e in range(3):
-                    p = self._partner.get((t, e))
-                    if p is not None and comp[p[0]] == -1:
-                        comp[p[0]] = cur
-                        dq.append(p[0])
-            cur += 1
-        return tuple(comp)
+        return tuple(_components(len(self.triangles), self._partner))
 
     @property
     def component_count(self) -> int:
@@ -318,45 +355,13 @@ class TriSurface:
     # -- boundary ---------------------------------------------------------------
 
     @cached_property
-    def boundary_refs(self) -> tuple[Ref, ...]:
-        out = []
-        for t in range(len(self.triangles)):
-            for e in range(3):
-                if (t, e) not in self._partner:
-                    out.append((t, e))
-        return tuple(out)
-
-    def _next_boundary_ref(self, ref: Ref) -> Ref:
-        """The boundary edge leaving the endpoint of ref."""
-        t, e = ref
-        corner = (t, (e + 1) % 3)  # corner at the endpoint vertex
-        while True:
-            p = self._partner.get(corner)
-            if p is None:
-                return corner
-            corner = (p[0], (p[1] + 1) % 3)
-
-    @cached_property
     def boundary_cycles(self) -> tuple[tuple[Ref, ...], ...]:
         """Boundary decomposed into directed edge cycles, canonically ordered."""
-        remaining = set(self.boundary_refs)
-        cycles = []
-        for start in sorted(self.boundary_refs):
-            if start not in remaining:
-                continue
-            cyc = [start]
-            remaining.discard(start)
-            cur = start
-            while True:
-                cur = self._next_boundary_ref(cur)
-                if cur == start:
-                    break
-                cyc.append(cur)
-                remaining.discard(cur)
-            k = cyc.index(min(cyc))
-            cycles.append(tuple(cyc[k:] + cyc[:k]))
-        cycles.sort()
-        return tuple(cycles)
+        return _boundary_cycles(len(self.triangles), self._partner)
+
+    @cached_property
+    def boundary_refs(self) -> tuple[Ref, ...]:
+        return tuple(sorted(r for cyc in self.boundary_cycles for r in cyc))
 
     def boundary_circle_count(self) -> int:
         return len(self.boundary_cycles)
@@ -521,9 +526,7 @@ class _Builder:
     @classmethod
     def from_surface(cls, s: TriSurface) -> "_Builder":
         b = cls()
-        b.triangles = [list(t) for t in s.triangles]
-        b.glue = dict(s._partner)
-        b.next_vertex = s.vertex_count
+        b.add_surface(s)
         return b
 
     def new_vertex(self) -> int:
@@ -531,19 +534,25 @@ class _Builder:
         self.next_vertex += 1
         return v
 
-    def add_surface(self, s: TriSurface) -> tuple[int, int]:
-        """Disjointly add another surface; returns (vertex offset, triangle offset)."""
+    def add_surface(self, s: TriSurface, mirrored: bool = False):
+        """Disjointly add another surface, orientation-reversed when mirrored;
+        returns the map from refs of s to refs of the builder."""
         voff = self.next_vertex
         toff = len(self.triangles)
-        for tri in s.triangles:
-            self.triangles.append([v + voff for v in tri])
-        for r1, r2 in s.gluing:
-            a = (r1[0] + toff, r1[1])
-            b = (r2[0] + toff, r2[1])
-            self.glue[a] = b
-            self.glue[b] = a
+        emap = _MIRROR_EDGE if mirrored else (0, 1, 2)
+
+        def place(ref: Ref) -> Ref:
+            return (ref[0] + toff, emap[ref[1]])
+
+        self.triangles += (
+            [x + voff, z + voff, y + voff] if mirrored else [x + voff, y + voff, z + voff]
+            for x, y, z in s.triangles
+        )
+        self.glue.update(
+            {(t + toff, emap[e]): (u + toff, emap[f]) for (t, e), (u, f) in s._partner.items()}
+        )
         self.next_vertex += s.vertex_count
-        return voff, toff
+        return place
 
     def endpoints(self, ref: Ref) -> tuple[int, int]:
         t, e = ref
@@ -612,23 +621,7 @@ class _Builder:
         return remap
 
     def components(self) -> list[int]:
-        n = len(self.triangles)
-        comp = [-1] * n
-        cur = 0
-        for start in range(n):
-            if comp[start] != -1:
-                continue
-            comp[start] = cur
-            dq = deque([start])
-            while dq:
-                t = dq.popleft()
-                for e in range(3):
-                    p = self.glue.get((t, e))
-                    if p is not None and comp[p[0]] == -1:
-                        comp[p[0]] = cur
-                        dq.append(p[0])
-            cur += 1
-        return comp
+        return _components(len(self.triangles), self.glue)
 
     def corners_at_vertex(self, v: int) -> list[tuple[int, int]]:
         return [
@@ -915,15 +908,9 @@ def disjoint_union(a: TriSurface, b: TriSurface) -> TriSurface:
 
 def mirror(s: TriSurface) -> TriSurface:
     """Orientation reversal: each triangle (a,b,c) becomes (a,c,b)."""
-    tris = [(a, c, b) for (a, b, c) in s.triangles]
-    emap = {0: 2, 1: 1, 2: 0}
-    glue = {}
-    for r1, r2 in s.gluing:
-        a = (r1[0], emap[r1[1]])
-        b = (r2[0], emap[r2[1]])
-        glue[a] = b
-        glue[b] = a
-    out, _ = _canonical_form(tris, glue)
+    b = _Builder()
+    b.add_surface(s, mirrored=True)
+    out, _ = b.finish()
     return out
 
 
@@ -985,18 +972,14 @@ def cut(s: TriSurface, circle: EmbeddedCircle) -> tuple[TriSurface, CutRecord]:
     Raises NonSeparatingCut when the two copies stay in one component (use
     double_circle and cut along the resulting pair instead).
     """
-    _check_circle_on(s, circle)
-    b = _Builder.from_surface(s)
-    left, right = _cut_circle_raw(b, circle.refs)
-    out, refmap = b.finish()
-    rec = CutRecord(left=refmap.refs(left), right=refmap.refs(right))
+    out, rec = cut_nonseparating_ok(s, circle)
     comp = out.component_of_triangle
     if comp[rec.left[0][0]] == comp[rec.right[0][0]]:
         raise NonSeparatingCut(
             "circle does not separate; cut along it together with a parallel "
             "copy from double_circle"
         )
-    return out.require_valid(), rec
+    return out, rec
 
 
 def cut_nonseparating_ok(s: TriSurface, circle: EmbeddedCircle) -> tuple[TriSurface, CutRecord]:
@@ -1375,7 +1358,8 @@ def _handle_piece() -> TriSurface:
     torus = paste(annulus(4), BoundaryGluing(0, 1, 0))
     torus = subdivide(torus)
     site = _disjoint_site_triangles(torus, 1)
-    assert site, "no hole site on the subdivided torus"
+    if not site:
+        raise SurfaceError("no hole site on the subdivided torus")
     circle = EmbeddedCircle.triangle_boundary(torus, site[0])
     cut_surface, rec = cut(torus, circle)
     comp = cut_surface.component_of_triangle
@@ -1385,8 +1369,8 @@ def _handle_piece() -> TriSurface:
     b = _Builder.from_surface(cut_surface)
     b.drop_triangles({t for t, c in enumerate(comp) if c == disk_comp})
     out, _ = b.finish()
-    out.require_valid()
-    assert out.classify() == DiffeoClass.connected(1, 1)
+    if out.require_valid().classify() != DiffeoClass.connected(1, 1):
+        raise SurfaceError(f"handle piece is {out.classify()}, not {{(1,1)}}")
     return out
 
 
@@ -1407,30 +1391,14 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
         drop.add(t)
     if drop:
         b.drop_triangles(drop)
-    boundary_refs = [
-        (t, e)
-        for t in range(len(b.triangles))
-        for e in range(3)
-        if (t, e) not in b.glue
-    ]
-    cycles: list[list[Ref]] = []
-    unused = set(boundary_refs)
-    while unused:
-        start = min(unused)
-        cyc = _trace_builder_boundary(b, start)
-        for r in cyc:
-            unused.discard(r)
-        cycles.append(cyc)
-    cycles.sort()
-    assert len(cycles) == sites_needed, f"expected {sites_needed} holes, found {len(cycles)}"
-    seam_refs: list[list[Ref]] = []
+    cycles = _boundary_cycles(len(b.triangles), b.glue)
+    if len(cycles) != sites_needed:
+        raise SurfaceError(f"expected {sites_needed} holes, found {len(cycles)}")
+    seam_refs = cycles[boundary:]
     piece = _handle_piece() if genus else None
-    for h in range(genus):
-        hole = cycles[boundary + h]
-        _, toff = b.add_surface(piece)
-        piece_cycle = [(t + toff, e) for (t, e) in piece.boundary_cycles[0]]
-        _paste_cycles_raw(b, hole, piece_cycle, 0)
-        seam_refs.append(hole)
+    for hole in seam_refs:
+        place = b.add_surface(piece)
+        _paste_cycles_raw(b, hole, [place(r) for r in piece.boundary_cycles[0]], 0)
     out, refmap = b.finish()
     out.require_valid()
     seams = tuple(
@@ -1458,24 +1426,6 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
     return LibrarySurface(surface=out, seams=seams, nulls=tuple(nulls))
 
 
-def _trace_builder_boundary(b: _Builder, start: Ref) -> list[Ref]:
-    out = [start]
-    cur = start
-    while True:
-        t, e = cur
-        corner = (t, (e + 1) % 3)
-        while True:
-            p = b.glue.get(corner)
-            if p is None:
-                nxt = corner
-                break
-            corner = (p[0], (p[1] + 1) % 3)
-        if nxt == start:
-            return out
-        out.append(nxt)
-        cur = nxt
-
-
 def build_standard(genus: int, boundary: int) -> TriSurface:
     """Standard connected surface of the given genus and boundary-circle count."""
     return standard_library(genus, boundary).surface
@@ -1486,23 +1436,18 @@ def library_for_class(cls: DiffeoClass) -> tuple[TriSurface, tuple[LibrarySurfac
     """Disjoint union of library components, circles remapped to the union."""
     entries = [standard_library(g, bb) for g, bb in cls.components]
     b = _Builder()
-    offs = []
-    for ent in entries:
-        _, toff = b.add_surface(ent.surface)
-        offs.append(toff)
+    places = [b.add_surface(ent.surface) for ent in entries]
     out, refmap = b.finish()
 
-    def remap_circle(idx: int, circ: EmbeddedCircle) -> EmbeddedCircle:
-        toff = offs[idx]
-        refs = tuple(refmap.ref((t + toff, e)) for (t, e) in circ.refs)
-        return EmbeddedCircle(out, refs)
+    def remap_circle(place, circ: EmbeddedCircle) -> EmbeddedCircle:
+        return EmbeddedCircle(out, tuple(refmap.ref(place(r)) for r in circ.refs))
 
     remapped = tuple(
         LibrarySurface(
             surface=out,
-            seams=tuple(remap_circle(i, c) for c in ent.seams),
-            nulls=tuple(remap_circle(i, c) for c in ent.nulls),
+            seams=tuple(remap_circle(place, c) for c in ent.seams),
+            nulls=tuple(remap_circle(place, c) for c in ent.nulls),
         )
-        for i, ent in enumerate(entries)
+        for place, ent in zip(places, entries)
     )
     return out, remapped

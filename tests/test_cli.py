@@ -344,6 +344,23 @@ def test_euler_commute_refuses_oversized_caps(monkeypatch, capsys):
             main(["euler", "commute", "--caps", caps])
 
 
+def test_euler_commute_refuses_negative_caps(monkeypatch, capsys):
+    """Negative genus or boundary caps are domain errors, refused before any
+    surface is built, with no commutation verdict printed."""
+    from cutpaste import cli
+
+    def build(*args):
+        raise AssertionError("a surface was built")
+
+    monkeypatch.setattr(cli, "build_standard", build)
+    for caps in ("-1,0,0", "0,-1,3"):
+        code, out = run(capsys, "euler", "commute", f"--caps={caps}")
+        assert code == 1, out
+        assert out.startswith("error=domain"), out
+        assert "needs nonnegative genus and boundary caps" in out, out
+        assert "commutation=" not in out, out
+
+
 def test_malformed_input_exit_2(tmp_path, capsys):
     path = tmp_path / "garbage.surf"
     path.write_text("{not json")
