@@ -419,9 +419,11 @@ class TriSurface:
         naming the broken rule before anything is canonicalized: ``vertices``
         must be a non-negative int, vertex ids, triangle indices and edge
         indices must be JSON integers (not floats, strings or booleans),
-        vertex ids lie in 0..vertices-1, edge indices in 0..2, and no ref is
-        glued twice.  Returns the canonical surface and the map from the
-        file's numbering to the canonical one."""
+        vertex ids lie in 0..vertices-1, no ref is glued twice, every
+        triangle has exactly three vertex ids, and every glued ref has its
+        triangle index in 0..len(triangles)-1 and its edge index in 0..2.
+        Returns the canonical surface and the map from the file's numbering
+        to the canonical one."""
         n = data["vertices"]
         if type(n) is not int or n < 0:
             raise ValueError(f"vertices must be a non-negative int, got {n!r}")
@@ -441,9 +443,9 @@ class TriSurface:
                 raise ValueError(f"gluing pair {a}~{b} has a ref that is glued twice")
             glue[a] = b
             glue[b] = a
-        bad = [r for r in glue if not 0 <= r[1] <= 2]
-        if bad:
-            raise ValueError(f"gluing ref {bad[0]} has edge index outside 0..2")
+        violation = _shape_violation(triangles, glue)
+        if violation is not None:
+            raise ValueError(violation)
         return _canonical_form(triangles, glue)
 
 
@@ -471,48 +473,98 @@ class RefMap:
         return self.vertex_map[v]
 
 
-def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
+def _shape_violation(triangles, glue) -> str | None:
+    """The first triangle without exactly three vertex ids, or glued ref
+    outside the triangles, that ``_canonical_form`` cannot take; else None."""
     n_tri = len(triangles)
-    visited = [False] * n_tri
+    bad = [t for t, tri in enumerate(triangles) if len(tri) != 3]
+    if bad:
+        return f"triangle {bad[0]} does not have exactly three vertex ids"
+    bad = [r for r in glue if not (0 <= r[0] < n_tri and 0 <= r[1] <= 2)]
+    if not bad:
+        return None
+    if 0 <= bad[0][0] < n_tri:
+        return f"gluing ref {bad[0]} has edge index outside 0..2"
+    return f"gluing ref {bad[0]} has triangle index outside 0..{n_tri - 1}"
+
+
+# Canonical edge f of a triangle at rotation r is its input edge _ROT_EDGES[r][f].
+_ROT_EDGES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+
+
+def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
+    """Relabel triangles, vertices and refs canonically.
+
+    ``triangles`` holds three vertex ids per triangle.  ``glue`` maps refs
+    to refs and must be an involution on valid refs: ``glue[glue[r]] == r``,
+    every triangle index in range and every edge index in 0..2.  The parser
+    and the builder guarantee this; a ref glued to itself is allowed.
+
+    Triangles are renumbered breadth-first, each component from its least
+    triangle (ties by index).  A triangle's neighbours are visited in the
+    order of its *input* edges 0, 1, 2, and that order moves with the
+    triangle's rotation, so a canonical surface need not canonicalize to
+    itself; one more round trip reaches a fixpoint.  Vertices are numbered
+    by first appearance in that order and each triangle is rotated to its
+    least rotation.  The gluing lists each pair once, from its lesser ref,
+    in increasing order.
+    """
+    n_tri = len(triangles)
+    new_index = [-1] * n_tri
     order: list[int] = []
-    by_key = sorted(range(n_tri), key=lambda t: (tuple(triangles[t]), t))
-    for start in by_key:
-        if visited[start]:
+    partners = []  # the partners of input edges 0, 1, 2, by new index
+    get = glue.get
+    for start in sorted(range(n_tri), key=triangles.__getitem__):
+        if new_index[start] >= 0:
             continue
-        visited[start] = True
-        dq = deque([start])
-        while dq:
-            t = dq.popleft()
-            order.append(t)
-            for e in range(3):
-                p = glue.get((t, e))
-                if p is not None and not visited[p[0]]:
-                    visited[p[0]] = True
-                    dq.append(p[0])
-    tri_map = {old: new for new, old in enumerate(order)}
-    vmap: dict[int, int] = {}
-    for old in order:
-        for v in triangles[old]:
-            if v not in vmap:
-                vmap[v] = len(vmap)
+        new_index[start] = len(order)
+        order.append(start)
+        while len(partners) < len(order):
+            t = order[len(partners)]
+            ps = get((t, 0)), get((t, 1)), get((t, 2))
+            partners.append(ps)
+            for p in ps:
+                if p is not None and new_index[p[0]] < 0:
+                    new_index[p[0]] = len(order)
+                    order.append(p[0])
+    flat = [v for t in order for v in triangles[t]]
+    vmap = {v: i for i, v in enumerate(dict.fromkeys(flat))}
     new_tris = []
-    rots: dict[int, int] = {}
-    for old in order:
-        tri = [vmap[v] for v in triangles[old]]
-        rot = min(range(3), key=lambda r: tri[r:] + tri[:r])
-        rots[old] = rot
-        new_tris.append(tuple(tri[rot:] + tri[:rot]))
-    refmap = RefMap(tri_map, rots, vmap)
-    pairs = set()
-    for r1, r2 in glue.items():
-        a, b = refmap.ref(r1), refmap.ref(r2)
-        pairs.add((a, b) if a <= b else (b, a))
+    rots = []  # by new index
+    ids = iter([vmap[v] for v in flat])
+    for a, b, c in zip(ids, ids, ids):
+        if a < b and a < c:
+            rots.append(0)
+            new_tris.append((a, b, c))
+        elif b < c and b < a:
+            rots.append(1)
+            new_tris.append((b, c, a))
+        elif c < a and c < b:
+            rots.append(2)
+            new_tris.append((c, a, b))
+        else:  # the least id repeats: compare whole rotations
+            tri = (a, b, c)
+            rot = min(range(3), key=lambda r: tri[r:] + tri[:r])
+            rots.append(rot)
+            new_tris.append(tri[rot:] + tri[:rot])
+    gluing = []
+    for i, ps, rot in zip(range(n_tri), partners, rots):
+        for f, e in enumerate(_ROT_EDGES[rot]):
+            p = ps[e]
+            if p is None:
+                continue
+            j = new_index[p[0]]
+            if j < i:
+                continue
+            g = (p[1] - rots[j]) % 3
+            if j > i or g >= f:
+                gluing.append(((i, f), (j, g)))
     surf = TriSurface(
         vertex_count=len(vmap),
         triangles=tuple(new_tris),
-        gluing=tuple(sorted(pairs)),
+        gluing=tuple(gluing),
     )
-    return surf, refmap
+    return surf, RefMap(dict(zip(order, range(n_tri))), dict(zip(order, rots)), vmap)
 
 
 class _Builder:
@@ -795,12 +847,22 @@ class DoubledCircle:
 
 
 def surface_from_data(vertex_count, triangles, gluing_pairs) -> TriSurface:
+    """The canonical surface of raw triangles and glued pairs.  A ref in two
+    pairs, a triangle without three vertex ids or a glued ref outside the
+    triangles raises InvalidSurface before canonicalizing; so does any
+    invariant the canonical surface breaks."""
+    triangles = [tuple(t) for t in triangles]
     glue = {}
     for r1, r2 in gluing_pairs:
         r1, r2 = tuple(r1), tuple(r2)
+        if r1 in glue or r2 in glue:
+            raise InvalidSurface(f"edge glued more than once near {r1}")
         glue[r1] = r2
         glue[r2] = r1
-    surf, _ = _canonical_form([tuple(t) for t in triangles], glue)
+    violation = _shape_violation(triangles, glue)
+    if violation is not None:
+        raise InvalidSurface(violation)
+    surf, _ = _canonical_form(triangles, glue)
     return surf.require_valid()
 
 

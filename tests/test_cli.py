@@ -400,6 +400,14 @@ def test_invalid_surface_validate_reports(tmp_path, capsys):
     assert "violation=" in out and "orientation-reversing" in out
 
 
+def test_self_glued_edge_is_a_validate_violation(tmp_path, capsys):
+    path = tmp_path / "self.surf"
+    path.write_text(json.dumps({"vertices": 3, "triangles": [[0, 1, 2]], "gluing": [[[0, 0], [0, 0]]]}))
+    code, out = run(capsys, "surface", "validate", str(path))
+    assert code == 1
+    assert out == "valid=no\nviolation=edge (0, 0) glued to itself\n"
+
+
 def _edge_index_five(data):
     data["gluing"][0][1][1] = 5
 
@@ -428,6 +436,18 @@ def _edge_index_float(data):
     data["gluing"][0][1][1] = 2.0
 
 
+def _triangle_two_ids(data):
+    data["triangles"][1] = data["triangles"][1][:2]
+
+
+def _gluing_triangle_five(data):
+    data["gluing"][0][0][0] = 5
+
+
+def _gluing_triangle_negative(data):
+    data["gluing"][0][0][0] = -1
+
+
 @pytest.mark.parametrize(
     "corrupt, rule",
     [
@@ -438,6 +458,9 @@ def _edge_index_float(data):
         (_vertex_id_float, "vertex id 1.5 is not a JSON integer"),
         (_vertex_id_string, "vertex id '0' is not a JSON integer"),
         (_edge_index_float, "index that is not a JSON integer"),
+        (_triangle_two_ids, "triangle 1 does not have exactly three vertex ids"),
+        (_gluing_triangle_five, "has triangle index outside 0..2"),
+        (_gluing_triangle_negative, "has triangle index outside 0..2"),
     ],
     ids=[
         "edge_index",
@@ -447,6 +470,9 @@ def _edge_index_float(data):
         "vertex_id_float",
         "vertex_id_string",
         "edge_index_float",
+        "triangle_two_ids",
+        "gluing_triangle_five",
+        "gluing_triangle_negative",
     ],
 )
 def test_malformed_surface_file_exits_2(corrupt, rule, tmp_path, capsys):

@@ -9,6 +9,7 @@ from cutpaste.surface import (
     CircleTouchesBoundary,
     DiffeoClass,
     EmbeddedCircle,
+    InvalidSurface,
     LengthMismatch,
     NonSeparatingCut,
     OrientationClash,
@@ -75,6 +76,11 @@ def test_double_glue_detected():
     s = TriSurface(5, tuple(tris), (((0, 1), (1, 0)), ((0, 1), (2, 0))))
     violation = s.validate()
     assert violation is not None
+
+
+def test_surface_from_data_rejects_a_ref_in_two_pairs():
+    with pytest.raises(InvalidSurface, match="glued more than once"):
+        surface_from_data(5, [(0, 1, 2), (1, 0, 3), (1, 0, 4)], [((0, 0), (1, 0)), ((0, 0), (2, 0))])
 
 
 def test_seven_vertex_torus():
