@@ -4,13 +4,23 @@ Complexes are given by their ranks per degree and exact integer boundary
 matrices (rows index degree n-1, columns degree n); the composite of two
 consecutive boundaries must vanish identically.  Homology and the cokernel
 torsion test of chain maps run on ``abgroup._Analysis``, the lattice kernel
-that also diagonalizes group presentations:
+that also diagonalizes group presentations.
 
-* rank of H_n is rank C_n minus the ranks of the two adjacent boundaries,
-* torsion of H_n equals the invariant factors (> 1) of the boundary into
-  degree n.  The second fact holds because ker(d_n) is a saturated
-  subgroup of C_n containing im(d_{n+1}), so the torsion of the quotient
-  of C_n by the image restricts to the torsion of H_n.
+Homology first shrinks the complex by eliminating pairs of cells joined by
+a +-1 entry: free-face collapses and coreductions, which cause no fill-in,
+then the unit pair of least fill, lowest degree first (Mrozek-Batko
+coreduction; acyclic matchings of discrete Morse theory).  Every pivot is
+a unit, so the smaller complex is chain-homotopy equivalent over Z (the
+Gaussian elimination lemma) and keeps the homology, torsion included.  A
+connected surface shrinks to its Betti numbers of cells.  The boundaries
+left over go to ``_Analysis``:
+
+* rank of H_n is the number of cells left in degree n minus the ranks of
+  the two adjacent reduced boundaries,
+* torsion of H_n equals the invariant factors (> 1) of the reduced
+  boundary into degree n.  The second fact holds because ker(d_n) is a
+  saturated subgroup of C_n containing im(d_{n+1}), so the torsion of the
+  quotient of C_n by the image restricts to the torsion of H_n.
 
 Pushouts along levelwise injections come in three flavours: an exact
 quotient when the injection is a signed coordinate inclusion (the case all
@@ -24,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 from .abgroup import IntMatrix, IntegerLattice, _Analysis, require_json_ints, smith_normal_form
 
@@ -140,22 +151,32 @@ class ChainComplex:
         return IntMatrix.zeros(self.rank_at(n - 1), self.rank_at(n))
 
     @cached_property
-    def _boundary_data(self) -> dict[int, tuple[int, tuple[int, ...]]]:
-        """Per degree n: (rank of d_n, invariant factors > 1 of d_n)."""
+    def _boundary_data(self) -> dict[int, tuple[int, int, tuple[int, ...]]]:
+        """Per degree n of the unit-pair reduction: (cells left, rank of the
+        reduced d_n, invariant factors > 1 of the reduced d_n)."""
+        ranks = self.ranks
+        down = [[{}] * ranks[0]]
+        down += ([dict(col) for col in d.columns] for d in self.boundaries)
+        up = _reduce_unit_pairs(ranks, down)
         out = {}
-        for n in self.degrees():
-            d = self.boundary_at(n)
-            a = _Analysis(d.rows, d.columns)
-            out[n] = (a.lattice.rank, a.torsion)
+        left = []
+        for k, n in enumerate(self.degrees()):
+            below, left = left, [i for i, x in enumerate(up[k]) if x is not None]
+            if k == 0:
+                out[n] = (len(left), 0, ())
+                continue
+            pos = {x: p for p, x in enumerate(below)}
+            cols = down[k]
+            a = _Analysis(len(below), [{pos[x]: c for x, c in cols[i].items()} for i in left])
+            out[n] = (len(left), a.lattice.rank, a.torsion)
         return out
 
     def homology(self) -> HomologyType:
         groups = []
         for n in self.degrees():
-            rank_dn = self._boundary_data[n][0]
-            rank_up, torsion = self._boundary_data.get(n + 1, (0, ()))
-            free = self.rank_at(n) - rank_dn - rank_up
-            groups.append((free, torsion))
+            cells, rank_dn, _ = self._boundary_data[n]
+            _, rank_up, torsion = self._boundary_data.get(n + 1, (0, 0, ()))
+            groups.append((cells - rank_dn - rank_up, torsion))
         return HomologyType(lo=self.lo, groups=tuple(groups))
 
     def euler_char(self) -> int:
@@ -297,6 +318,144 @@ class ChainMap:
             self.target,
             tuple(m2 * m1 for m1, m2 in zip(first.mats, self.mats)),
         )
+
+
+_NO_COFACES = frozenset()
+
+
+def _reduce_unit_pairs(ranks, down) -> list[list]:
+    """Shrink a complex by eliminating pairs (s in degree k, t in degree
+    k-1) whose incidence is +-1, in place on ``down``: down[k][s] is the
+    boundary of cell s of degree k as {face: entry} (degree 0 holds empty
+    dicts that are never changed).  Returns ``up``: up[k][i] is the set of
+    cofaces of cell i of degree k, or None once the cell is eliminated.
+
+    Eliminating (s, t) with entry e deletes both cells and replaces the
+    boundary of each other coface s' of t by  d(s') - a*e*d(s),  where a is
+    the entry of s' at t.  Since e is a unit this is the Gaussian
+    elimination lemma: the smaller complex is chain-homotopy equivalent to
+    the old one over Z, so it has the same homology, torsion included.
+    Pairs without fill-in go first (a free face, where t's only coface is
+    s, or a coreduction, where d(s) = e*t); when none is left, the pair of
+    least fill (|d(s)| - 1)(|cofaces of t| - 1), lowest degree first.  The
+    degree being reduced keeps one heap entry per cell, keyed by its least
+    fill when pushed and re-keyed when popped stale.  A cell leaves the heap
+    only without a unit entry, and only an elimination in its own degree
+    can give it one back (it is then pushed again); so every boundary left
+    over has no unit entry."""
+    m = len(ranks)
+    up = [[set() for _ in range(r)] for r in ranks[:-1]] + [[_NO_COFACES] * ranks[-1]]
+    todo = []  # cells (i * m + k) that may now have a free face or a coreduction
+    for k in range(1, m):
+        below = up[k - 1]
+        for s, col in enumerate(down[k]):
+            for t in col:
+                below[t].add(s)
+            if len(col) == 1:
+                todo.append(s * m + k)
+        todo.extend(t * m + k - 1 for t, cof in enumerate(below) if len(cof) == 1)
+
+    heap, queued = [], bytearray()  # the degree being reduced by least fill
+
+    def eliminate(k, s, t, e, requeue=False):
+        col = down[k][s]
+        below = up[k - 1]
+        for r in up[k][s]:
+            above = down[k + 1][r]
+            del above[s]
+            if len(above) == 1:
+                todo.append(r * m + k + 1)
+        del col[t]
+        cols = down[k]
+        below[t].discard(s)
+        for s2 in below[t]:
+            c2 = cols[s2]
+            q = c2.pop(t) * e
+            for x, c in col.items():
+                v = c2.get(x, 0) - q * c
+                if v:
+                    if x not in c2:
+                        below[x].add(s2)
+                    c2[x] = v
+                else:
+                    del c2[x]
+                    below[x].discard(s2)
+            if len(c2) == 1:
+                todo.append(s2 * m + k)
+            if requeue and not queued[s2]:
+                heappush(heap, s2)  # fill 0: popped next and re-keyed
+                queued[s2] = 1
+        for x in col:
+            cof = below[x]
+            cof.discard(s)
+            if len(cof) == 1:
+                todo.append(x * m + k - 1)
+        if k > 1:
+            lower = up[k - 2]
+            for y in down[k - 1][t]:
+                cof = lower[y]
+                cof.discard(t)
+                if len(cof) == 1:
+                    todo.append(y * m + k - 2)
+            down[k - 1][t] = None
+        cols[s] = below[t] = up[k][s] = None
+
+    def drain():
+        while todo:
+            i, k = divmod(todo.pop(), m)
+            cof = up[k][i]
+            if cof is None:
+                continue
+            if k and len(down[k][i]) == 1:
+                (t, e), = down[k][i].items()
+                if e == 1 or e == -1:
+                    eliminate(k, i, t, e)
+                    continue
+            if len(cof) == 1:
+                s, = cof
+                e = down[k + 1][s][i]
+                if e == 1 or e == -1:
+                    eliminate(k + 1, s, i, e)
+
+    drain()
+    for k in range(1, m):
+        below, cols, rk = up[k - 1], down[k], ranks[k]
+        heap = []
+        queued = bytearray(rk)
+        for s, col in enumerate(cols):
+            best = None if col is None else _least_fill(col, below)
+            if best is not None:
+                heap.append(best[0] * rk + s)
+                queued[s] = 1
+        heapify(heap)
+        while heap:
+            fill, s = divmod(heappop(heap), rk)
+            queued[s] = 0
+            col = cols[s]
+            best = None if col is None else _least_fill(col, below)
+            if best is None:
+                continue
+            if best[0] > fill:
+                heappush(heap, best[0] * rk + s)
+                queued[s] = 1
+                continue
+            eliminate(k, s, best[1], best[2], requeue=True)
+            drain()
+    return up
+
+
+def _least_fill(col, below):
+    """(fill, face, entry) of the unit entry of col whose face has the
+    fewest cofaces, or None when col has no unit entry."""
+    best = None
+    for t, e in col.items():
+        if e == 1 or e == -1:
+            n = len(below[t])
+            if best is None or n < best:
+                best, face, unit = n, t, e
+    if best is None:
+        return None
+    return (len(col) - 1) * (best - 1), face, unit
 
 
 def quasi_iso_type_equal(c: ChainComplex, d: ChainComplex) -> bool:

@@ -229,17 +229,6 @@ class TriSurface:
             return ref, 1
         return p, -1
 
-    @cached_property
-    def edge_representatives(self) -> tuple[Ref, ...]:
-        reps = []
-        for t in range(len(self.triangles)):
-            for e in range(3):
-                ref = (t, e)
-                p = self._partner.get(ref)
-                if p is None or ref <= p:
-                    reps.append(ref)
-        return tuple(reps)
-
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + len(self.triangles)
 
@@ -374,13 +363,14 @@ class TriSurface:
         ncomp = self.component_count
         verts: list[set[int]] = [set() for _ in range(ncomp)]
         faces = [0] * ncomp
-        edges = [0] * ncomp
         for t, tri in enumerate(self.triangles):
             c = comp[t]
             faces[c] += 1
             verts[c].update(tri)
-        for t, e in self.edge_representatives:
-            edges[comp[t]] += 1
+        # a glued pair joins two triangles of one component and is one edge
+        edges = [3 * f for f in faces]
+        for (t, _), _ in self.gluing:
+            edges[comp[t]] -= 1
         bnd = [0] * ncomp
         for cyc in self.boundary_cycles:
             bnd[comp[cyc[0][0]]] += 1
@@ -424,15 +414,10 @@ class TriSurface:
         triangle index in 0..len(triangles)-1 and its edge index in 0..2.
         Returns the canonical surface and the map from the file's numbering
         to the canonical one."""
-        n = data["vertices"]
-        if type(n) is not int or n < 0:
-            raise ValueError(f"vertices must be a non-negative int, got {n!r}")
+        violation = _vertex_id_violation(data["vertices"], data["triangles"])
+        if violation is not None:
+            raise ValueError(violation)
         triangles = [tuple(t) for t in data["triangles"]]
-        bad = [v for t in triangles for v in t if type(v) is not int or not 0 <= v < n]
-        if bad and type(bad[0]) is not int:
-            raise ValueError(f"vertex id {bad[0]!r} is not a JSON integer")
-        if bad:
-            raise ValueError(f"vertex id {bad[0]} outside 0..{n - 1}")
         glue = {}
         for pair in data["gluing"]:
             (t1, e1), (t2, e2) = pair
@@ -471,6 +456,20 @@ class RefMap:
 
     def vertex(self, v: int) -> int:
         return self.vertex_map[v]
+
+
+def _vertex_id_violation(n, triangles) -> str | None:
+    """The first broken rule of a vertex count n and the triangles' vertex
+    ids: n is a non-negative int, every id is an int (not a float, string
+    or bool) in 0..n-1.  None when both hold."""
+    if type(n) is not int or n < 0:
+        return f"vertices must be a non-negative int, got {n!r}"
+    bad = [v for t in triangles for v in t if type(v) is not int or not 0 <= v < n]
+    if bad and type(bad[0]) is not int:
+        return f"vertex id {bad[0]!r} is not a JSON integer"
+    if bad:
+        return f"vertex id {bad[0]} outside 0..{n - 1}"
+    return None
 
 
 def _shape_violation(triangles, glue) -> str | None:
@@ -847,11 +846,15 @@ class DoubledCircle:
 
 
 def surface_from_data(vertex_count, triangles, gluing_pairs) -> TriSurface:
-    """The canonical surface of raw triangles and glued pairs.  A ref in two
-    pairs, a triangle without three vertex ids or a glued ref outside the
-    triangles raises InvalidSurface before canonicalizing; so does any
-    invariant the canonical surface breaks."""
+    """The canonical surface of raw triangles and glued pairs.  A vertex id
+    that is not an int in 0..vertex_count-1 (the rule ``parse_json``
+    applies), a ref in two pairs, a triangle without three vertex ids or a
+    glued ref outside the triangles raises InvalidSurface before
+    canonicalizing; so does any invariant the canonical surface breaks."""
     triangles = [tuple(t) for t in triangles]
+    violation = _vertex_id_violation(vertex_count, triangles)
+    if violation is not None:
+        raise InvalidSurface(violation)
     glue = {}
     for r1, r2 in gluing_pairs:
         r1, r2 = tuple(r1), tuple(r2)

@@ -83,6 +83,24 @@ def test_surface_from_data_rejects_a_ref_in_two_pairs():
         surface_from_data(5, [(0, 1, 2), (1, 0, 3), (1, 0, 4)], [((0, 0), (1, 0)), ((0, 0), (2, 0))])
 
 
+@pytest.mark.parametrize(
+    "vertex_count, triangle, message",
+    [(3, (10, 20, 30), "vertex id 10 outside 0..2"), (3, (0, 1.0, 2), "vertex id 1.0 is not a JSON integer")],
+)
+def test_surface_from_data_checks_vertex_ids_like_a_file(vertex_count, triangle, message):
+    with pytest.raises(InvalidSurface) as raw:
+        surface_from_data(vertex_count, [triangle], [])
+    with pytest.raises(ValueError) as parsed:
+        TriSurface.parse_json({"vertices": vertex_count, "triangles": [list(triangle)], "gluing": []})
+    assert str(raw.value) == str(parsed.value) == message
+
+
+def test_surface_from_data_renumbers_unused_ids_like_a_file():
+    disk = surface_from_data(5, [(0, 1, 2)], [])
+    assert disk == TriSurface.from_json({"vertices": 5, "triangles": [[0, 1, 2]], "gluing": []})
+    assert disk.vertex_count == 3
+
+
 def test_seven_vertex_torus():
     s = torus()
     assert s.validate() is None
