@@ -411,14 +411,19 @@ class IntegerLattice:
         self.width = width
         self.rows: dict[int, dict] = {}
 
+    def _sparse_copy(self, vec) -> dict:
+        """A fresh sparse dict of vec's nonzero entries, after checking that
+        every one of its columns lies in 0..width-1."""
+        v = {c: x for c, x in vec.items() if x} if isinstance(vec, dict) else to_sparse(vec)
+        if v and (min(v) < 0 or max(v) >= self.width):
+            raise ValueError("vector outside ambient space")
+        return v
+
     def add(self, vec) -> bool:
         """Insert a vector; returns True if the lattice grew."""
-        v = dict(vec) if isinstance(vec, dict) else to_sparse(vec)
-        v = {c: x for c, x in v.items() if x}
+        v = self._sparse_copy(vec)
         while v:
             j = min(v)
-            if j >= self.width or j < 0:
-                raise ValueError("vector outside ambient space")
             row = self.rows.get(j)
             if row is None:
                 if v[j] < 0:
@@ -472,8 +477,7 @@ class IntegerLattice:
 
     def reduce(self, vec) -> dict:
         """Canonical residue of vec modulo the lattice (sparse dict)."""
-        v = dict(vec) if isinstance(vec, dict) else to_sparse(vec)
-        v = {c: x for c, x in v.items() if x}
+        v = self._sparse_copy(vec)
         self._reduce_after(v, -1)
         return v
 
@@ -564,12 +568,28 @@ class _Analysis:
 
     Only the non-unit rows, the Smith input, are normalized here; chain
     homology reads nothing else.  ``normalized_lattice`` normalizes the rest
-    on first use, for normal forms and membership tests."""
+    on first use, for normal forms and membership tests.
+
+    Zero rows are dropped and the rest are inserted by least column,
+    descending, so a row mostly meets pivot rows that are already settled
+    instead of filling in rows that later rows will change again.  Among
+    rows with the same least column the sparsest goes first, to become the
+    pivot row, and then the one whose last column is greatest.  This order
+    cannot change any output.  In a fixed column order, the pivot columns
+    and pivot values of an echelon basis are invariants of the lattice L:
+    p_j is the gcd of the column-j entries of L_{>=j}, the vectors of L
+    whose first nonzero column is j or later.  A normalized row is the
+    unique residue of its row modulo L_{>j}: two candidates differ by a
+    vector of L_{>j} whose first nonzero entry would be a multiple of a
+    pivot p_k lying strictly between -p_k and p_k.  So the normalized
+    basis, the Smith input, ``small_d``, ``small_v`` and every normal form
+    do not depend on the order of the ``add`` calls."""
 
     def __init__(self, n: int, relations):
         self.n = n
         lat = IntegerLattice(n)
-        for r in relations:
+        rows = filter(None, map(lat._sparse_copy, relations))
+        for r in sorted(rows, key=lambda r: (-min(r), len(r), -max(r))):
             lat.add(r)
         nonunit = [j for j, p in lat.pivots() if p != 1]
         lat.normalize(nonunit)

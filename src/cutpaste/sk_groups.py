@@ -163,15 +163,22 @@ def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
     floor = 2 - 2 * caps.genus
     if sum(chis) < min(floor, k * floor):
         return set()
-    out = set()
-    partitions = _block_partitions(tuple(b for _, b in left), tuple(b for _, b in right))
-    for blocks in partitions:
+    found = set()
+    for blocks in _block_partitions(tuple(b for _, b in left), tuple(b for _, b in right)):
         if len(blocks) > caps.components:
             continue
-        genera = sorted((2 - sum(chis[x] for x in block)) // 2 for block in blocks)
-        if genera[-1] <= caps.genus:
-            out.add(DiffeoClass(tuple((g, 0) for g in genera)))
-    return out
+        genera = []
+        for block in blocks:
+            chi = 0
+            for x in block:
+                chi += chis[x]
+            if chi < floor:  # genus above the caps
+                break
+            genera.append((2 - chi) // 2)
+        else:
+            genera.sort()
+            found.add(tuple(genera))
+    return {DiffeoClass(tuple((g, 0) for g in genera)) for genera in found}
 
 
 @lru_cache(maxsize=None)

@@ -5,6 +5,11 @@
 pivot column of the lattice in increasing order, and normalize rows first
 pivot first, each against later rows that may not be reduced yet.
 
+``GivenOrderAnalysis`` is ``abgroup._Analysis`` with the relation rows
+added in their given order, zero rows included, every row normalized first
+pivot first, and normal forms read with the full walk and dense matrix
+entries.
+
 The homomorphism checks below run on the full generator lattices.
 ``AbHom`` decides injectivity, surjectivity, zero and exactness on the
 induced map between Smith quotients.  These functions answer the same
@@ -14,7 +19,7 @@ generators together), and the relation lattices are built from the
 presentations' own relation rows, not from their ``_Analysis``.
 """
 
-from cutpaste.abgroup import IntegerLattice, to_sparse
+from cutpaste.abgroup import IntMatrix, IntegerLattice, NormalForm, smith_normal_form, to_sparse
 
 
 def _subtract(v: dict, row: dict, q: int) -> None:
@@ -55,6 +60,39 @@ def top_down_normalize(lat: IntegerLattice, only=None) -> None:
                 q = x // other[j]
                 if q:
                     _subtract(row, other, q)
+
+
+class GivenOrderAnalysis:
+    """Echelon in the given row order, then the Smith form of the non-unit
+    rows on the columns that are not unit pivots."""
+
+    def __init__(self, n: int, relations):
+        lat = IntegerLattice(n)
+        for r in relations:
+            lat.add(r)
+        top_down_normalize(lat)
+        self.lattice = lat
+        nonunit = [j for j, p in lat.pivots() if p != 1]
+        self.surviving = [j for j in range(n) if j not in lat.rows or lat.rows[j][j] != 1]
+        small = [[lat.rows[j].get(c, 0) for c in self.surviving] for j in nonunit]
+        if small:
+            snf = smith_normal_form(IntMatrix.from_rows(small))
+            self.small_d, self.small_v = snf.d, snf.V
+        else:
+            self.small_d, self.small_v = (), None
+
+    def normal_form(self, vec) -> NormalForm:
+        w = full_walk_reduce(self.lattice, vec)
+        u = [w.get(j, 0) for j in self.surviving]
+        if self.small_v is not None:
+            v = self.small_v
+            u = [sum(u[i] * v.entry(i, k) for i in range(v.rows)) for k in range(v.cols)]
+        d = self.small_d + (0,) * (len(u) - len(self.small_d))
+        return NormalForm(
+            torsion=tuple(x % dk for x, dk in zip(u, d) if dk > 1),
+            moduli=tuple(dk for dk in d if dk > 1),
+            free=tuple(x for x, dk in zip(u, d) if dk == 0),
+        )
 
 
 def relation_lattice(pres) -> IntegerLattice:

@@ -352,6 +352,66 @@ def test_deferred_normalization_matches_eager(n, data):
     assert deferred.lattice.basis_rows() == eager_rows
 
 
+@st.composite
+def relation_rows(draw):
+    """Rows in Z^n: pure torsion rows m e_k with m in {2, 4, 6} (Z/2, Z/4
+    and Z/6 summands, or their gcd when two share a column), echelon rows
+    m e_k + tail, sparse rows with one or two entries, dense rows, zero rows
+    and integer combinations of the rest; each row dense or as a dict."""
+    n = draw(st.integers(1, 7))
+    col = st.integers(0, n - 1)
+    rows = [{k: m} for k, m in draw(st.lists(st.tuples(col, st.sampled_from((2, 4, 6))), max_size=3))]
+    for k in draw(st.lists(col, max_size=3)):
+        tail = draw(st.lists(st.integers(-3, 3), min_size=n - k - 1, max_size=n - k - 1))
+        rows.append({k: draw(st.sampled_from((1, 2, 4, 6))), **{k + 1 + i: x for i, x in enumerate(tail)}})
+    for cols in draw(st.lists(st.lists(col, min_size=1, max_size=2, unique=True), max_size=3)):
+        rows.append({c: draw(st.sampled_from((-2, -1, 1, 3))) for c in cols})
+    dense = draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=2))
+    rows += [to_sparse(r) for r in dense]
+    rows += [{}] * draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(0, 2))):
+        combo: dict = {}
+        for r in rows:
+            c = draw(st.integers(-2, 2))
+            for j, x in r.items():
+                combo[j] = combo.get(j, 0) + c * x
+        rows.append(combo)
+    shapes = draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+    rows = [r if as_dict else [r.get(j, 0) for j in range(n)] for r, as_dict in zip(rows, shapes)]
+    return n, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(relation_rows(), st.data())
+def test_analysis_is_independent_of_row_order(nrows, data):
+    """_Analysis inserts rows in its own order.  Under any permutation of
+    the rows, the normalized rows, small_d, small_v and every unit-vector
+    normal form equal those of the echelon built in the given order."""
+    n, rows = nrows
+    ref = lattice_oracle.GivenOrderAnalysis(n, rows)
+    for _ in range(2):
+        a = _Analysis(n, data.draw(st.permutations(rows)))
+        assert a.normalized_lattice.rows == ref.lattice.rows
+        assert (a.small_d, a.small_v) == (ref.small_d, ref.small_v)
+        assert [a.normal_form({i: 1}) for i in range(n)] == [ref.normal_form({i: 1}) for i in range(n)]
+
+
+def test_lattice_rejects_columns_outside_the_width():
+    """Every column is checked, not only the leading one."""
+    for vec in ({0: 1, 7: 2}, {0: 1, -1: 2}, {1: 1, 3: 1}):
+        lat = IntegerLattice(3)
+        with pytest.raises(ValueError, match="outside ambient space"):
+            lat.add(vec)
+        assert lat.rank == 0
+        lat.add({0: 1})
+        with pytest.raises(ValueError, match="outside ambient space"):
+            lat.reduce(vec)
+    with pytest.raises(ValueError, match="outside ambient space"):
+        IntegerLattice(2).add([1, 0, 5])
+    assert IntegerLattice(2).add([1, 0, 0])
+    assert IntegerLattice(2).add({0: 1, 5: 0})
+
+
 def test_element_normal_form_iff_lattice_membership():
     rng = random.Random(3)
     for _ in range(40):

@@ -60,6 +60,13 @@ def test_suite_report_is_deterministic():
 # made 85,954.
 MAX_NORMALIZE_SUBMULS_333 = 3_000
 
+# `_submul` calls made inside `IntegerLattice.add` while a cold `_Analysis`
+# echelons the with-boundary relations at caps (5,3,3) (2,925 generators,
+# 7,627 relations).  Inserting by least column, descending, makes 14,349;
+# the given order, which fills in rows that later rows change again, made
+# 300,452.
+MAX_ADD_SUBMULS_533 = 30_000
+
 
 @pytest.fixture
 def cold_group_333():
@@ -80,6 +87,31 @@ def test_normalize_work_bound_at_333(monkeypatch, cold_group_333):
     monkeypatch.setattr(abgroup, "_submul", counting)
     analysis.normalized_lattice
     assert 0 < calls <= MAX_NORMALIZE_SUBMULS_333
+
+
+def test_add_work_bound_at_533(monkeypatch):
+    group = surface_squares_presentation.__wrapped__(Caps(5, 3, 3)).group
+    calls = 0
+    in_add = False
+    submul, add = abgroup._submul, abgroup.IntegerLattice.add
+
+    def counting(*args):
+        nonlocal calls
+        calls += in_add
+        submul(*args)
+
+    def adding(self, vec):
+        nonlocal in_add
+        in_add = True
+        try:
+            return add(self, vec)
+        finally:
+            in_add = False
+
+    monkeypatch.setattr(abgroup, "_submul", counting)
+    monkeypatch.setattr(abgroup.IntegerLattice, "add", adding)
+    group._analysis
+    assert 0 < calls <= MAX_ADD_SUBMULS_533
 
 
 class _NoWalk(dict):

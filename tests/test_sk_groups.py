@@ -222,7 +222,7 @@ def test_inclusion_coordinates_of_sphere():
     assert bdry.group.element_normal_form(img) == bdry.coordinate_of(sphere)
 
 
-@pytest.mark.parametrize("caps", [Caps(2, 2, 2), Caps(3, 3, 3)])
+@pytest.mark.parametrize("caps", [Caps(2, 2, 2), Caps(3, 3, 3), Caps(3, 3, 4)])
 def test_exact_sequence(caps):
     report = verify_exact_sequence(caps)
     assert report.inclusion_injective

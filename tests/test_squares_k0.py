@@ -428,6 +428,20 @@ def test_k0_of_surfaces_small_caps():
     assert res.coordinate_of(DiffeoClass.connected(1, 0)).is_zero()
 
 
+def test_k0_of_surfaces_four_components():
+    """At (3,3,4) the group is free of rank two and (chi, boundary circles)
+    is a complete coordinate, as criterion 4 checks at three components."""
+    res = k0_of_surfaces(Caps(3, 3, 4))
+    assert (res.free_rank, res.torsion) == (2, ())
+    by_coord: dict = {}
+    by_chib: dict = {}
+    for cls in res.instance.classes:
+        nf = res.coordinate_of(cls)
+        by_coord.setdefault((nf.free, nf.torsion), set()).add(cls)
+        by_chib.setdefault((cls.chi, cls.boundary_circles), set()).add(cls)
+    assert set(map(frozenset, by_coord.values())) == set(map(frozenset, by_chib.values()))
+
+
 def test_k0_of_surfaces_rejects_tiny_caps():
     with pytest.raises(ValueError):
         k0_of_surfaces(Caps(1, 1, 1))
