@@ -17,6 +17,7 @@ K0 of chain complexes equals the Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 from .abgroup import IntMatrix, require_json_ints
 from .chains import ChainComplex, ChainMap, HomologyType, pushout
@@ -43,7 +44,12 @@ class ChainData:
 
 
 def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
-    """Simplicial chains of the full surface or of a triangle subset."""
+    """Simplicial chains of the full surface or of a triangle subset.
+
+    Refs are read by flat index 3t+e.  A geometric edge is represented by
+    the lesser of its refs, and edge k of the basis is the k-th
+    representative in ref order; a ref has sign +1 when it is the
+    representative and -1 when its partner is."""
     if subset is None:
         tris = list(range(s.triangle_count))
     else:
@@ -51,30 +57,39 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
         for t in tris:
             if not 0 <= t < s.triangle_count:
                 raise SurfaceError(f"triangle {t} outside the surface")
-    verts = sorted({v for t in tris for v in s.triangles[t]})
+    triangles = s.triangles
+    verts = sorted({v for t in tris for v in triangles[t]})
     vidx = {v: i for i, v in enumerate(verts)}
-    edge_set = {s.edge_rep((t, e))[0] for t in tris for e in range(3)}
-    edges = sorted(edge_set)
+    partners = s._ref_partners
+    refs = [k for t in tris for k in (3 * t, 3 * t + 1, 3 * t + 2)]
+    reps = [p if 0 <= p < k else k for k, p in zip(refs, map(partners.__getitem__, refs))]
+    edges = sorted(set(reps))
     eidx = {r: i for i, r in enumerate(edges)}
     nv, ne, nf = len(verts), len(edges), len(tris)
 
     d2 = []
-    for t in tris:
+    cells = iter([(eidx[r], 1 if r == k else -1) for k, r in zip(refs, reps)])
+    for (i0, x0), (i1, x1), (i2, x2) in zip(cells, cells, cells):
+        if i0 != i1 and i1 != i2 and i0 != i2:
+            d2.append({i0: x0, i1: x1, i2: x2})
+            continue
         col: dict[int, int] = {}
-        for e in range(3):
-            rep, sign = s.edge_rep((t, e))
-            i = eidx[rep]
-            col[i] = col.get(i, 0) + sign
+        for i, x in ((i0, x0), (i1, x1), (i2, x2)):
+            col[i] = col.get(i, 0) + x
         d2.append({i: x for i, x in col.items() if x})
     d1 = []
-    for rep in edges:
-        u, v = s.endpoints(rep)
+    for r in edges:
+        tri = triangles[r // 3]
+        u, v = tri[r % 3], tri[(r + 1) % 3]
         d1.append({vidx[v]: 1, vidx[u]: -1} if u != v else {})
     cx = ChainComplex.make(
         0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
     )
     return ChainData(
-        complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris)
+        complex=cx,
+        vertices=tuple(verts),
+        edges=tuple(map(divmod, edges, repeat(3))),
+        triangles=tuple(tris),
     )
 
 

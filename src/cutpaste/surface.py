@@ -17,9 +17,12 @@ triangle), so equal constructions serialize identically.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain, compress, count, repeat
+from operator import eq, le
 
 Ref = tuple[int, int]
 
@@ -138,49 +141,63 @@ class DiffeoClass:
 # the reverse of the original's edge _MIRROR_EDGE[e].
 _MIRROR_EDGE = (2, 1, 0)
 
+# The walks below read a gluing as a flat partner list: ref (t, e) is index
+# 3t+e, and its entry is the partner's index, or -1 when the ref is unglued.
 
-def _components(n: int, glue: dict[Ref, Ref]) -> list[int]:
-    """Component index of each of n triangles, numbered in order of first triangle."""
-    comp = [-1] * n
+
+def _flat_partners(n_tri: int, glue: dict[Ref, Ref]) -> list[int]:
+    """The flat partner list of n_tri triangles glued by a ref dict."""
+    out = [-1] * (3 * n_tri)
+    for (t, e), (u, f) in glue.items():
+        out[3 * t + e] = 3 * u + f
+    return out
+
+
+def _unglued(partners) -> list[int]:
+    """Indices of the unglued refs, in increasing order."""
+    return list(compress(count(), map((-1).__eq__, partners)))
+
+
+def _components(partners) -> list[int]:
+    """Component index of each triangle, numbered in order of first triangle."""
+    comp = [-1] * (len(partners) // 3)
     cur = 0
-    for start in range(n):
+    for start in range(len(comp)):
         if comp[start] != -1:
             continue
         comp[start] = cur
-        dq = deque([start])
-        while dq:
-            t = dq.popleft()
-            for e in range(3):
-                p = glue.get((t, e))
-                if p is not None and comp[p[0]] == -1:
-                    comp[p[0]] = cur
-                    dq.append(p[0])
+        queue = [start]
+        for t in queue:  # breadth first: the queue grows while it is read
+            for p in partners[3 * t : 3 * t + 3]:
+                if p >= 0 and comp[p // 3] == -1:
+                    comp[p // 3] = cur
+                    queue.append(p // 3)
         cur += 1
     return comp
 
 
-def _boundary_cycles(n: int, glue: dict[Ref, Ref]) -> tuple[tuple[Ref, ...], ...]:
-    """The unglued edges of n triangles as directed cycles.  Each cycle starts
-    at its least ref, and the cycles come in increasing order."""
-    seen: set[Ref] = set()
+def _boundary_cycles(partners) -> list[list[int]]:
+    """The unglued refs as directed cycles of flat indices.  Each cycle
+    starts at its least index, and the cycles come in increasing order."""
+    seen: set[int] = set()
     cycles = []
-    for start in ((t, e) for t in range(n) for e in range(3)):
-        if start in glue or start in seen:
+    for start in _unglued(partners):
+        if start in seen:
             continue
         cyc = [start]
+        k = start
         while True:
             # rotate around the endpoint vertex to the next unglued edge
-            t, e = cyc[-1]
-            corner = (t, (e + 1) % 3)
-            while corner in glue:
-                p = glue[corner]
-                corner = (p[0], (p[1] + 1) % 3)
-            if corner == start:
+            k = k + 1 if k % 3 != 2 else k - 2
+            while partners[k] >= 0:
+                k = partners[k]
+                k = k + 1 if k % 3 != 2 else k - 2
+            if k == start:
                 break
-            cyc.append(corner)
+            cyc.append(k)
         seen.update(cyc)
-        cycles.append(tuple(cyc))
-    return tuple(cycles)
+        cycles.append(cyc)
+    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +214,34 @@ class TriSurface:
     # -- basic accessors ----------------------------------------------------
 
     @cached_property
+    def _ref_partners(self) -> list[int]:
+        """The gluing as a flat partner list: ref (t, e) is index 3t+e, and
+        its entry is the partner's index, or -1 when the ref is unglued.
+        ``_canonical_form`` records it as it emits the gluing; a surface
+        made directly from its fields reads it off ``gluing``."""
+        return _flat_partners(len(self.triangles), self._partner)
+
+    @cached_property
+    def _component_starts(self) -> tuple[int, ...]:
+        """The first triangle of each component.  The canonical numbering
+        gives each component one block of consecutive triangles, and
+        ``_canonical_form`` records where each block starts.  A surface made
+        directly from its fields, with its components numbered the same way,
+        is scanned: a block ends at the first triangle that no triangle of
+        the block is glued beyond."""
+        partners = self._ref_partners
+        starts = []
+        reach = -1
+        for t in range(len(self.triangles)):
+            if t > reach:
+                starts.append(t)
+            reach = max(reach, t, *(p // 3 for p in partners[3 * t : 3 * t + 3]))
+        return tuple(starts)
+
+    @cached_property
     def _partner(self) -> dict[Ref, Ref]:
+        """The gluing as a dict from each glued ref to its partner, for
+        callers that want refs; the walks read ``_ref_partners``."""
         out = {}
         for r1, r2 in self.gluing:
             out[r1] = r2
@@ -205,7 +249,12 @@ class TriSurface:
         return out
 
     def partner(self, ref: Ref) -> Ref | None:
-        return self._partner.get(ref)
+        t, e = ref
+        if 0 <= t < len(self.triangles) and 0 <= e < 3:
+            p = self._ref_partners[3 * t + e]
+            if p >= 0:
+                return divmod(p, 3)
+        return None
 
     def endpoints(self, ref: Ref) -> tuple[int, int]:
         t, e = ref
@@ -221,14 +270,6 @@ class TriSurface:
         """Geometric edges: glued pairs count once."""
         return 3 * len(self.triangles) - len(self.gluing)
 
-    def edge_rep(self, ref: Ref) -> tuple[Ref, int]:
-        """Canonical representative of the geometric edge carrying ref, and
-        the sign of ref relative to it (+1 when ref is the representative)."""
-        p = self._partner.get(ref)
-        if p is None or ref <= p:
-            return ref, 1
-        return p, -1
-
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + len(self.triangles)
 
@@ -236,30 +277,27 @@ class TriSurface:
 
     @cached_property
     def component_of_triangle(self) -> tuple[int, ...]:
-        return tuple(_components(len(self.triangles), self._partner))
+        starts = self._component_starts
+        out: list[int] = []
+        for c, (lo, hi) in enumerate(zip(starts, starts[1:] + (len(self.triangles),))):
+            out += [c] * (hi - lo)
+        return tuple(out)
 
     @property
     def component_count(self) -> int:
-        return max(self.component_of_triangle, default=-1) + 1
+        return len(self._component_starts)
 
     # -- corners and links ----------------------------------------------------
 
-    def _corner_next(self, corner: tuple[int, int]) -> tuple[int, int] | None:
-        """Rotate around the corner's vertex by crossing the incoming edge."""
-        t, i = corner
-        return self._partner.get((t, (i + 2) % 3))
-
     @cached_property
-    def _corners_at(self) -> dict[int, list[tuple[int, int]]]:
-        out: dict[int, list[tuple[int, int]]] = {}
-        for t, tri in enumerate(self.triangles):
-            for i in range(3):
-                out.setdefault(tri[i], []).append((t, i))
-        return out
+    def _boundary_vertices(self) -> frozenset[int]:
+        """The vertices at which an unglued ref ends."""
+        tris = self.triangles
+        return frozenset(tris[k // 3][(k + 1) % 3] for k in _unglued(self._ref_partners))
 
     def vertex_is_interior(self, v: int) -> bool:
-        corners = self._corners_at.get(v, [])
-        return all(self._corner_next(c) is not None for c in corners)
+        """Every corner at v is glued across its incoming edge."""
+        return v not in self._boundary_vertices
 
     # -- validation -------------------------------------------------------------
 
@@ -296,18 +334,27 @@ class TriSurface:
                     f"({u},{v}) vs ({x},{y})"
                 )
 
-        for v, corners in self._corners_at.items():
-            cset = set(corners)
-            nxt = {}
+        # Corner (t, i) is flat index 3t+i, at vertex corner_vertex[3t+i].
+        # Rotating around that vertex crosses the corner's incoming edge
+        # (t, i+2) into the partner's corner: nxt[3t+i] = partners[3t+(i+2)%3].
+        partners = self._ref_partners
+        corner_vertex = [v for tri in self.triangles for v in tri]
+        nxt = [-1] * len(corner_vertex)
+        nxt[0::3] = partners[2::3]
+        nxt[1::3] = partners[0::3]
+        nxt[2::3] = partners[1::3]
+        corners_at: dict[int, list[int]] = {v: [] for v in corner_vertex}
+        for k, v in enumerate(corner_vertex):
+            corners_at[v].append(k)
+        for v, corners in corners_at.items():
             preds = set()
             for c in corners:
-                c2 = self._corner_next(c)
-                if c2 is not None:
-                    if c2 not in cset:
+                c2 = nxt[c]
+                if c2 >= 0:
+                    if corner_vertex[c2] != v:
                         return f"link of vertex {v} jumps to a corner of another vertex"
                     if c2 in preds:
                         return f"link of vertex {v} branches"
-                    nxt[c] = c2
                     preds.add(c2)
             starts = [c for c in corners if c not in preds]
             if not starts:
@@ -315,9 +362,9 @@ class TriSurface:
                 count = 0
                 cur = walk
                 while True:
-                    cur = nxt.get(cur)
+                    cur = nxt[cur]
                     count += 1
-                    if cur is None:
+                    if cur < 0:
                         return f"link of vertex {v} has a dead end inside a cycle"
                     if cur == walk:
                         break
@@ -328,7 +375,7 @@ class TriSurface:
                     return f"link of vertex {v} splits into {len(starts)} arcs"
                 cur = starts[0]
                 count = 1
-                while cur in nxt:
+                while nxt[cur] >= 0:
                     cur = nxt[cur]
                     count += 1
                 if count != len(corners):
@@ -344,39 +391,43 @@ class TriSurface:
     # -- boundary ---------------------------------------------------------------
 
     @cached_property
+    def _boundary_walk(self) -> list[list[int]]:
+        return _boundary_cycles(self._ref_partners)
+
+    @cached_property
     def boundary_cycles(self) -> tuple[tuple[Ref, ...], ...]:
         """Boundary decomposed into directed edge cycles, canonically ordered."""
-        return _boundary_cycles(len(self.triangles), self._partner)
+        return tuple(tuple(divmod(k, 3) for k in cyc) for cyc in self._boundary_walk)
 
     @cached_property
     def boundary_refs(self) -> tuple[Ref, ...]:
-        return tuple(sorted(r for cyc in self.boundary_cycles for r in cyc))
+        """The unglued refs in increasing order; the boundary cycles
+        partition them."""
+        return tuple(divmod(k, 3) for k in _unglued(self._ref_partners))
 
     def boundary_circle_count(self) -> int:
-        return len(self.boundary_cycles)
+        return len(self._boundary_walk)
 
     # -- classification ------------------------------------------------------------
 
     @cached_property
     def diffeo_class(self) -> DiffeoClass:
-        comp = self.component_of_triangle
-        ncomp = self.component_count
-        verts: list[set[int]] = [set() for _ in range(ncomp)]
-        faces = [0] * ncomp
-        for t, tri in enumerate(self.triangles):
-            c = comp[t]
-            faces[c] += 1
-            verts[c].update(tri)
-        # a glued pair joins two triangles of one component and is one edge
-        edges = [3 * f for f in faces]
-        for (t, _), _ in self.gluing:
-            edges[comp[t]] -= 1
-        bnd = [0] * ncomp
-        for cyc in self.boundary_cycles:
-            bnd[comp[cyc[0][0]]] += 1
+        partners = self._ref_partners
+        starts = self._component_starts
+        bnd = [0] * len(starts)
+        for cyc in self._boundary_walk:
+            bnd[bisect_right(starts, cyc[0] // 3) - 1] += 1
         pairs = []
-        for c in range(ncomp):
-            chi = len(verts[c]) - edges[c] + faces[c]
+        for c, (lo, hi) in enumerate(zip(starts, starts[1:] + (len(self.triangles),))):
+            faces = hi - lo
+            verts = len(set(chain.from_iterable(self.triangles[lo:hi])))
+            # a glued pair joins two refs of one component and is one edge;
+            # a ref glued to itself is a pair of its own
+            refs = partners[3 * lo : 3 * hi]
+            glued = 3 * faces - refs.count(-1)
+            self_glued = sum(map(eq, refs, range(3 * lo, 3 * hi)))
+            edges = 3 * faces - (glued + self_glued) // 2
+            chi = verts - edges + faces
             b = bnd[c]
             g2 = 2 - chi - b
             if g2 < 0 or g2 % 2:
@@ -406,32 +457,67 @@ class TriSurface:
     @staticmethod
     def parse_json(data: dict) -> tuple["TriSurface", "RefMap"]:
         """Parse the surface file format.  Malformed files raise ValueError
-        naming the broken rule before anything is canonicalized: ``vertices``
-        must be a non-negative int, vertex ids, triangle indices and edge
-        indices must be JSON integers (not floats, strings or booleans),
-        vertex ids lie in 0..vertices-1, no ref is glued twice, every
-        triangle has exactly three vertex ids, and every glued ref has its
-        triangle index in 0..len(triangles)-1 and its edge index in 0..2.
+        naming the broken rule before anything is canonicalized: the file is
+        a JSON object with ``vertices``, ``triangles`` and ``gluing``;
+        ``vertices`` must be a non-negative int, every triangle a list of
+        vertex ids and every gluing entry two refs of two indices each;
+        vertex ids, triangle indices and edge indices must be JSON integers
+        (not floats, strings or booleans), vertex ids lie in
+        0..vertices-1, no ref is glued twice, every triangle has exactly
+        three vertex ids, and every glued ref has its triangle index in
+        0..len(triangles)-1 and its edge index in 0..2.  The gluing entries
+        are read in order, each checked for shape, integers and refs glued
+        twice; triangle sizes and ref ranges are checked after the last.
         Returns the canonical surface and the map from the file's numbering
         to the canonical one."""
-        violation = _vertex_id_violation(data["vertices"], data["triangles"])
+        if not isinstance(data, dict):
+            raise ValueError("a surface file is a JSON object with vertices, triangles and gluing")
+        violation = _vertex_id_violation(_entry(data, "vertices"), _entry(data, "triangles"))
         if violation is not None:
             raise ValueError(violation)
         triangles = [tuple(t) for t in data["triangles"]]
-        glue = {}
-        for pair in data["gluing"]:
-            (t1, e1), (t2, e2) = pair
-            a, b = (t1, e1), (t2, e2)
+        gluing = _entry(data, "gluing")
+        if _is_json_scalar(gluing):
+            raise ValueError(f"gluing must be a list of ref pairs, got {gluing!r}")
+        n3 = 3 * len(triangles)
+        partners = [-1] * n3
+        stray: dict[Ref, None] = {}  # glued refs outside the triangles, in file order
+        for k, pair in enumerate(gluing):
+            try:
+                (t1, e1), (t2, e2) = pair
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"gluing entry {k} is not two [triangle, edge] refs: {pair!r}"
+                ) from None
             if not (type(t1) is type(e1) is type(t2) is type(e2) is int):
-                raise ValueError(f"gluing pair {a}~{b} holds an index that is not a JSON integer")
-            if a in glue or b in glue:
-                raise ValueError(f"gluing pair {a}~{b} has a ref that is glued twice")
-            glue[a] = b
-            glue[b] = a
-        violation = _shape_violation(triangles, glue)
+                raise ValueError(
+                    f"gluing pair {(t1, e1)}~{(t2, e2)} holds an index that is not a JSON integer"
+                )
+            i, j = 3 * t1 + e1, 3 * t2 + e2
+            if 0 <= e1 <= 2 and 0 <= e2 <= 2 and 0 <= i < n3 and 0 <= j < n3:
+                twice = partners[i] >= 0 or partners[j] >= 0
+                partners[i] = j
+                partners[j] = i
+            else:
+                # A ref outside the triangles fails the range check after the
+                # loop; until then it is only checked for being glued twice,
+                # and an in-range ref of its pair is marked glued to itself.
+                keys = [
+                    3 * t + e if 0 <= e <= 2 and 0 <= 3 * t + e < n3 else (t, e)
+                    for t, e in ((t1, e1), (t2, e2))
+                ]
+                twice = any(x in stray if type(x) is tuple else partners[x] >= 0 for x in keys)
+                for x in keys:
+                    if type(x) is tuple:
+                        stray[x] = None
+                    else:
+                        partners[x] = x
+            if twice:
+                raise ValueError(f"gluing pair {(t1, e1)}~{(t2, e2)} has a ref that is glued twice")
+        violation = _shape_violation(triangles, stray)
         if violation is not None:
             raise ValueError(violation)
-        return _canonical_form(triangles, glue)
+        return _canonical_flat(triangles, partners)
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +544,32 @@ class RefMap:
         return self.vertex_map[v]
 
 
+def _entry(data: dict, key: str):
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"a surface file needs a {key!r} entry") from None
+
+
+def _is_json_scalar(x) -> bool:
+    """A JSON number, boolean or null: nothing that can be read as a list."""
+    return x is None or isinstance(x, (int, float))
+
+
 def _vertex_id_violation(n, triangles) -> str | None:
     """The first broken rule of a vertex count n and the triangles' vertex
-    ids: n is a non-negative int, every id is an int (not a float, string
-    or bool) in 0..n-1.  None when both hold."""
+    ids: n is a non-negative int, the triangles and each triangle are
+    lists, every id is an int (not a float, string or bool) in 0..n-1.
+    None when all hold."""
     if type(n) is not int or n < 0:
         return f"vertices must be a non-negative int, got {n!r}"
-    bad = [v for t in triangles for v in t if type(v) is not int or not 0 <= v < n]
+    try:
+        bad = [v for t in triangles for v in t if type(v) is not int or not 0 <= v < n]
+    except TypeError:  # the triangles, or one of them, cannot be iterated
+        if _is_json_scalar(triangles):
+            return f"triangles must be a list of vertex id lists, got {triangles!r}"
+        t = next(t for t, tri in enumerate(triangles) if _is_json_scalar(tri))
+        return f"triangle {t} is not a list of vertex ids: {triangles[t]!r}"
     if bad and type(bad[0]) is not int:
         return f"vertex id {bad[0]!r} is not a JSON integer"
     if bad:
@@ -472,14 +577,15 @@ def _vertex_id_violation(n, triangles) -> str | None:
     return None
 
 
-def _shape_violation(triangles, glue) -> str | None:
-    """The first triangle without exactly three vertex ids, or glued ref
-    outside the triangles, that ``_canonical_form`` cannot take; else None."""
+def _shape_violation(triangles, glued) -> str | None:
+    """The first triangle without exactly three vertex ids, or ref of
+    ``glued`` outside the triangles, that ``_canonical_form`` cannot take;
+    else None."""
     n_tri = len(triangles)
     bad = [t for t, tri in enumerate(triangles) if len(tri) != 3]
     if bad:
         return f"triangle {bad[0]} does not have exactly three vertex ids"
-    bad = [r for r in glue if not (0 <= r[0] < n_tri and 0 <= r[1] <= 2)]
+    bad = [r for r in glued if not (0 <= r[0] < n_tri and 0 <= r[1] <= 2)]
     if not bad:
         return None
     if 0 <= bad[0][0] < n_tri:
@@ -507,25 +613,34 @@ def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
     by first appearance in that order and each triangle is rotated to its
     least rotation.  The gluing lists each pair once, from its lesser ref,
     in increasing order.
+
+    The walk reads and writes the gluing as a flat partner list: ref
+    (t, e) is index 3t+e, and its entry is the partner's index, or -1 when
+    the ref is unglued.  The surface keeps the canonical list it emits the
+    gluing from, and the start of each component's block of triangles,
+    for the walks that classify, validate and take chains of it.
     """
+    return _canonical_flat(triangles, _flat_partners(len(triangles), glue))
+
+
+def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]:
+    """``_canonical_form`` of a gluing given as a flat partner list."""
     n_tri = len(triangles)
     new_index = [-1] * n_tri
     order: list[int] = []
-    partners = []  # the partners of input edges 0, 1, 2, by new index
-    get = glue.get
+    starts: list[int] = []  # where each component's block begins
     for start in sorted(range(n_tri), key=triangles.__getitem__):
         if new_index[start] >= 0:
             continue
+        starts.append(len(order))
         new_index[start] = len(order)
-        order.append(start)
-        while len(partners) < len(order):
-            t = order[len(partners)]
-            ps = get((t, 0)), get((t, 1)), get((t, 2))
-            partners.append(ps)
-            for p in ps:
-                if p is not None and new_index[p[0]] < 0:
-                    new_index[p[0]] = len(order)
-                    order.append(p[0])
+        block = [start]
+        for t in block:  # breadth first: the block grows while it is read
+            for p in partners[3 * t : 3 * t + 3]:
+                if p >= 0 and new_index[p // 3] < 0:
+                    new_index[p // 3] = len(order) + len(block)
+                    block.append(p // 3)
+        order += block
     flat = [v for t in order for v in triangles[t]]
     vmap = {v: i for i, v in enumerate(dict.fromkeys(flat))}
     new_tris = []
@@ -546,23 +661,19 @@ def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
             rot = min(range(3), key=lambda r: tri[r:] + tri[:r])
             rots.append(rot)
             new_tris.append(tri[rot:] + tri[:rot])
-    gluing = []
-    for i, ps, rot in zip(range(n_tri), partners, rots):
-        for f, e in enumerate(_ROT_EDGES[rot]):
-            p = ps[e]
-            if p is None:
-                continue
-            j = new_index[p[0]]
-            if j < i:
-                continue
-            g = (p[1] - rots[j]) % 3
-            if j > i or g >= f:
-                gluing.append(((i, f), (j, g)))
-    surf = TriSurface(
-        vertex_count=len(vmap),
-        triangles=tuple(new_tris),
-        gluing=tuple(gluing),
-    )
+    # the input index of each canonical ref, and the canonical index of each
+    # input ref, with -1 (the last slot) mapped to -1
+    old_ref = [3 * t + e for t, rot in zip(order, rots) for e in _ROT_EDGES[rot]]
+    new_ref = [-1] * (3 * n_tri + 1)
+    for k, o in enumerate(old_ref):
+        new_ref[o] = k
+    out = list(map(new_ref.__getitem__, map(partners.__getitem__, old_ref)))
+    lesser = list(compress(count(), map(le, count(), out)))  # refs k with k <= out[k]
+    greater = map(out.__getitem__, lesser)
+    gluing = tuple(zip(map(divmod, lesser, repeat(3)), map(divmod, greater, repeat(3))))
+    surf = TriSurface(vertex_count=len(vmap), triangles=tuple(new_tris), gluing=gluing)
+    # seed the surface's cached flat views with what the walk already has
+    surf.__dict__.update(_ref_partners=out, _component_starts=tuple(starts))
     return surf, RefMap(dict(zip(order, range(n_tri))), dict(zip(order, rots)), vmap)
 
 
@@ -599,9 +710,10 @@ class _Builder:
             [x + voff, z + voff, y + voff] if mirrored else [x + voff, y + voff, z + voff]
             for x, y, z in s.triangles
         )
-        self.glue.update(
-            {(t + toff, emap[e]): (u + toff, emap[f]) for (t, e), (u, f) in s._partner.items()}
-        )
+        for (t, e), (u, f) in s.gluing:
+            a, b = (t + toff, emap[e]), (u + toff, emap[f])
+            self.glue[a] = b
+            self.glue[b] = a
         self.next_vertex += s.vertex_count
         return place
 
@@ -672,7 +784,7 @@ class _Builder:
         return remap
 
     def components(self) -> list[int]:
-        return _components(len(self.triangles), self.glue)
+        return _components(_flat_partners(len(self.triangles), self.glue))
 
     def corners_at_vertex(self, v: int) -> list[tuple[int, int]]:
         return [
@@ -1456,7 +1568,8 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
         drop.add(t)
     if drop:
         b.drop_triangles(drop)
-    cycles = _boundary_cycles(len(b.triangles), b.glue)
+    flat = _boundary_cycles(_flat_partners(len(b.triangles), b.glue))
+    cycles = [[divmod(k, 3) for k in cyc] for cyc in flat]
     if len(cycles) != sites_needed:
         raise SurfaceError(f"expected {sites_needed} holes, found {len(cycles)}")
     seam_refs = cycles[boundary:]

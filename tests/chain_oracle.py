@@ -4,10 +4,57 @@
 hands each raw boundary d_n to ``abgroup._Analysis`` as it stands, with no
 unit pairs eliminated first.  H_n has free rank rank C_n - rank d_n -
 rank d_{n+1} and the invariant factors (> 1) of d_{n+1} as torsion.
+
+``surface_chain_data`` is the plain form of ``euler_functor.surface_chain_data``:
+it finds each ref's edge representative with a ref-keyed partner dict, and
+sorts the set of representative refs as tuples to number the edges.
 """
 
-from cutpaste.abgroup import _Analysis
+from cutpaste.abgroup import IntMatrix, _Analysis
 from cutpaste.chains import ChainComplex, HomologyType
+from cutpaste.euler_functor import ChainData
+from cutpaste.surface import SurfaceError, TriSurface
+
+
+def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
+    glue = {}
+    for r1, r2 in s.gluing:
+        glue[r1] = r2
+        glue[r2] = r1
+
+    def edge_rep(ref):
+        p = glue.get(ref)
+        if p is None or ref <= p:
+            return ref, 1
+        return p, -1
+
+    if subset is None:
+        tris = list(range(s.triangle_count))
+    else:
+        tris = sorted(subset)
+        for t in tris:
+            if not 0 <= t < s.triangle_count:
+                raise SurfaceError(f"triangle {t} outside the surface")
+    verts = sorted({v for t in tris for v in s.triangles[t]})
+    vidx = {v: i for i, v in enumerate(verts)}
+    edges = sorted({edge_rep((t, e))[0] for t in tris for e in range(3)})
+    eidx = {r: i for i, r in enumerate(edges)}
+    nv, ne, nf = len(verts), len(edges), len(tris)
+    d2 = []
+    for t in tris:
+        col = {}
+        for e in range(3):
+            rep, sign = edge_rep((t, e))
+            col[eidx[rep]] = col.get(eidx[rep], 0) + sign
+        d2.append({i: x for i, x in col.items() if x})
+    d1 = []
+    for rep in edges:
+        u, v = s.endpoints(rep)
+        d1.append({vidx[v]: 1, vidx[u]: -1} if u != v else {})
+    cx = ChainComplex.make(
+        0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
+    )
+    return ChainData(complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris))
 
 
 def unreduced_homology(c: ChainComplex) -> HomologyType:

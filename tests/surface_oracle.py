@@ -6,11 +6,170 @@ glued ref through ``RefMap.ref``, picks each triangle's rotation as the
 least of its three rotated copies, and sorts the set of glued pairs.  The
 package's version reaches the same surface and the same ``RefMap`` in flat
 passes over lists.
+
+``components``, ``boundary_cycles``, ``diffeo_class`` and ``validate`` are
+the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
+read the flat partner list its canonical walk records: every lookup is a
+dict lookup keyed by a ref tuple.
 """
 
 from collections import deque
 
-from cutpaste.surface import RefMap, TriSurface
+from cutpaste.surface import DiffeoClass, InvalidSurface, RefMap, TriSurface
+
+
+def partner_dict(s: TriSurface) -> dict:
+    out = {}
+    for r1, r2 in s.gluing:
+        out[r1] = r2
+        out[r2] = r1
+    return out
+
+
+def components(n: int, glue: dict) -> list[int]:
+    """Component index of each of n triangles, numbered in order of first triangle."""
+    comp = [-1] * n
+    cur = 0
+    for start in range(n):
+        if comp[start] != -1:
+            continue
+        comp[start] = cur
+        dq = deque([start])
+        while dq:
+            t = dq.popleft()
+            for e in range(3):
+                p = glue.get((t, e))
+                if p is not None and comp[p[0]] == -1:
+                    comp[p[0]] = cur
+                    dq.append(p[0])
+        cur += 1
+    return comp
+
+
+def boundary_cycles(n: int, glue: dict) -> tuple:
+    """The unglued edges of n triangles as directed cycles, each from its
+    least ref, in increasing order."""
+    seen = set()
+    cycles = []
+    for start in ((t, e) for t in range(n) for e in range(3)):
+        if start in glue or start in seen:
+            continue
+        cyc = [start]
+        while True:
+            t, e = cyc[-1]
+            corner = (t, (e + 1) % 3)
+            while corner in glue:
+                p = glue[corner]
+                corner = (p[0], (p[1] + 1) % 3)
+            if corner == start:
+                break
+            cyc.append(corner)
+        seen.update(cyc)
+        cycles.append(tuple(cyc))
+    return tuple(cycles)
+
+
+def diffeo_class(s: TriSurface) -> DiffeoClass:
+    glue = partner_dict(s)
+    comp = components(len(s.triangles), glue)
+    ncomp = max(comp, default=-1) + 1
+    verts = [set() for _ in range(ncomp)]
+    faces = [0] * ncomp
+    for t, tri in enumerate(s.triangles):
+        faces[comp[t]] += 1
+        verts[comp[t]].update(tri)
+    edges = [3 * f for f in faces]
+    for (t, _), _ in s.gluing:
+        edges[comp[t]] -= 1
+    bnd = [0] * ncomp
+    for cyc in boundary_cycles(len(s.triangles), glue):
+        bnd[comp[cyc[0][0]]] += 1
+    pairs = []
+    for c in range(ncomp):
+        chi = len(verts[c]) - edges[c] + faces[c]
+        g2 = 2 - chi - bnd[c]
+        if g2 < 0 or g2 % 2:
+            raise InvalidSurface(
+                f"component {c} has chi={chi}, boundary={bnd[c]}; not an oriented surface"
+            )
+        pairs.append((g2 // 2, bnd[c]))
+    return DiffeoClass.from_pairs(pairs)
+
+
+def validate(s: TriSurface) -> str | None:
+    """The first violated invariant of s, or None."""
+    n_tri = len(s.triangles)
+    used = set()
+    for t, tri in enumerate(s.triangles):
+        if len(tri) != 3:
+            return f"triangle {t} does not have three vertices"
+        for v in tri:
+            if not (0 <= v < s.vertex_count):
+                return f"triangle {t} references vertex {v} outside 0..{s.vertex_count - 1}"
+            used.add(v)
+    if len(used) != s.vertex_count:
+        return "vertex ids are not exactly 0..vertex_count-1 (isolated or missing ids)"
+    seen = set()
+    for r1, r2 in s.gluing:
+        for t, e in (r1, r2):
+            if not (0 <= t < n_tri and 0 <= e < 3):
+                return f"gluing references invalid edge ({t},{e})"
+        if r1 == r2:
+            return f"edge {r1} glued to itself"
+        if r1 in seen or r2 in seen:
+            return f"edge glued more than once near {r1}"
+        seen.add(r1)
+        seen.add(r2)
+        u, v = s.endpoints(r1)
+        x, y = s.endpoints(r2)
+        if (u, v) != (y, x):
+            return (
+                f"glued pair {r1}~{r2} is not orientation-reversing: "
+                f"({u},{v}) vs ({x},{y})"
+            )
+    glue = partner_dict(s)
+    corners_at = {}
+    for t, tri in enumerate(s.triangles):
+        for i in range(3):
+            corners_at.setdefault(tri[i], []).append((t, i))
+    for v, corners in corners_at.items():
+        cset = set(corners)
+        nxt = {}
+        preds = set()
+        for t, i in corners:
+            c2 = glue.get((t, (i + 2) % 3))
+            if c2 is not None:
+                if c2 not in cset:
+                    return f"link of vertex {v} jumps to a corner of another vertex"
+                if c2 in preds:
+                    return f"link of vertex {v} branches"
+                nxt[(t, i)] = c2
+                preds.add(c2)
+        starts = [c for c in corners if c not in preds]
+        if not starts:
+            walk = corners[0]
+            count = 0
+            cur = walk
+            while True:
+                cur = nxt.get(cur)
+                count += 1
+                if cur is None:
+                    return f"link of vertex {v} has a dead end inside a cycle"
+                if cur == walk:
+                    break
+            if count != len(corners):
+                return f"link of vertex {v} is not a single cycle"
+        else:
+            if len(starts) != 1:
+                return f"link of vertex {v} splits into {len(starts)} arcs"
+            cur = starts[0]
+            count = 1
+            while cur in nxt:
+                cur = nxt[cur]
+                count += 1
+            if count != len(corners):
+                return f"link of vertex {v} is not a single path"
+    return None
 
 
 def canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:

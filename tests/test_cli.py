@@ -495,6 +495,48 @@ def test_malformed_surface_file_exits_2(corrupt, rule, tmp_path, capsys):
         assert out.startswith("error=malformed_input") and rule in out, out
 
 
+def _surface_shape(name):
+    data = fan_disk(3).to_json()
+    if name == "pair_of_ints":
+        data["gluing"] = [[0, 1]]
+    elif name == "one_ref":
+        data["gluing"] = [[[0, 1]]]
+    elif name == "ref_of_three_ids":
+        data["gluing"] = [[[0, 1, 5], [0, 2]]]
+    elif name == "no_gluing":
+        del data["gluing"]
+    elif name == "top_level_array":
+        data = [data]
+    return data
+
+
+@pytest.mark.parametrize(
+    "shape, rule",
+    [
+        ("pair_of_ints", "gluing entry 0 is not two [triangle, edge] refs: [0, 1]"),
+        ("one_ref", "gluing entry 0 is not two [triangle, edge] refs: [[0, 1]]"),
+        ("ref_of_three_ids", "gluing entry 0 is not two [triangle, edge] refs: [[0, 1, 5], [0, 2]]"),
+        ("no_gluing", "a surface file needs a 'gluing' entry"),
+        ("top_level_array", "a surface file is a JSON object with vertices, triangles and gluing"),
+    ],
+)
+def test_malformed_surface_shape_names_its_rule(shape, rule, tmp_path, capsys):
+    data = _surface_shape(shape)
+    path = tmp_path / "bad.surf"
+    path.write_text(json.dumps(data))
+    square = tmp_path / "bad.square"
+    square.write_text(json.dumps({"d": data, "b_triangles": [0, 1, 2], "c_triangles": [0, 1, 2]}))
+    for argv in (
+        ("surface", "classify", str(path)),
+        ("surface", "validate", str(path)),
+        ("sk", "decide", str(path), str(path)),
+        ("euler", "verify-square", str(square)),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 2, (argv, out)
+        assert out.startswith("error=malformed_input") and out.rstrip().endswith(rule), out
+
+
 def test_float_and_string_indices_exit_2(tmp_path, capsys):
     data = fan_disk(3).to_json()
     square = tmp_path / "bad.square"

@@ -1,0 +1,222 @@
+"""The flat-partner walks against their ref-dict references.
+
+``TriSurface`` reads its gluing as the flat partner list that the canonical
+walk records (ref (t, e) is index 3t+e).  Its components, boundary cycles,
+class, ``validate`` message and chain data must equal those of the walks
+over a ``dict[Ref, Ref]`` in ``surface_oracle`` and ``chain_oracle``, on
+library surfaces, subdivided ones, unions and mirrors, surfaces parsed from
+shuffled and rotated files, and corrupted surfaces.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import chain_oracle
+import surface_oracle
+from test_surface_canonical import _disguise
+from cutpaste.euler_functor import surface_chain_data
+from cutpaste.surface import (
+    DiffeoClass,
+    InvalidSurface,
+    TriSurface,
+    _canonical_form,
+    disjoint_union,
+    library_for_class,
+    mirror,
+    standard_library,
+    subdivide,
+)
+
+
+def _library(g, b):
+    return standard_library(g, b).surface
+
+
+_KINDS = ("library", "subdivided", "union", "mirror", "parsed")
+
+
+@st.composite
+def surfaces(draw):
+    """A library, subdivided, union (with or without a mirror), mirrored or
+    parsed surface, with the rng that made it."""
+    kind = draw(st.sampled_from(_KINDS))
+    g, b = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    s = _library(g, b)
+    if kind == "subdivided":
+        s = subdivide(s)
+    elif kind == "union":
+        other = _library(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        s = disjoint_union(mirror(other) if draw(st.booleans()) else other, s)
+    elif kind == "mirror":
+        s = mirror(s)
+    elif kind == "parsed":
+        triangles, glue = _disguise(s, rng, draw(st.booleans()))
+        pairs = [[list(a), list(b)] for a, b in glue.items() if a <= b]
+        rng.shuffle(pairs)
+        for pair in pairs:
+            if rng.random() < 0.5:
+                pair.reverse()
+        vertices = max((v for t in triangles for v in t), default=-1) + 1
+        data = {"vertices": vertices, "triangles": triangles, "gluing": pairs}
+        s = TriSurface.from_json(data)
+    return s, rng
+
+
+def _assert_walks_match(s: TriSurface):
+    glue = surface_oracle.partner_dict(s)
+    n = len(s.triangles)
+    assert list(s.component_of_triangle) == surface_oracle.components(n, glue)
+    assert s.component_count == max(surface_oracle.components(n, glue), default=-1) + 1
+    assert s.boundary_cycles == surface_oracle.boundary_cycles(n, glue)
+    assert s.boundary_circle_count() == len(s.boundary_cycles)
+    assert s.boundary_refs == tuple(sorted(r for c in s.boundary_cycles for r in c))
+    for t in range(n):
+        for e in range(3):
+            assert s.partner((t, e)) == glue.get((t, e))
+    for v in range(s.vertex_count):
+        corners = [(t, i) for t, tri in enumerate(s.triangles) for i in range(3) if tri[i] == v]
+        interior = all((t, (i + 2) % 3) in glue for t, i in corners)
+        assert s.vertex_is_interior(v) == interior
+    try:
+        want = surface_oracle.diffeo_class(s)
+    except InvalidSurface as exc:
+        with pytest.raises(InvalidSurface) as got:
+            s.classify()
+        assert str(got.value) == str(exc)
+    else:
+        assert s.classify() == want
+    assert s.validate() == surface_oracle.validate(s)
+
+
+def _assert_chains_match(s: TriSurface, subset=None):
+    got = surface_chain_data(s, subset)
+    want = chain_oracle.surface_chain_data(s, subset)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert got.triangles == want.triangles
+    assert got.complex == want.complex
+    for mine, theirs in zip(got.complex.boundaries, want.complex.boundaries):
+        # same entries in the same order, which later reductions read
+        assert [list(c.items()) for c in mine.columns] == [list(c.items()) for c in theirs.columns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(surfaces())
+def test_walks_match_the_dict_walks(drawn):
+    s, _ = drawn
+    _assert_walks_match(s)
+    # the same fields without the arrays the canonical walk recorded
+    _assert_walks_match(TriSurface(s.vertex_count, s.triangles, s.gluing))
+
+
+@settings(max_examples=40, deadline=None)
+@given(surfaces())
+def test_chain_data_matches_the_edge_rep_version(drawn):
+    s, rng = drawn
+    _assert_chains_match(s)
+    n = s.triangle_count
+    subset = rng.sample(range(n), rng.randint(0, n))
+    _assert_chains_match(s, subset)
+    _assert_chains_match(s, range(rng.randint(0, n)))
+
+
+def _raw(s: TriSurface):
+    return [list(t) for t in s.triangles], dict(surface_oracle.partner_dict(s))
+
+
+def _swap_partners(s, rng):
+    """Two glued pairs a~b, c~d become a~d, c~b."""
+    triangles, glue = _raw(s)
+    pairs = [(a, b) for a, b in glue.items() if a < b]
+    if len(pairs) < 2:
+        return None
+    (a, b), (c, d) = rng.sample(pairs, 2)
+    for r in (a, b, c, d):
+        del glue[r]
+    glue.update({a: d, d: a, c: b, b: c})
+    return s.vertex_count, triangles, glue
+
+
+def _merge_vertices(s, rng):
+    """Vertex v takes the id of another vertex w; the ids above v move down
+    one, so they stay 0..vertex_count-1."""
+    if s.vertex_count < 2:
+        return None
+    triangles, glue = _raw(s)
+    v, w = rng.sample(range(s.vertex_count), 2)
+    squeeze = [x - (x > v) for x in range(s.vertex_count)]
+    squeeze[v] = squeeze[w]
+    return s.vertex_count - 1, [[squeeze[x] for x in t] for t in triangles], glue
+
+
+def _unglue(s, rng):
+    """Some glued pairs come apart, without splitting their vertices."""
+    triangles, glue = _raw(s)
+    pairs = [(a, b) for a, b in glue.items() if a < b]
+    if not pairs:
+        return None
+    for a, b in rng.sample(pairs, rng.randint(1, min(3, len(pairs)))):
+        del glue[a], glue[b]
+    return s.vertex_count, triangles, glue
+
+
+def _relabel_corner(s, rng):
+    """One corner of one triangle gets another vertex id."""
+    if s.vertex_count < 2:
+        return None
+    triangles, glue = _raw(s)
+    t = rng.randrange(len(triangles))
+    i = rng.randrange(3)
+    triangles[t][i] = rng.choice([v for v in range(s.vertex_count) if v != triangles[t][i]])
+    return s.vertex_count, triangles, glue
+
+
+_CORRUPTIONS = (_swap_partners, _merge_vertices, _unglue, _relabel_corner)
+
+
+@settings(max_examples=80, deadline=None)
+@given(surfaces(), st.sampled_from(_CORRUPTIONS), st.integers(1, 2))
+def test_validate_matches_on_corrupted_surfaces(drawn, corrupt, times):
+    s, rng = drawn
+    for _ in range(times):
+        broken = corrupt(s, rng)
+        if broken is None:
+            return
+        vertex_count, triangles, glue = broken
+        pairs = tuple((a, b) for a, b in glue.items() if a <= b)
+        # as built from its fields, in the corrupted numbering
+        direct = TriSurface(vertex_count, tuple(tuple(t) for t in triangles), pairs)
+        assert direct.validate() == surface_oracle.validate(direct)
+        # as canonicalized, like a parsed file, with every walk compared
+        s, _ = _canonical_form(triangles, glue)
+        _assert_walks_match(s)
+
+
+def test_corrupted_surfaces_reach_the_link_messages():
+    # the corruptions reach both the gluing checks and the link check
+    messages = []
+    for g, b in ((0, 0), (1, 0), (0, 2), (1, 1)):
+        s = standard_library(g, b).surface
+        rng = random.Random(10 * g + b)
+        for corrupt in _CORRUPTIONS:
+            for _ in range(20):
+                _, triangles, glue = corrupt(s, rng)
+                t, _ = _canonical_form(triangles, glue)
+                messages.append(t.validate())
+                assert messages[-1] == surface_oracle.validate(t)
+    assert any(m is not None and m.startswith("link of vertex") for m in messages)
+    assert any(m is not None and "orientation-reversing" in m for m in messages)
+    assert None in messages
+
+
+def test_multi_component_library_surfaces_match():
+    for pairs in (((0, 1), (1, 0)), ((0, 0), (2, 1), (3, 0)), ((0, 2), (1, 2), (2, 0))):
+        s, _ = library_for_class(DiffeoClass.from_pairs(pairs))
+        _assert_walks_match(s)
+        _assert_chains_match(s)
+        comp = s.component_of_triangle
+        for c in range(s.component_count):
+            _assert_chains_match(s, [t for t in range(len(comp)) if comp[t] == c])
