@@ -86,6 +86,31 @@ def _load_chain(path: str) -> ChainComplex:
         raise MalformedInput(f"{path} is not a chain complex file: {exc}") from exc
 
 
+def _circle_refs(spec: str, n_tri: int) -> tuple[tuple[int, int], ...]:
+    """The refs of a ``--circle`` spec, checked like the glued refs of a
+    surface file: a JSON list of [triangle, edge] pairs of JSON integers,
+    with the triangle index in 0..n_tri-1 and the edge index in 0..2."""
+    try:
+        refs = json.loads(spec)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"bad circle spec: {exc}") from exc
+    if not isinstance(refs, list):
+        raise MalformedInput(f"bad circle spec: {spec} is not a list of [triangle, edge] refs")
+    for r in refs:
+        if not isinstance(r, list) or len(r) != 2:
+            rule = "is not a [triangle, edge] ref"
+        elif type(r[0]) is not int or type(r[1]) is not int:
+            rule = "holds an index that is not a JSON integer"
+        elif not 0 <= r[0] < n_tri:
+            rule = f"has triangle index outside 0..{n_tri - 1}"
+        elif not 0 <= r[1] <= 2:
+            rule = "has edge index outside 0..2"
+        else:
+            continue
+        raise MalformedInput(f"bad circle spec: circle ref {r!r} {rule}")
+    return tuple(map(tuple, refs))
+
+
 def _write_or_print(data: dict, out: str | None) -> None:
     text = json.dumps(data, sort_keys=True)
     if out:
@@ -134,11 +159,7 @@ def _cmd_surface(args) -> int:
         return 0
     if args.surface_cmd == "cut":
         s = _load_surface(args.file).require_valid()
-        try:
-            refs = tuple(tuple(int(x) for x in r) for r in json.loads(args.circle))
-        except (json.JSONDecodeError, TypeError, ValueError) as exc:
-            raise MalformedInput(f"bad circle spec: {exc}") from exc
-        circle = EmbeddedCircle(s, refs)
+        circle = EmbeddedCircle(s, _circle_refs(args.circle, s.triangle_count))
         out, rec = cut(s, circle)
         print(f"class={out.classify().label()}")
         print(f"left_cycle={json.dumps([list(r) for r in rec.left])}")

@@ -17,7 +17,7 @@ K0 of chain complexes equals the Euler characteristic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 from .abgroup import IntMatrix, require_json_ints
 from .chains import ChainComplex, ChainMap, HomologyType, pushout
@@ -26,7 +26,7 @@ from .surface import (
     SurfaceError,
     TriSurface,
     _Builder,
-    _canonical_form,
+    _canonical_flat,
     _cut_circle_raw,
     _insert_collar_raw,
     circles_vertex_disjoint,
@@ -60,7 +60,7 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
     triangles = s.triangles
     verts = sorted({v for t in tris for v in triangles[t]})
     vidx = {v: i for i, v in enumerate(verts)}
-    partners = s._ref_partners
+    partners = s.partners
     refs = [k for t in tris for k in (3 * t, 3 * t + 1, 3 * t + 2)]
     reps = [p if 0 <= p < k else k for k, p in zip(refs, map(partners.__getitem__, refs))]
     edges = sorted(set(reps))
@@ -119,15 +119,14 @@ def extract_subcomplex(s: TriSurface, tris) -> TriSurface:
     """The triangle subset as a standalone surface (induced gluing)."""
     order = sorted(tris)
     reindex = {t: i for i, t in enumerate(order)}
-    triangles = [tuple(s.triangles[t]) for t in order]
-    glue = {}
-    for r1, r2 in s.gluing:
-        if r1[0] in reindex and r2[0] in reindex:
-            a = (reindex[r1[0]], r1[1])
-            b = (reindex[r2[0]], r2[1])
-            glue[a] = b
-            glue[b] = a
-    out, _ = _canonical_form(triangles, glue)
+    partners = s.partners
+    # a ref keeps its partner when the partner's triangle is kept too
+    flat = [
+        3 * reindex[p // 3] + p % 3 if p >= 0 and p // 3 in reindex else -1
+        for t in order
+        for p in partners[3 * t : 3 * t + 3]
+    ]
+    out, _ = _canonical_flat([s.triangles[t] for t in order], flat)
     return out
 
 
@@ -172,19 +171,23 @@ class SquareInstance:
 
     @classmethod
     def from_json(cls, data: dict) -> "SquareInstance":
-        """Parse the gluing-square format.  Parsing canonicalizes ``d`` and
-        may renumber its triangles, so both subsets are renumbered the same
-        way; an index outside ``d`` stays outside it, and the cover check
-        rejects it."""
+        """Parse the gluing-square format.  Both subsets hold JSON integers
+        in 0..n-1, where n is the number of triangles of ``d``; a ValueError
+        names the first that is not.  Parsing canonicalizes ``d`` and may
+        renumber its triangles, so both subsets are renumbered the same way."""
         surf, refmap = TriSurface.parse_json(data["d"])
         b_tris, c_tris = data["b_triangles"], data["c_triangles"]
         require_json_ints(b_tris, "triangle index")
         require_json_ints(c_tris, "triangle index")
+        n = surf.triangle_count
+        for t in chain(b_tris, c_tris):
+            if not 0 <= t < n:
+                raise ValueError(f"triangle index {t} outside 0..{n - 1}")
         tri_map = refmap.tri_map
         return cls(
             surface=surf,
-            b_triangles=frozenset(tri_map.get(t, t) for t in b_tris),
-            c_triangles=frozenset(tri_map.get(t, t) for t in c_tris),
+            b_triangles=frozenset(map(tri_map.__getitem__, b_tris)),
+            c_triangles=frozenset(map(tri_map.__getitem__, c_tris)),
         )
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count, repeat
 from operator import eq, le
@@ -153,6 +153,14 @@ def _flat_partners(n_tri: int, glue: dict[Ref, Ref]) -> list[int]:
     return out
 
 
+def _edge_count(refs, first: int) -> int:
+    """Geometric edges of the refs first, first+1, ...: a glued pair counts
+    once, and a ref glued to itself is a pair of its own."""
+    glued = len(refs) - refs.count(-1)
+    self_glued = sum(map(eq, refs, count(first)))
+    return len(refs) - (glued + self_glued) // 2
+
+
 def _unglued(partners) -> list[int]:
     """Indices of the unglued refs, in increasing order."""
     return list(compress(count(), map((-1).__eq__, partners)))
@@ -207,51 +215,35 @@ def _boundary_cycles(partners) -> list[list[int]]:
 
 @dataclass(frozen=True)
 class TriSurface:
+    """Triangles with vertex ids in 0..vertex_count-1, and the gluing as a
+    flat involution ``partners``: ref (t, e) is index 3t+e, and its entry is
+    the partner's index (its own for a ref glued to itself), or -1 when the
+    ref is unglued.  ``component_starts`` holds the first triangle of each
+    component, whose triangles are consecutive; it follows from the other
+    fields, so equality and hashing ignore it.  ``from_json``,
+    ``surface_from_data`` and the operations build such surfaces; one built
+    directly from its fields is unchecked, and ``validate`` names what breaks.
+    """
+
     vertex_count: int
     triangles: tuple[tuple[int, int, int], ...]
-    gluing: tuple[tuple[Ref, Ref], ...]
+    partners: tuple[int, ...]
+    component_starts: tuple[int, ...] = field(compare=False)
 
     # -- basic accessors ----------------------------------------------------
 
     @cached_property
-    def _ref_partners(self) -> list[int]:
-        """The gluing as a flat partner list: ref (t, e) is index 3t+e, and
-        its entry is the partner's index, or -1 when the ref is unglued.
-        ``_canonical_form`` records it as it emits the gluing; a surface
-        made directly from its fields reads it off ``gluing``."""
-        return _flat_partners(len(self.triangles), self._partner)
-
-    @cached_property
-    def _component_starts(self) -> tuple[int, ...]:
-        """The first triangle of each component.  The canonical numbering
-        gives each component one block of consecutive triangles, and
-        ``_canonical_form`` records where each block starts.  A surface made
-        directly from its fields, with its components numbered the same way,
-        is scanned: a block ends at the first triangle that no triangle of
-        the block is glued beyond."""
-        partners = self._ref_partners
-        starts = []
-        reach = -1
-        for t in range(len(self.triangles)):
-            if t > reach:
-                starts.append(t)
-            reach = max(reach, t, *(p // 3 for p in partners[3 * t : 3 * t + 3]))
-        return tuple(starts)
-
-    @cached_property
-    def _partner(self) -> dict[Ref, Ref]:
-        """The gluing as a dict from each glued ref to its partner, for
-        callers that want refs; the walks read ``_ref_partners``."""
-        out = {}
-        for r1, r2 in self.gluing:
-            out[r1] = r2
-            out[r2] = r1
-        return out
+    def gluing(self) -> tuple[tuple[Ref, Ref], ...]:
+        """Each glued pair once, from its lesser ref, in increasing order."""
+        partners = self.partners
+        lesser = list(compress(count(), map(le, count(), partners)))  # k <= partners[k]
+        greater = map(partners.__getitem__, lesser)
+        return tuple(zip(map(divmod, lesser, repeat(3)), map(divmod, greater, repeat(3))))
 
     def partner(self, ref: Ref) -> Ref | None:
         t, e = ref
         if 0 <= t < len(self.triangles) and 0 <= e < 3:
-            p = self._ref_partners[3 * t + e]
+            p = self.partners[3 * t + e]
             if p >= 0:
                 return divmod(p, 3)
         return None
@@ -268,7 +260,7 @@ class TriSurface:
     @property
     def edge_count(self) -> int:
         """Geometric edges: glued pairs count once."""
-        return 3 * len(self.triangles) - len(self.gluing)
+        return _edge_count(self.partners, 0)
 
     def euler_characteristic(self) -> int:
         return self.vertex_count - self.edge_count + len(self.triangles)
@@ -277,7 +269,7 @@ class TriSurface:
 
     @cached_property
     def component_of_triangle(self) -> tuple[int, ...]:
-        starts = self._component_starts
+        starts = self.component_starts
         out: list[int] = []
         for c, (lo, hi) in enumerate(zip(starts, starts[1:] + (len(self.triangles),))):
             out += [c] * (hi - lo)
@@ -285,7 +277,7 @@ class TriSurface:
 
     @property
     def component_count(self) -> int:
-        return len(self._component_starts)
+        return len(self.component_starts)
 
     # -- corners and links ----------------------------------------------------
 
@@ -293,7 +285,7 @@ class TriSurface:
     def _boundary_vertices(self) -> frozenset[int]:
         """The vertices at which an unglued ref ends."""
         tris = self.triangles
-        return frozenset(tris[k // 3][(k + 1) % 3] for k in _unglued(self._ref_partners))
+        return frozenset(tris[k // 3][(k + 1) % 3] for k in _unglued(self.partners))
 
     def vertex_is_interior(self, v: int) -> bool:
         """Every corner at v is glued across its incoming edge."""
@@ -303,43 +295,45 @@ class TriSurface:
 
     def validate(self) -> str | None:
         """Check all structural invariants; returns the first violation or None."""
-        n_tri = len(self.triangles)
-        used = set()
-        for t, tri in enumerate(self.triangles):
+        tris = self.triangles
+        n_tri, vc = len(tris), self.vertex_count
+        for t, tri in enumerate(tris):
             if len(tri) != 3:
                 return f"triangle {t} does not have three vertices"
             for v in tri:
-                if not (0 <= v < self.vertex_count):
-                    return f"triangle {t} references vertex {v} outside 0..{self.vertex_count - 1}"
-                used.add(v)
-        if len(used) != self.vertex_count:
+                if not 0 <= v < vc:
+                    return f"triangle {t} references vertex {v} outside 0..{vc - 1}"
+        # Corner (t, i) is flat index 3t+i, at vertex corner_vertex[3t+i]; ref
+        # 3t+i runs from that corner's vertex to tail[3t+i].
+        corner_vertex = [v for tri in tris for v in tri]
+        tail = [v for a, b, c in tris for v in (b, c, a)]
+        if len(set(corner_vertex)) != vc:
             return "vertex ids are not exactly 0..vertex_count-1 (isolated or missing ids)"
 
-        seen: set[Ref] = set()
-        for r1, r2 in self.gluing:
-            for t, e in (r1, r2):
-                if not (0 <= t < n_tri and 0 <= e < 3):
-                    return f"gluing references invalid edge ({t},{e})"
-            if r1 == r2:
-                return f"edge {r1} glued to itself"
-            if r1 in seen or r2 in seen:
-                return f"edge glued more than once near {r1}"
-            seen.add(r1)
-            seen.add(r2)
-            u, v = self.endpoints(r1)
-            x, y = self.endpoints(r2)
-            if (u, v) != (y, x):
+        # One pass over the gluing: each entry is -1 or a ref whose entry
+        # points back, and each pair is checked from its lesser ref.
+        partners = self.partners
+        n3 = 3 * n_tri
+        if len(partners) != n3:
+            return f"partners has {len(partners)} entries, not 3 x {n_tri} triangles = {n3}"
+        for k, p in enumerate(partners):
+            if p == -1:
+                continue
+            if not 0 <= p < n3:
+                return f"ref {divmod(k, 3)} has partner index {p} outside -1..{n3 - 1}"
+            if partners[p] != k:
+                return f"ref {divmod(k, 3)} is glued to {divmod(p, 3)}, which is not glued back to it"
+            if p == k:
+                return f"edge {divmod(k, 3)} glued to itself"
+            if k < p and (corner_vertex[k] != tail[p] or tail[k] != corner_vertex[p]):
                 return (
-                    f"glued pair {r1}~{r2} is not orientation-reversing: "
-                    f"({u},{v}) vs ({x},{y})"
+                    f"glued pair {divmod(k, 3)}~{divmod(p, 3)} is not orientation-reversing: "
+                    f"({corner_vertex[k]},{tail[k]}) vs ({corner_vertex[p]},{tail[p]})"
                 )
 
-        # Corner (t, i) is flat index 3t+i, at vertex corner_vertex[3t+i].
-        # Rotating around that vertex crosses the corner's incoming edge
+        # Rotating around a corner's vertex crosses the corner's incoming edge
         # (t, i+2) into the partner's corner: nxt[3t+i] = partners[3t+(i+2)%3].
-        partners = self._ref_partners
-        corner_vertex = [v for tri in self.triangles for v in tri]
-        nxt = [-1] * len(corner_vertex)
+        nxt = [-1] * n3
         nxt[0::3] = partners[2::3]
         nxt[1::3] = partners[0::3]
         nxt[2::3] = partners[1::3]
@@ -392,7 +386,7 @@ class TriSurface:
 
     @cached_property
     def _boundary_walk(self) -> list[list[int]]:
-        return _boundary_cycles(self._ref_partners)
+        return _boundary_cycles(self.partners)
 
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[Ref, ...], ...]:
@@ -403,7 +397,7 @@ class TriSurface:
     def boundary_refs(self) -> tuple[Ref, ...]:
         """The unglued refs in increasing order; the boundary cycles
         partition them."""
-        return tuple(divmod(k, 3) for k in _unglued(self._ref_partners))
+        return tuple(divmod(k, 3) for k in _unglued(self.partners))
 
     def boundary_circle_count(self) -> int:
         return len(self._boundary_walk)
@@ -412,22 +406,16 @@ class TriSurface:
 
     @cached_property
     def diffeo_class(self) -> DiffeoClass:
-        partners = self._ref_partners
-        starts = self._component_starts
+        partners = self.partners
+        starts = self.component_starts
         bnd = [0] * len(starts)
         for cyc in self._boundary_walk:
             bnd[bisect_right(starts, cyc[0] // 3) - 1] += 1
         pairs = []
         for c, (lo, hi) in enumerate(zip(starts, starts[1:] + (len(self.triangles),))):
-            faces = hi - lo
             verts = len(set(chain.from_iterable(self.triangles[lo:hi])))
-            # a glued pair joins two refs of one component and is one edge;
-            # a ref glued to itself is a pair of its own
-            refs = partners[3 * lo : 3 * hi]
-            glued = 3 * faces - refs.count(-1)
-            self_glued = sum(map(eq, refs, range(3 * lo, 3 * hi)))
-            edges = 3 * faces - (glued + self_glued) // 2
-            chi = verts - edges + faces
+            # a glued pair joins two refs of one component
+            chi = verts - _edge_count(partners[3 * lo : 3 * hi], 3 * lo) + hi - lo
             b = bnd[c]
             g2 = 2 - chi - b
             if g2 < 0 or g2 % 2:
@@ -611,14 +599,12 @@ def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
     triangle's rotation, so a canonical surface need not canonicalize to
     itself; one more round trip reaches a fixpoint.  Vertices are numbered
     by first appearance in that order and each triangle is rotated to its
-    least rotation.  The gluing lists each pair once, from its lesser ref,
-    in increasing order.
+    least rotation.
 
-    The walk reads and writes the gluing as a flat partner list: ref
-    (t, e) is index 3t+e, and its entry is the partner's index, or -1 when
-    the ref is unglued.  The surface keeps the canonical list it emits the
-    gluing from, and the start of each component's block of triangles,
-    for the walks that classify, validate and take chains of it.
+    The walk reads and writes the gluing as a flat partner list (see
+    ``TriSurface``), and the surface stores the canonical list it ends with
+    as ``partners``, and where each component's block of triangles starts
+    as ``component_starts``.
     """
     return _canonical_flat(triangles, _flat_partners(len(triangles), glue))
 
@@ -667,13 +653,8 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     new_ref = [-1] * (3 * n_tri + 1)
     for k, o in enumerate(old_ref):
         new_ref[o] = k
-    out = list(map(new_ref.__getitem__, map(partners.__getitem__, old_ref)))
-    lesser = list(compress(count(), map(le, count(), out)))  # refs k with k <= out[k]
-    greater = map(out.__getitem__, lesser)
-    gluing = tuple(zip(map(divmod, lesser, repeat(3)), map(divmod, greater, repeat(3))))
-    surf = TriSurface(vertex_count=len(vmap), triangles=tuple(new_tris), gluing=gluing)
-    # seed the surface's cached flat views with what the walk already has
-    surf.__dict__.update(_ref_partners=out, _component_starts=tuple(starts))
+    out = tuple(map(new_ref.__getitem__, map(partners.__getitem__, old_ref)))
+    surf = TriSurface(len(vmap), tuple(new_tris), out, tuple(starts))
     return surf, RefMap(dict(zip(order, range(n_tri))), dict(zip(order, rots)), vmap)
 
 
@@ -710,10 +691,9 @@ class _Builder:
             [x + voff, z + voff, y + voff] if mirrored else [x + voff, y + voff, z + voff]
             for x, y, z in s.triangles
         )
-        for (t, e), (u, f) in s.gluing:
-            a, b = (t + toff, emap[e]), (u + toff, emap[f])
-            self.glue[a] = b
-            self.glue[b] = a
+        for k, p in enumerate(s.partners):
+            if p >= 0:
+                self.glue[(k // 3 + toff, emap[k % 3])] = (p // 3 + toff, emap[p % 3])
         self.next_vertex += s.vertex_count
         return place
 
@@ -763,25 +743,14 @@ class _Builder:
             for i in range(3):
                 tri[i] = find(tri[i])
 
-    def drop_triangles(self, indices: set[int]) -> dict[int, int]:
+    def drop_triangles(self, indices: set[int]) -> None:
         """Remove triangles (they must not be glued to the kept part)."""
-        for (t, e) in list(self.glue):
-            if t in indices:
-                p = self.glue.get((t, e))
-                if p is None:
-                    continue
-                if p[0] not in indices:
-                    raise SurfaceError("cannot drop triangles still glued to the rest")
-                self.glue.pop((t, e), None)
-                self.glue.pop(p, None)
+        if any(t in indices and u not in indices for (t, _), (u, _) in self.glue.items()):
+            raise SurfaceError("cannot drop triangles still glued to the rest")
         keep = [t for t in range(len(self.triangles)) if t not in indices]
         remap = {old: new for new, old in enumerate(keep)}
         self.triangles = [self.triangles[t] for t in keep]
-        self.glue = {
-            (remap[t1], e1): (remap[t2], e2)
-            for (t1, e1), (t2, e2) in self.glue.items()
-        }
-        return remap
+        self.glue = {(remap[t], e): (remap[u], f) for (t, e), (u, f) in self.glue.items() if t in remap}
 
     def components(self) -> list[int]:
         return _components(_flat_partners(len(self.triangles), self.glue))
@@ -982,7 +951,7 @@ def surface_from_data(vertex_count, triangles, gluing_pairs) -> TriSurface:
 
 
 def empty_surface() -> TriSurface:
-    return TriSurface(0, (), ())
+    return TriSurface(0, (), (), ())
 
 
 def closed_surface_from_triangles(triangles) -> TriSurface:
@@ -1093,22 +1062,17 @@ def mirror(s: TriSurface) -> TriSurface:
 
 def subdivide(s: TriSurface) -> TriSurface:
     """Global midpoint (1-to-4) subdivision; classify is unchanged."""
+    partners = s.partners
+    mid = [-1] * (len(partners) + 1)  # each ref's midpoint vertex; unglued refs write mid[-1]
     next_vertex = s.vertex_count
-    mid: dict[Ref, int] = {}
-    for t in range(len(s.triangles)):
-        for e in range(3):
-            ref = (t, e)
-            if ref in mid:
-                continue
-            mid[ref] = next_vertex
-            p = s.partner(ref)
-            if p is not None:
-                mid[p] = next_vertex
+    for k, p in enumerate(partners):
+        if mid[k] < 0:
+            mid[k] = mid[p] = next_vertex
             next_vertex += 1
     tris: list = []
     glue: dict = {}
     for t, (va, vb, vc) in enumerate(s.triangles):
-        m01, m12, m20 = mid[(t, 0)], mid[(t, 1)], mid[(t, 2)]
+        m01, m12, m20 = mid[3 * t : 3 * t + 3]
         tris.append((va, m01, m20))   # 4t
         tris.append((vb, m12, m01))   # 4t+1
         tris.append((vc, m20, m12))   # 4t+2
@@ -1119,17 +1083,16 @@ def subdivide(s: TriSurface) -> TriSurface:
             glue[a] = b
             glue[b] = a
 
-    def halves(ref: Ref) -> tuple[Ref, Ref]:
-        t, e = ref
+    def halves(k: int) -> tuple[Ref, Ref]:
+        t, e = divmod(k, 3)
         return (4 * t + e, 0), (4 * t + (e + 1) % 3, 2)
 
-    for r1, r2 in s.gluing:
-        a1, a2 = halves(r1)
-        b1, b2 = halves(r2)
-        glue[a1] = b2
-        glue[b2] = a1
-        glue[a2] = b1
-        glue[b1] = a2
+    for k, p in enumerate(partners):  # both refs of each pair
+        if p >= 0:
+            a1, a2 = halves(k)
+            b1, b2 = halves(p)
+            glue[a1] = b2
+            glue[a2] = b1
     out, _ = _canonical_form(tris, glue)
     return out.require_valid()
 

@@ -9,13 +9,25 @@ passes over lists.
 
 ``components``, ``boundary_cycles``, ``diffeo_class`` and ``validate`` are
 the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
-read the flat partner list its canonical walk records: every lookup is a
-dict lookup keyed by a ref tuple.
+stored its gluing as a flat partner list: every lookup is a dict lookup
+keyed by a ref tuple.  ``from_fields`` builds a ``TriSurface`` directly
+from a vertex count, triangles and such a dict.
 """
 
 from collections import deque
 
 from cutpaste.surface import DiffeoClass, InvalidSurface, RefMap, TriSurface
+
+
+def from_fields(vertex_count: int, triangles, glue: dict) -> TriSurface:
+    """The surface with these fields, unchecked; each component starts at
+    its first triangle."""
+    partners = [-1] * (3 * len(triangles))
+    for (t, e), (u, f) in glue.items():
+        partners[3 * t + e] = 3 * u + f
+    comp = components(len(triangles), glue)
+    starts = tuple(comp.index(c) for c in range(max(comp, default=-1) + 1))
+    return TriSurface(vertex_count, tuple(tuple(t) for t in triangles), tuple(partners), starts)
 
 
 def partner_dict(s: TriSurface) -> dict:
@@ -204,13 +216,5 @@ def canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
         rots[old] = rot
         new_tris.append(tuple(tri[rot:] + tri[:rot]))
     refmap = RefMap(tri_map, rots, vmap)
-    pairs = set()
-    for r1, r2 in glue.items():
-        a, b = refmap.ref(r1), refmap.ref(r2)
-        pairs.add((a, b) if a <= b else (b, a))
-    surf = TriSurface(
-        vertex_count=len(vmap),
-        triangles=tuple(new_tris),
-        gluing=tuple(sorted(pairs)),
-    )
-    return surf, refmap
+    new_glue = {refmap.ref(r1): refmap.ref(r2) for r1, r2 in glue.items()}
+    return from_fields(len(vmap), new_tris, new_glue), refmap

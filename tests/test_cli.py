@@ -71,6 +71,39 @@ def test_surface_cut_and_paste(octa_file, tmp_path, capsys):
     assert "class={(0,0)}" in out
 
 
+@pytest.mark.parametrize(
+    "circle, rule",
+    [
+        ([[999, 0], [1, 0], [2, 0]], "circle ref [999, 0] has triangle index outside 0..{last}"),
+        ([[0, 7], [1, 0], [2, 0]], "circle ref [0, 7] has edge index outside 0..2"),
+        ([[-1, 0], [1, 0], [2, 0]], "circle ref [-1, 0] has triangle index outside 0..{last}"),
+        ([[1, 2, 3]], "circle ref [1, 2, 3] is not a [triangle, edge] ref"),
+        ([[0]], "circle ref [0] is not a [triangle, edge] ref"),
+        ([[0.5, 0]], "circle ref [0.5, 0] holds an index that is not a JSON integer"),
+        ([[True, 0]], "circle ref [True, 0] holds an index that is not a JSON integer"),
+    ],
+    ids=["triangle_above", "edge_above", "triangle_below", "three_ids", "one_id", "float", "bool"],
+)
+def test_malformed_circle_ref_exits_2(circle, rule, tmp_path, capsys):
+    s = build_standard(1, 0)
+    path = tmp_path / "torus.surf"
+    path.write_text(json.dumps(s.to_json()))
+    code, out = run(capsys, "surface", "cut", str(path), "--circle", json.dumps(circle))
+    assert code == 2, out
+    assert out.startswith("error=malformed_input")
+    assert out.rstrip().endswith(rule.format(last=s.triangle_count - 1)), out
+
+
+def test_square_file_with_a_triangle_outside_d_exits_2(tmp_path, capsys):
+    path = tmp_path / "outside.square"
+    path.write_text(
+        json.dumps({"d": fan_disk(3).to_json(), "b_triangles": [0, 1, 2], "c_triangles": [0, 999]})
+    )
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 2, out
+    assert out.startswith("error=malformed_input") and "triangle index 999 outside 0..2" in out, out
+
+
 def test_sk_decide_and_exact(tmp_path, capsys):
     from cutpaste.surface import disjoint_union
 

@@ -64,18 +64,41 @@ def test_single_triangle_is_a_disk():
 
 
 def test_orientation_violation_detected():
-    # two triangles glued along an edge with the SAME direction on both sides
+    # two triangles glued along an edge with the SAME direction on both sides:
+    # ref (0, 0) is index 0 and ref (1, 0) index 3
     tris = [(0, 1, 2), (0, 1, 3)]
-    s = TriSurface(4, tuple(tris), (((0, 0), (1, 0)),))
+    s = TriSurface(4, tuple(tris), (3, -1, -1, 0, -1, -1), (0,))
     violation = s.validate()
     assert violation is not None and "orientation-reversing" in violation
 
 
 def test_double_glue_detected():
+    # refs (1, 0) and (2, 0) are both glued to (0, 1), which is glued back
+    # only to (1, 0)
     tris = [(0, 1, 2), (2, 1, 3), (2, 1, 4)]
-    s = TriSurface(5, tuple(tris), (((0, 1), (1, 0)), ((0, 1), (2, 0))))
-    violation = s.validate()
-    assert violation is not None
+    s = TriSurface(5, tuple(tris), (-1, 3, -1, 1, -1, -1, 1, -1, -1), (0,))
+    assert s.validate() == "ref (2, 0) is glued to (0, 1), which is not glued back to it"
+
+
+@pytest.mark.parametrize(
+    "partners, message",
+    [
+        ((-1, -1), "partners has 2 entries, not 3 x 1 triangles = 3"),
+        ((-1, -1, -1, -1), "partners has 4 entries, not 3 x 1 triangles = 3"),
+        ((-1, 5, -1), "ref (0, 1) has partner index 5 outside -1..2"),
+        ((-1, -1, -2), "ref (0, 2) has partner index -2 outside -1..2"),
+        ((1, -1, -1), "ref (0, 0) is glued to (0, 1), which is not glued back to it"),
+        ((1, 2, 0), "ref (0, 0) is glued to (0, 1), which is not glued back to it"),
+    ],
+    ids=["short", "long", "above", "below", "one_sided", "three_cycle"],
+)
+def test_validate_names_a_malformed_partner_list(partners, message):
+    # a surface built directly from its fields is not checked; validate
+    # reports its partner list instead of raising
+    s = TriSurface(3, ((0, 1, 2),), partners, (0,))
+    assert s.validate() == message
+    with pytest.raises(InvalidSurface, match="partner|glued"):
+        s.require_valid()
 
 
 def test_surface_from_data_rejects_a_ref_in_two_pairs():

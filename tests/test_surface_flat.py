@@ -1,11 +1,12 @@
 """The flat-partner walks against their ref-dict references.
 
-``TriSurface`` reads its gluing as the flat partner list that the canonical
-walk records (ref (t, e) is index 3t+e).  Its components, boundary cycles,
-class, ``validate`` message and chain data must equal those of the walks
-over a ``dict[Ref, Ref]`` in ``surface_oracle`` and ``chain_oracle``, on
-library surfaces, subdivided ones, unions and mirrors, surfaces parsed from
-shuffled and rotated files, and corrupted surfaces.
+``TriSurface`` stores its gluing as a flat partner list (ref (t, e) is
+index 3t+e).  Its components, boundary cycles, class, edge count, Euler
+characteristic, ``validate`` message and chain data must equal those of
+the walks over a ``dict[Ref, Ref]`` in ``surface_oracle`` and
+``chain_oracle``, on library surfaces, subdivided ones, unions and mirrors,
+surfaces parsed from shuffled and rotated files, raw complexes and
+corrupted surfaces.
 """
 
 import random
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import chain_oracle
 import surface_oracle
-from test_surface_canonical import _disguise
+from test_surface_canonical import _disguise, raw_complexes
 from cutpaste.euler_functor import surface_chain_data
 from cutpaste.surface import (
     DiffeoClass,
@@ -68,6 +69,9 @@ def surfaces(draw):
 def _assert_walks_match(s: TriSurface):
     glue = surface_oracle.partner_dict(s)
     n = len(s.triangles)
+    pairs = {tuple(sorted(pair)) for pair in glue.items()}
+    assert s.edge_count == 3 * n - len(pairs)
+    assert s.euler_characteristic() == s.vertex_count - (3 * n - len(pairs)) + n
     assert list(s.component_of_triangle) == surface_oracle.components(n, glue)
     assert s.component_count == max(surface_oracle.components(n, glue), default=-1) + 1
     assert s.boundary_cycles == surface_oracle.boundary_cycles(n, glue)
@@ -108,8 +112,17 @@ def _assert_chains_match(s: TriSurface, subset=None):
 def test_walks_match_the_dict_walks(drawn):
     s, _ = drawn
     _assert_walks_match(s)
-    # the same fields without the arrays the canonical walk recorded
-    _assert_walks_match(TriSurface(s.vertex_count, s.triangles, s.gluing))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_complexes())
+def test_raw_complexes_match_the_dict_walks(complex_):
+    # repeated vertex ids, refs glued within one triangle and refs glued
+    # to themselves, each of which is one edge
+    triangles, glue = complex_
+    s, _ = _canonical_form(triangles, glue)
+    _assert_walks_match(s)
+    assert s.edge_count == 3 * len(triangles) - len({tuple(sorted(pair)) for pair in glue.items()})
 
 
 @settings(max_examples=40, deadline=None)
@@ -186,9 +199,8 @@ def test_validate_matches_on_corrupted_surfaces(drawn, corrupt, times):
         if broken is None:
             return
         vertex_count, triangles, glue = broken
-        pairs = tuple((a, b) for a, b in glue.items() if a <= b)
         # as built from its fields, in the corrupted numbering
-        direct = TriSurface(vertex_count, tuple(tuple(t) for t in triangles), pairs)
+        direct = surface_oracle.from_fields(vertex_count, triangles, glue)
         assert direct.validate() == surface_oracle.validate(direct)
         # as canonicalized, like a parsed file, with every walk compared
         s, _ = _canonical_form(triangles, glue)
