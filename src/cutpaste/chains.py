@@ -465,18 +465,6 @@ def quasi_iso_type_equal(c: ChainComplex, d: ChainComplex) -> bool:
     return c.homology() == d.homology()
 
 
-def homology(c: ChainComplex) -> HomologyType:
-    return c.homology()
-
-
-def euler_char(c: ChainComplex) -> int:
-    return c.euler_char()
-
-
-def k0_class(c: ChainComplex) -> int:
-    return c.k0_class()
-
-
 @dataclass(frozen=True)
 class PushoutResult:
     complex: ChainComplex

@@ -237,9 +237,7 @@ def _cmd_k0(args) -> int:
     group = k0_presentation(pres)
     print(f"group={group.describe()}")
     for label in group.generators:
-        vec = [0] * len(group.generators)
-        vec[group.generator_index[label]] = 1
-        nf = group.element_normal_form(vec)
+        nf = group.element_normal_form({group.generator_index[label]: 1})
         print(f"object={label} free={list(nf.free)} torsion={list(nf.torsion)}")
     return 0
 

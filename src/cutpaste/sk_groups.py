@@ -45,7 +45,6 @@ from .surface import (
     SurfaceError,
     TriSurface,
     _Builder,
-    _annulus_strip,
     _glue_ref_pairs,
     _order_cycle,
     _paste_cycles_raw,
@@ -583,8 +582,7 @@ def _glue_cylinder_stacks(k: int, pairing, offsets=None) -> TriSurface:
     for _ in range(2 * k):
         a_row = [b.new_vertex() for _ in range(length)]
         b_row = [b.new_vertex() for _ in range(length)]
-        base = len(b.triangles)
-        _annulus_strip(a_row, b_row, b.triangles, b.glue)
+        base = b.annulus_strip(a_row, b_row)
         cycles_near.append([(base + 2 * i, 2) for i in range(length)])
         cycles_far.append([(base + 2 * i + 1, 0) for i in range(length)])
     for i in range(k):

@@ -145,14 +145,6 @@ _MIRROR_EDGE = (2, 1, 0)
 # 3t+e, and its entry is the partner's index, or -1 when the ref is unglued.
 
 
-def _flat_partners(n_tri: int, glue: dict[Ref, Ref]) -> list[int]:
-    """The flat partner list of n_tri triangles glued by a ref dict."""
-    out = [-1] * (3 * n_tri)
-    for (t, e), (u, f) in glue.items():
-        out[3 * t + e] = 3 * u + f
-    return out
-
-
 def _edge_count(refs, first: int) -> int:
     """Geometric edges of the refs first, first+1, ...: a glued pair counts
     once, and a ref glued to itself is a pair of its own."""
@@ -301,6 +293,8 @@ class TriSurface:
             if len(tri) != 3:
                 return f"triangle {t} does not have three vertices"
             for v in tri:
+                if type(v) is not int:
+                    return f"vertex id {v!r} of triangle {t} is not a JSON integer"
                 if not 0 <= v < vc:
                     return f"triangle {t} references vertex {v} outside 0..{vc - 1}"
         # Corner (t, i) is flat index 3t+i, at vertex corner_vertex[3t+i]; ref
@@ -316,6 +310,9 @@ class TriSurface:
         n3 = 3 * n_tri
         if len(partners) != n3:
             return f"partners has {len(partners)} entries, not 3 x {n_tri} triangles = {n3}"
+        if not set(map(type, partners)) <= {int}:
+            k = next(k for k, p in enumerate(partners) if type(p) is not int)
+            return f"partner index {partners[k]!r} of ref {divmod(k, 3)} is not a JSON integer"
         for k, p in enumerate(partners):
             if p == -1:
                 continue
@@ -330,6 +327,20 @@ class TriSurface:
                     f"glued pair {divmod(k, 3)}~{divmod(p, 3)} is not orientation-reversing: "
                     f"({corner_vertex[k]},{tail[k]}) vs ({corner_vertex[p]},{tail[p]})"
                 )
+
+        # Each component is one block of consecutive triangles, and
+        # component_starts holds where each block begins.
+        comp = _components(partners)
+        starts = [t for t in range(n_tri) if t == 0 or comp[t] != comp[t - 1]]
+        for t in starts[1:]:
+            if comp[t] < comp[t - 1]:
+                return f"triangle {t} belongs to component {comp[t]}, whose triangles are not consecutive"
+        given = list(self.component_starts)
+        if given != starts:
+            if len(given) != len(starts):
+                return f"component_starts has {len(given)} entries, not one per component ({len(starts)})"
+            c = next(c for c, (a, b) in enumerate(zip(given, starts)) if a != b)
+            return f"component {c} starts at triangle {starts[c]}, not at {given[c]}"
 
         # Rotating around a corner's vertex crosses the corner's incoming edge
         # (t, i+2) into the partner's corner: nxt[3t+i] = partners[3t+(i+2)%3].
@@ -528,9 +539,6 @@ class RefMap:
     def refs(self, refs) -> tuple[Ref, ...]:
         return tuple(self.ref(r) for r in refs)
 
-    def vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
 
 def _entry(data: dict, key: str):
     try:
@@ -567,7 +575,7 @@ def _vertex_id_violation(n, triangles) -> str | None:
 
 def _shape_violation(triangles, glued) -> str | None:
     """The first triangle without exactly three vertex ids, or ref of
-    ``glued`` outside the triangles, that ``_canonical_form`` cannot take;
+    ``glued`` outside the triangles, that ``_canonical_flat`` cannot take;
     else None."""
     n_tri = len(triangles)
     bad = [t for t, tri in enumerate(triangles) if len(tri) != 3]
@@ -585,13 +593,14 @@ def _shape_violation(triangles, glued) -> str | None:
 _ROT_EDGES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
+def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]:
     """Relabel triangles, vertices and refs canonically.
 
-    ``triangles`` holds three vertex ids per triangle.  ``glue`` maps refs
-    to refs and must be an involution on valid refs: ``glue[glue[r]] == r``,
-    every triangle index in range and every edge index in 0..2.  The parser
-    and the builder guarantee this; a ref glued to itself is allowed.
+    ``triangles`` holds three vertex ids per triangle.  ``partners`` is a
+    flat partner list (see ``TriSurface``) and must be an involution on
+    valid refs: every entry is -1 or in 0..3n-1, and
+    ``partners[partners[k]] == k`` for every glued k.  The parser and the
+    builder guarantee this; a ref glued to itself is allowed.
 
     Triangles are renumbered breadth-first, each component from its least
     triangle (ties by index).  A triangle's neighbours are visited in the
@@ -601,16 +610,10 @@ def _canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
     by first appearance in that order and each triangle is rotated to its
     least rotation.
 
-    The walk reads and writes the gluing as a flat partner list (see
-    ``TriSurface``), and the surface stores the canonical list it ends with
-    as ``partners``, and where each component's block of triangles starts
-    as ``component_starts``.
+    The surface stores the canonical partner list the walk ends with as
+    ``partners``, and where each component's block of triangles starts as
+    ``component_starts``.
     """
-    return _canonical_flat(triangles, _flat_partners(len(triangles), glue))
-
-
-def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]:
-    """``_canonical_form`` of a gluing given as a flat partner list."""
     n_tri = len(triangles)
     new_index = [-1] * n_tri
     order: list[int] = []
@@ -659,11 +662,13 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
 
 
 class _Builder:
-    """Mutable scratch representation used inside operations."""
+    """Mutable scratch representation used inside operations: triangles as
+    vertex lists and the gluing as a flat partner list (see ``TriSurface``),
+    read and written through the ref-level methods below."""
 
     def __init__(self):
         self.triangles: list[list[int]] = []
-        self.glue: dict[Ref, Ref] = {}
+        self.partners: list[int] = []
         self.next_vertex = 0
 
     @classmethod
@@ -691,24 +696,49 @@ class _Builder:
             [x + voff, z + voff, y + voff] if mirrored else [x + voff, y + voff, z + voff]
             for x, y, z in s.triangles
         )
-        for k, p in enumerate(s.partners):
-            if p >= 0:
-                self.glue[(k // 3 + toff, emap[k % 3])] = (p // 3 + toff, emap[p % 3])
+        off = 3 * toff
+        if mirrored:
+            # ref (t, e) of s lands at (t + toff, _MIRROR_EDGE[e]), and so does each entry
+            placed = [-1 if p < 0 else off + p - p % 3 + emap[p % 3] for p in s.partners]
+            placed[0::3], placed[2::3] = placed[2::3], placed[0::3]
+        else:
+            placed = [-1 if p < 0 else off + p for p in s.partners]
+        self.partners += placed
         self.next_vertex += s.vertex_count
         return place
+
+    def add_triangle(self, a: int, b: int, c: int) -> int:
+        """Append an unglued triangle; returns its index."""
+        self.triangles.append([a, b, c])
+        self.partners += (-1, -1, -1)
+        return len(self.triangles) - 1
 
     def endpoints(self, ref: Ref) -> tuple[int, int]:
         t, e = ref
         tri = self.triangles[t]
         return tri[e], tri[(e + 1) % 3]
 
+    def partner(self, ref: Ref) -> Ref | None:
+        p = self.partners[3 * ref[0] + ref[1]]
+        return divmod(p, 3) if p >= 0 else None
+
+    def _link(self, i: int, j: int) -> None:
+        """Glue the refs at flat indices i and j to each other, unchecked."""
+        self.partners[i] = j
+        self.partners[j] = i
+
     def unglue(self, ref: Ref) -> Ref:
-        p = self.glue.pop(ref)
-        del self.glue[p]
-        return p
+        """Unglue ref from its partner; returns the partner."""
+        i = 3 * ref[0] + ref[1]
+        p = self.partners[i]
+        if p < 0:
+            raise SurfaceError(f"edge {ref} is not glued")
+        self.partners[p] = self.partners[i] = -1
+        return divmod(p, 3)
 
     def glue_pair(self, r1: Ref, r2: Ref) -> None:
-        if r1 in self.glue or r2 in self.glue:
+        i, j = 3 * r1[0] + r1[1], 3 * r2[0] + r2[1]
+        if self.partners[i] >= 0 or self.partners[j] >= 0:
             raise SurfaceError("edge already glued")
         u, v = self.endpoints(r1)
         x, y = self.endpoints(r2)
@@ -716,8 +746,27 @@ class _Builder:
             raise OrientationClash(
                 f"cannot glue {r1}:{(u, v)} to {r2}:{(x, y)}; directions must be mutually reversed"
             )
-        self.glue[r1] = r2
-        self.glue[r2] = r1
+        self._link(i, j)
+
+    def annulus_strip(self, a_row: list[int], b_row: list[int]) -> int:
+        """Append one cylinder band between two vertex rows of equal length
+        and return its first triangle t0.
+
+        Unglued edges afterwards: (t0 + 2i, 2) = (a_{i+1} -> a_i) on the a
+        side and (t0 + 2i + 1, 0) = (b_i -> b_{i+1}) on the b side.
+        """
+        k = len(a_row)
+        base = len(self.triangles)
+        for i in range(k):
+            j = (i + 1) % k
+            self.add_triangle(a_row[i], b_row[i], a_row[j])  # t1_i = base + 2i
+            self.add_triangle(b_row[i], b_row[j], a_row[j])  # t2_i = base + 2i + 1
+        for i in range(k):
+            t1 = 3 * (base + 2 * i)
+            t2 = t1 + 3
+            self._link(t1 + 1, t2 + 2)  # (b_i -> a_j) ~ (a_j -> b_i)
+            self._link(t2 + 1, 3 * (base + 2 * ((i + 1) % k)))  # (b_j -> a_j) ~ (a_j -> b_j)
+        return base
 
     def identify_vertices(self, pairs) -> None:
         """Union-find merge of vertex ids, then rewrite all triangles."""
@@ -745,15 +794,20 @@ class _Builder:
 
     def drop_triangles(self, indices: set[int]) -> None:
         """Remove triangles (they must not be glued to the kept part)."""
-        if any(t in indices and u not in indices for (t, _), (u, _) in self.glue.items()):
-            raise SurfaceError("cannot drop triangles still glued to the rest")
         keep = [t for t in range(len(self.triangles)) if t not in indices]
-        remap = {old: new for new, old in enumerate(keep)}
+        # the new index of each ref: -2 for a dropped one, and -1 (the last
+        # slot) stays -1
+        new_ref = [-2] * (3 * len(self.triangles)) + [-1]
+        for new, old in enumerate(keep):
+            new_ref[3 * old : 3 * old + 3] = range(3 * new, 3 * new + 3)
+        partners = [new_ref[self.partners[3 * t + e]] for t in keep for e in range(3)]
+        if -2 in partners:
+            raise SurfaceError("cannot drop triangles still glued to the rest")
         self.triangles = [self.triangles[t] for t in keep]
-        self.glue = {(remap[t], e): (remap[u], f) for (t, e), (u, f) in self.glue.items() if t in remap}
+        self.partners = partners
 
     def components(self) -> list[int]:
-        return _components(_flat_partners(len(self.triangles), self.glue))
+        return _components(self.partners)
 
     def corners_at_vertex(self, v: int) -> list[tuple[int, int]]:
         return [
@@ -772,7 +826,7 @@ class _Builder:
         preds = set()
         for c in corners:
             t, i = c
-            p = self.glue.get((t, (i + 2) % 3))
+            p = self.partner((t, (i + 2) % 3))
             if p is not None and p in cset:
                 nxt[c] = p
                 preds.add(p)
@@ -801,7 +855,7 @@ class _Builder:
         return w
 
     def finish(self) -> tuple[TriSurface, RefMap]:
-        return _canonical_form(self.triangles, self.glue)
+        return _canonical_flat(self.triangles, self.partners)
 
 
 # ---------------------------------------------------------------------------
@@ -927,26 +981,15 @@ class DoubledCircle:
 
 
 def surface_from_data(vertex_count, triangles, gluing_pairs) -> TriSurface:
-    """The canonical surface of raw triangles and glued pairs.  A vertex id
-    that is not an int in 0..vertex_count-1 (the rule ``parse_json``
-    applies), a ref in two pairs, a triangle without three vertex ids or a
-    glued ref outside the triangles raises InvalidSurface before
-    canonicalizing; so does any invariant the canonical surface breaks."""
-    triangles = [tuple(t) for t in triangles]
-    violation = _vertex_id_violation(vertex_count, triangles)
-    if violation is not None:
-        raise InvalidSurface(violation)
-    glue = {}
-    for r1, r2 in gluing_pairs:
-        r1, r2 = tuple(r1), tuple(r2)
-        if r1 in glue or r2 in glue:
-            raise InvalidSurface(f"edge glued more than once near {r1}")
-        glue[r1] = r2
-        glue[r2] = r1
-    violation = _shape_violation(triangles, glue)
-    if violation is not None:
-        raise InvalidSurface(violation)
-    surf, _ = _canonical_form(triangles, glue)
+    """The canonical surface of raw triangles and glued pairs, read by the
+    rules of the surface file format (see ``TriSurface.parse_json``): a
+    broken rule raises InvalidSurface with the file's message before
+    canonicalizing, and so does any invariant the canonical surface breaks."""
+    data = {"vertices": vertex_count, "triangles": list(triangles), "gluing": list(gluing_pairs)}
+    try:
+        surf = TriSurface.from_json(data)
+    except ValueError as exc:
+        raise InvalidSurface(str(exc)) from None
     return surf.require_valid()
 
 
@@ -957,20 +1000,20 @@ def empty_surface() -> TriSurface:
 def closed_surface_from_triangles(triangles) -> TriSurface:
     """Glue every directed edge to its unique reverse (fixture helper)."""
     triangles = [tuple(t) for t in triangles]
-    where: dict[tuple[int, int], list[Ref]] = {}
+    where: dict[tuple[int, int], list[int]] = {}  # flat indices of each directed edge
     for t, tri in enumerate(triangles):
         for e in range(3):
             u, v = tri[e], tri[(e + 1) % 3]
-            where.setdefault((u, v), []).append((t, e))
-    glue = {}
+            where.setdefault((u, v), []).append(3 * t + e)
+    partners = [-1] * (3 * len(triangles))
     for (u, v), refs in where.items():
         if len(refs) != 1:
             raise SurfaceError(f"directed edge ({u},{v}) appears {len(refs)} times")
         rev = where.get((v, u))
         if not rev or len(rev) != 1:
             raise SurfaceError(f"directed edge ({u},{v}) has no unique reverse")
-        glue[refs[0]] = rev[0]
-    surf, _ = _canonical_form(triangles, glue)
+        partners[refs[0]] = rev[0]
+    surf, _ = _canonical_flat(triangles, partners)
     return surf.require_valid()
 
 
@@ -996,47 +1039,23 @@ def fan_disk(k: int = 3) -> TriSurface:
         raise ValueError("fan disk needs boundary length >= 3")
     c = k
     tris = [(c, i, (i + 1) % k) for i in range(k)]
-    glue = {}
+    partners = [-1] * (3 * k)
     for i in range(k):
-        a = (i, 2)               # ((i+1)%k -> c)
-        b = ((i + 1) % k, 0)     # (c -> (i+1)%k)
-        glue[a] = b
-        glue[b] = a
-    surf, _ = _canonical_form(tris, glue)
+        a = 3 * i + 2            # (i, 2) = ((i+1)%k -> c)
+        b = 3 * ((i + 1) % k)    # ((i+1)%k, 0) = (c -> (i+1)%k)
+        partners[a] = b
+        partners[b] = a
+    surf, _ = _canonical_flat(tris, partners)
     return surf.require_valid()
-
-
-def _annulus_strip(a_row: list[int], b_row: list[int], tris: list, glue: dict) -> None:
-    """Append one cylinder band between two vertex rows of equal length.
-
-    Unglued edges afterwards: (t1_i, 2) = (a_{i+1} -> a_i) on the a side and
-    (t2_i, 0) = (b_i -> b_{i+1}) on the b side.
-    """
-    k = len(a_row)
-    base = len(tris)
-    for i in range(k):
-        j = (i + 1) % k
-        tris.append([a_row[i], b_row[i], a_row[j]])  # t1_i = base + 2i
-        tris.append([b_row[i], b_row[j], a_row[j]])  # t2_i = base + 2i + 1
-    for i in range(k):
-        j = (i + 1) % k
-        t1 = base + 2 * i
-        t2 = base + 2 * i + 1
-        glue[(t1, 1)] = (t2, 2)      # (b_i -> a_j) ~ (a_j -> b_i)
-        glue[(t2, 2)] = (t1, 1)
-        t1n = base + 2 * j
-        glue[(t2, 1)] = (t1n, 0)     # (b_j -> a_j) ~ (a_j -> b_j)
-        glue[(t1n, 0)] = (t2, 1)
 
 
 def annulus(k: int = 4) -> TriSurface:
     """Annulus with two boundary cycles of length k."""
     if k < 3:
         raise ValueError("annulus needs cycle length >= 3")
-    tris: list = []
-    glue: dict = {}
-    _annulus_strip(list(range(k)), list(range(k, 2 * k)), tris, glue)
-    surf, _ = _canonical_form(tris, glue)
+    b = _Builder()
+    b.annulus_strip(list(range(k)), list(range(k, 2 * k)))
+    surf, _ = b.finish()
     return surf.require_valid()
 
 
@@ -1070,31 +1089,30 @@ def subdivide(s: TriSurface) -> TriSurface:
             mid[k] = mid[p] = next_vertex
             next_vertex += 1
     tris: list = []
-    glue: dict = {}
+    out = [-1] * (4 * len(partners))
     for t, (va, vb, vc) in enumerate(s.triangles):
         m01, m12, m20 = mid[3 * t : 3 * t + 3]
         tris.append((va, m01, m20))   # 4t
         tris.append((vb, m12, m01))   # 4t+1
         tris.append((vc, m20, m12))   # 4t+2
         tris.append((m01, m12, m20))  # 4t+3
-        for e in range(3):
-            a = (4 * t + 3, e)
-            b = (4 * t + (e + 1) % 3, 1)
-            glue[a] = b
-            glue[b] = a
+        for e in range(3):  # (4t+3, e) ~ (4t+(e+1)%3, 1)
+            a, b = 12 * t + 9 + e, 12 * t + 3 * ((e + 1) % 3) + 1
+            out[a], out[b] = b, a
 
-    def halves(k: int) -> tuple[Ref, Ref]:
+    def halves(k: int) -> tuple[int, int]:
+        """Ref k's half from its start, (4t+e, 0), and to its end, (4t+(e+1)%3, 2)."""
         t, e = divmod(k, 3)
-        return (4 * t + e, 0), (4 * t + (e + 1) % 3, 2)
+        return 12 * t + 3 * e, 12 * t + 3 * ((e + 1) % 3) + 2
 
     for k, p in enumerate(partners):  # both refs of each pair
         if p >= 0:
             a1, a2 = halves(k)
             b1, b2 = halves(p)
-            glue[a1] = b2
-            glue[a2] = b1
-    out, _ = _canonical_form(tris, glue)
-    return out.require_valid()
+            out[a1] = b2
+            out[a2] = b1
+    surf, _ = _canonical_flat(tris, out)
+    return surf.require_valid()
 
 
 def _cut_circle_raw(b: _Builder, refs: tuple[Ref, ...]) -> tuple[list[Ref], list[Ref]]:
@@ -1229,39 +1247,23 @@ def _split_boundary_edge_raw(b: _Builder, ref: Ref):
     Returns (first piece, second piece, moved) where moved maps the two
     relocated sibling edges of the old triangle to their new refs.
     """
-    if ref in b.glue:
+    if b.partner(ref) is not None:
         raise SurfaceError("can only split boundary edges")
     t, e = ref
     tri = b.triangles[t]
     u, v, x = tri[e], tri[(e + 1) % 3], tri[(e + 2) % 3]
     e1 = (t, (e + 1) % 3)
     e2 = (t, (e + 2) % 3)
-    p1 = b.glue.pop(e1, None)
-    self_glued = p1 == e2
-    if p1 is not None:
-        b.glue.pop(p1, None)
-    p2 = None
-    if not self_glued:
-        p2 = b.glue.pop(e2, None)
-        if p2 is not None:
-            b.glue.pop(p2, None)
+    # unglue the siblings; when they are glued to each other, the first
+    # unglue frees both
+    glued = [(r, b.unglue(r)) for r in (e1, e2) if b.partner(r) is not None]
     w = b.new_vertex()
     b.triangles[t] = [u, w, x]
-    t2 = len(b.triangles)
-    b.triangles.append([w, v, x])
-    b.glue[(t, 1)] = (t2, 2)
-    b.glue[(t2, 2)] = (t, 1)
+    t2 = b.add_triangle(w, v, x)
+    b.glue_pair((t, 1), (t2, 2))
     moved = {e1: (t2, 1), e2: (t, 2)}
-    if self_glued:
-        b.glue[(t2, 1)] = (t, 2)
-        b.glue[(t, 2)] = (t2, 1)
-    else:
-        if p1 is not None:
-            b.glue[(t2, 1)] = p1
-            b.glue[p1] = (t2, 1)
-        if p2 is not None:
-            b.glue[(t, 2)] = p2
-            b.glue[p2] = (t, 2)
+    for r, p in glued:
+        b.glue_pair(moved[r], moved.get(p, p))
     return (t, 0), (t2, 0), moved
 
 
@@ -1313,10 +1315,8 @@ def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
     a_row = [b.new_vertex() for _ in range(k)]
     m_row = [b.new_vertex() for _ in range(k)]
     b_row = [b.new_vertex() for _ in range(k)]
-    base1 = len(b.triangles)
-    _annulus_strip(a_row, m_row, b.triangles, b.glue)
-    base2 = len(b.triangles)
-    _annulus_strip(m_row, b_row, b.triangles, b.glue)
+    base1 = b.annulus_strip(a_row, m_row)
+    base2 = b.annulus_strip(m_row, b_row)
     # the annulus between the seam and the core circle is band one only;
     # band two is a collar padding that stays with the far side
     collar = frozenset(range(base1, base2))
@@ -1531,7 +1531,7 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
         drop.add(t)
     if drop:
         b.drop_triangles(drop)
-    flat = _boundary_cycles(_flat_partners(len(b.triangles), b.glue))
+    flat = _boundary_cycles(b.partners)
     cycles = [[divmod(k, 3) for k in cyc] for cyc in flat]
     if len(cycles) != sites_needed:
         raise SurfaceError(f"expected {sites_needed} holes, found {len(cycles)}")

@@ -1,6 +1,6 @@
 """Reference canonicalization for the tests.
 
-``canonical_form`` is the plain form of ``surface._canonical_form``: it
+``canonical_form`` is the plain form of ``surface._canonical_flat``: it
 orders the breadth-first starts with a ``(tuple, index)`` key, maps every
 glued ref through ``RefMap.ref``, picks each triangle's rotation as the
 least of its three rotated copies, and sorts the set of glued pairs.  The
@@ -11,20 +11,33 @@ passes over lists.
 the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
 stored its gluing as a flat partner list: every lookup is a dict lookup
 keyed by a ref tuple.  ``from_fields`` builds a ``TriSurface`` directly
-from a vertex count, triangles and such a dict.
+from a vertex count, triangles and such a dict, and
+``package_canonical_form`` feeds such a dict to the package's
+``_canonical_flat``.
 """
 
 from collections import deque
 
-from cutpaste.surface import DiffeoClass, InvalidSurface, RefMap, TriSurface
+from cutpaste.surface import DiffeoClass, InvalidSurface, RefMap, TriSurface, _canonical_flat
+
+
+def flat_partners(n_tri: int, glue: dict) -> list[int]:
+    """The flat partner list of n_tri triangles glued by a ref dict."""
+    partners = [-1] * (3 * n_tri)
+    for (t, e), (u, f) in glue.items():
+        partners[3 * t + e] = 3 * u + f
+    return partners
+
+
+def package_canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
+    """The package's ``_canonical_flat`` of a ref-dict gluing."""
+    return _canonical_flat(triangles, flat_partners(len(triangles), glue))
 
 
 def from_fields(vertex_count: int, triangles, glue: dict) -> TriSurface:
     """The surface with these fields, unchecked; each component starts at
     its first triangle."""
-    partners = [-1] * (3 * len(triangles))
-    for (t, e), (u, f) in glue.items():
-        partners[3 * t + e] = 3 * u + f
+    partners = flat_partners(len(triangles), glue)
     comp = components(len(triangles), glue)
     starts = tuple(comp.index(c) for c in range(max(comp, default=-1) + 1))
     return TriSurface(vertex_count, tuple(tuple(t) for t in triangles), tuple(partners), starts)

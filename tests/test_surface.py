@@ -89,8 +89,11 @@ def test_double_glue_detected():
         ((-1, -1, -2), "ref (0, 2) has partner index -2 outside -1..2"),
         ((1, -1, -1), "ref (0, 0) is glued to (0, 1), which is not glued back to it"),
         ((1, 2, 0), "ref (0, 0) is glued to (0, 1), which is not glued back to it"),
+        ((1.0, 0, -1), "partner index 1.0 of ref (0, 0) is not a JSON integer"),
+        ((-1, -1.0, -1), "partner index -1.0 of ref (0, 1) is not a JSON integer"),
+        ((-1, "0", -1), "partner index '0' of ref (0, 1) is not a JSON integer"),
     ],
-    ids=["short", "long", "above", "below", "one_sided", "three_cycle"],
+    ids=["short", "long", "above", "below", "one_sided", "three_cycle", "float", "float_unglued", "string"],
 )
 def test_validate_names_a_malformed_partner_list(partners, message):
     # a surface built directly from its fields is not checked; validate
@@ -101,8 +104,49 @@ def test_validate_names_a_malformed_partner_list(partners, message):
         s.require_valid()
 
 
+@pytest.mark.parametrize(
+    "triangles, starts, message",
+    [
+        (((0, 1.5, 2),), (0,), "vertex id 1.5 of triangle 0 is not a JSON integer"),
+        (((0, 1, 2), (2, 1, True)), (0, 1), "vertex id True of triangle 1 is not a JSON integer"),
+    ],
+    ids=["float", "bool"],
+)
+def test_validate_names_a_vertex_id_that_is_not_an_int(triangles, starts, message):
+    # 1.5 passes the range check and the id count; True compares as 1
+    s = TriSurface(3, triangles, (-1,) * (3 * len(triangles)), starts)
+    assert s.validate() == message
+    with pytest.raises(InvalidSurface, match="JSON integer"):
+        s.require_valid()
+
+
+@pytest.mark.parametrize(
+    "triangles, partners, starts, message",
+    [
+        (((0, 1, 2),), (-1, -1, -1), (), "component_starts has 0 entries, not one per component (1)"),
+        (((0, 1, 2), (3, 4, 5)), (-1,) * 6, (0,), "component_starts has 1 entries, not one per component (2)"),
+        (((0, 1, 2), (3, 4, 5)), (-1,) * 6, (0, 2), "component 1 starts at triangle 1, not at 2"),
+        (
+            ((0, 1, 2), (3, 4, 5), (1, 0, 6)),
+            (6, -1, -1, -1, -1, -1, 0, -1, -1),
+            (0, 1),
+            "triangle 2 belongs to component 0, whose triangles are not consecutive",
+        ),
+    ],
+    ids=["none", "too_few", "wrong_start", "split_block"],
+)
+def test_validate_checks_component_starts(triangles, partners, starts, message):
+    # classify reads the blocks that component_starts marks; wrong starts
+    # made it raise IndexError or call a disk "not an oriented surface"
+    vertex_count = len({v for tri in triangles for v in tri})
+    s = TriSurface(vertex_count, triangles, partners, starts)
+    assert s.validate() == message
+    with pytest.raises(InvalidSurface, match="component"):
+        s.require_valid()
+
+
 def test_surface_from_data_rejects_a_ref_in_two_pairs():
-    with pytest.raises(InvalidSurface, match="glued more than once"):
+    with pytest.raises(InvalidSurface, match="glued twice"):
         surface_from_data(5, [(0, 1, 2), (1, 0, 3), (1, 0, 4)], [((0, 0), (1, 0)), ((0, 0), (2, 0))])
 
 
@@ -431,10 +475,10 @@ def test_sk_system_move_identity_restores_surface():
     lib = standard_library(1, 0)
     # at the raw level the identity regluing restores the exact gluing state
     b = _Builder.from_surface(lib.surface)
-    before = ([list(t) for t in b.triangles], dict(b.glue))
+    before = ([list(t) for t in b.triangles], list(b.partners))
     left, right = _cut_circle_raw(b, lib.seams[0].refs)
     _glue_ref_pairs(b, list(zip(left, right)))
-    assert ([list(t) for t in b.triangles], dict(b.glue)) == before
+    assert ([list(t) for t in b.triangles], list(b.partners)) == before
     # and the public op is deterministic and class-preserving
     out = sk_system_move(lib.surface, [lib.seams[0]])
     assert out.classify() == lib.surface.classify()

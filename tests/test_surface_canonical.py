@@ -1,6 +1,6 @@
 """Canonicalization against its reference form, and the round-trip fixpoint.
 
-``surface._canonical_form`` must return the surface and the ``RefMap``
+``surface._canonical_flat`` must return the surface and the ``RefMap``
 (``tri_map``, ``rotations``, ``vertex_map``) that the plain version in
 ``surface_oracle`` returns, on any triangles with an involutive gluing:
 valid surfaces under renumbering, and raw complexes with repeated vertex
@@ -16,7 +16,6 @@ from test_surface_golden import _CLASSES
 from cutpaste.surface import (
     DiffeoClass,
     TriSurface,
-    _canonical_form,
     disjoint_union,
     library_for_class,
     standard_library,
@@ -25,7 +24,7 @@ from cutpaste.surface import (
 
 
 def _assert_matches_oracle(triangles, glue):
-    surf, refmap = _canonical_form(triangles, glue)
+    surf, refmap = surface_oracle.package_canonical_form(triangles, glue)
     want, want_map = surface_oracle.canonical_form(triangles, glue)
     assert surf == want
     assert surf.component_starts == want.component_starts
@@ -112,7 +111,7 @@ def test_raw_complexes_match_oracle(complex_):
 
 def test_oracle_cases_that_must_be_covered():
     # a self-glued ref is one gluing pair
-    surf, _ = _canonical_form([(0, 1, 2)], {(0, 0): (0, 0)})
+    surf, _ = surface_oracle.package_canonical_form([(0, 1, 2)], {(0, 0): (0, 0)})
     assert surf.gluing == (((0, 0), (0, 0)),)
     _assert_matches_oracle([(0, 1, 2)], {(0, 0): (0, 0)})
     # a ref glued to another edge of its own triangle, with a repeated id

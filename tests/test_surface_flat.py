@@ -22,7 +22,6 @@ from cutpaste.surface import (
     DiffeoClass,
     InvalidSurface,
     TriSurface,
-    _canonical_form,
     disjoint_union,
     library_for_class,
     mirror,
@@ -120,7 +119,7 @@ def test_raw_complexes_match_the_dict_walks(complex_):
     # repeated vertex ids, refs glued within one triangle and refs glued
     # to themselves, each of which is one edge
     triangles, glue = complex_
-    s, _ = _canonical_form(triangles, glue)
+    s, _ = surface_oracle.package_canonical_form(triangles, glue)
     _assert_walks_match(s)
     assert s.edge_count == 3 * len(triangles) - len({tuple(sorted(pair)) for pair in glue.items()})
 
@@ -203,7 +202,7 @@ def test_validate_matches_on_corrupted_surfaces(drawn, corrupt, times):
         direct = surface_oracle.from_fields(vertex_count, triangles, glue)
         assert direct.validate() == surface_oracle.validate(direct)
         # as canonicalized, like a parsed file, with every walk compared
-        s, _ = _canonical_form(triangles, glue)
+        s, _ = surface_oracle.package_canonical_form(triangles, glue)
         _assert_walks_match(s)
 
 
@@ -216,7 +215,7 @@ def test_corrupted_surfaces_reach_the_link_messages():
         for corrupt in _CORRUPTIONS:
             for _ in range(20):
                 _, triangles, glue = corrupt(s, rng)
-                t, _ = _canonical_form(triangles, glue)
+                t, _ = surface_oracle.package_canonical_form(triangles, glue)
                 messages.append(t.validate())
                 assert messages[-1] == surface_oracle.validate(t)
     assert any(m is not None and m.startswith("link of vertex") for m in messages)
