@@ -153,6 +153,17 @@ def validate(s: TriSurface) -> str | None:
                 f"({u},{v}) vs ({x},{y})"
             )
     glue = partner_dict(s)
+    comp = components(n_tri, glue)
+    for t in range(1, n_tri):
+        if comp[t] < comp[t - 1]:
+            return f"triangle {t} belongs to component {comp[t]}, whose triangles are not consecutive"
+    starts = [comp.index(c) for c in range(max(comp, default=-1) + 1)]
+    given = list(s.component_starts)
+    if len(given) != len(starts):
+        return f"component_starts has {len(given)} entries, not one per component ({len(starts)})"
+    for c, (a, b) in enumerate(zip(given, starts)):
+        if a != b:
+            return f"component {c} starts at triangle {b}, not at {a}"
     corners_at = {}
     for t, tri in enumerate(s.triangles):
         for i in range(3):
