@@ -769,7 +769,12 @@ class AbGroupPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "AbGroupPresentation":
-        return cls.make(data["generators"], data["relations"])
+        """Parse {"generators", "relations"}; every relation entry must be a
+        JSON integer (not a float, string or boolean), else ValueError."""
+        relations = data["relations"]
+        for row in relations:
+            require_json_ints(row, "relation entry")
+        return cls.make(data["generators"], relations)
 
 
 @dataclass(frozen=True)

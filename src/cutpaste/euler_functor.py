@@ -27,7 +27,6 @@ from .surface import (
     TriSurface,
     _Builder,
     _canonical_flat,
-    _cut_circle_raw,
     _insert_collar_raw,
     circles_vertex_disjoint,
 )
@@ -273,11 +272,10 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     collar_tris = [frozenset(refmap.tri_map[t] for t in coll) for coll in raw_collars]
     seam_refs = [refmap.refs(rs) for rs in raw_seams]
     core_refs = [refmap.refs(rc) for rc in raw_cores]
+    # the pieces between the circles depend only on the gluing: unglue them
     b2 = _Builder.from_surface(refined)
-    for rs in seam_refs:
-        _cut_circle_raw(b2, rs)
-    for rc in core_refs:
-        _cut_circle_raw(b2, rc)
+    for r in chain.from_iterable(seam_refs + core_refs):
+        b2.unglue(r)
     comp = b2.components()
     pieces: dict[int, set[int]] = {}
     for t, c in enumerate(comp):

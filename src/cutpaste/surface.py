@@ -18,7 +18,7 @@ triangle), so equal constructions serialize identically.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, compress, count, repeat
@@ -143,6 +143,34 @@ _MIRROR_EDGE = (2, 1, 0)
 
 # The walks below read a gluing as a flat partner list: ref (t, e) is index
 # 3t+e, and its entry is the partner's index, or -1 when the ref is unglued.
+# Corner k is where ref k starts.  Around a vertex, the corner after c is
+# partners[_turn(_turn(c))], across the ref that ends at c, and the corner
+# before c is _turn(partners[c]), across c's own ref.
+
+
+def _turn(k: int) -> int:
+    """The ref after ref k in its triangle, which starts where ref k ends."""
+    return k + 1 if k % 3 != 2 else k - 2
+
+
+def _corners_around(partners, c: int) -> list[int]:
+    """The corners at corner c's vertex in rotation order: the cycle from c
+    when every ref out of the vertex is glued, else the arc from its first
+    corner, whose ref is unglued.  The vertex is read from the gluing alone,
+    not from vertex ids."""
+    out = [c]
+    k = partners[_turn(_turn(c))]
+    while k >= 0 and k != c:
+        out.append(k)
+        k = partners[_turn(_turn(k))]
+    if k < 0:  # an arc: put the corners before c in front
+        before = []
+        k = c
+        while partners[k] >= 0:
+            k = _turn(partners[k])
+            before.append(k)
+        out[:0] = reversed(before)
+    return out
 
 
 def _edge_count(refs, first: int) -> int:
@@ -187,11 +215,10 @@ def _boundary_cycles(partners) -> list[list[int]]:
         cyc = [start]
         k = start
         while True:
-            # rotate around the endpoint vertex to the next unglued edge
-            k = k + 1 if k % 3 != 2 else k - 2
+            # rotate back around the endpoint vertex to the next unglued edge
+            k = _turn(k)
             while partners[k] >= 0:
-                k = partners[k]
-                k = k + 1 if k % 3 != 2 else k - 2
+                k = _turn(partners[k])
             if k == start:
                 break
             cyc.append(k)
@@ -342,49 +369,28 @@ class TriSurface:
             c = next(c for c, (a, b) in enumerate(zip(given, starts)) if a != b)
             return f"component {c} starts at triangle {starts[c]}, not at {given[c]}"
 
-        # Rotating around a corner's vertex crosses the corner's incoming edge
-        # (t, i+2) into the partner's corner: nxt[3t+i] = partners[3t+(i+2)%3].
-        nxt = [-1] * n3
-        nxt[0::3] = partners[2::3]
-        nxt[1::3] = partners[0::3]
-        nxt[2::3] = partners[1::3]
-        corners_at: dict[int, list[int]] = {v: [] for v in corner_vertex}
-        for k, v in enumerate(corner_vertex):
-            corners_at[v].append(k)
-        for v, corners in corners_at.items():
-            preds = set()
-            for c in corners:
-                c2 = nxt[c]
-                if c2 >= 0:
-                    if corner_vertex[c2] != v:
-                        return f"link of vertex {v} jumps to a corner of another vertex"
-                    if c2 in preds:
-                        return f"link of vertex {v} branches"
-                    preds.add(c2)
-            starts = [c for c in corners if c not in preds]
-            if not starts:
-                walk = corners[0]
-                count = 0
-                cur = walk
-                while True:
-                    cur = nxt[cur]
-                    count += 1
-                    if cur < 0:
-                        return f"link of vertex {v} has a dead end inside a cycle"
-                    if cur == walk:
-                        break
-                if count != len(corners):
-                    return f"link of vertex {v} is not a single cycle"
-            else:
-                if len(starts) != 1:
-                    return f"link of vertex {v} splits into {len(starts)} arcs"
-                cur = starts[0]
-                count = 1
-                while nxt[cur] >= 0:
-                    cur = nxt[cur]
-                    count += 1
-                if count != len(corners):
-                    return f"link of vertex {v} is not a single path"
+        # The link check.  Around a vertex the step to the next corner is
+        # injective once partners is an involution, and _turn(partners[c])
+        # inverts it, so c has a predecessor exactly when its ref is glued and
+        # the rotation never branches.  Each orbit is then a cycle, or an arc
+        # from a corner whose ref is unglued to one whose incoming ref is
+        # unglued: an orbit without such a start has no dead end.  The pairs
+        # reverse orientation, so an orbit stays at one vertex.  A vertex is a
+        # manifold point exactly when its corners form one orbit; it has one
+        # arc per unglued ref out of it, and none when it is interior.
+        arc_starts: dict[int, list[int]] = {}
+        for c in _unglued(partners):
+            arc_starts.setdefault(corner_vertex[c], []).append(c)
+        some_corner = dict(zip(corner_vertex, range(n3)))
+        for v, size in Counter(corner_vertex).items():  # in first-appearance order
+            starts = arc_starts.get(v, ())
+            if len(starts) > 1:
+                return f"link of vertex {v} splits into {len(starts)} arcs"
+            orbit = _corners_around(partners, starts[0] if starts else some_corner[v])
+            if len(orbit) != size and starts:
+                return f"link of vertex {v} is not a single path"
+            if len(orbit) != size:
+                return f"link of vertex {v} is not a single cycle"
         return None
 
     def require_valid(self) -> "TriSurface":
@@ -723,7 +729,10 @@ class _Builder:
         return divmod(p, 3) if p >= 0 else None
 
     def _link(self, i: int, j: int) -> None:
-        """Glue the refs at flat indices i and j to each other, unchecked."""
+        """Glue the unglued refs at flat indices i and j to each other,
+        without checking their vertices."""
+        if self.partners[i] >= 0 or self.partners[j] >= 0:
+            raise SurfaceError("edge already glued")
         self.partners[i] = j
         self.partners[j] = i
 
@@ -737,16 +746,13 @@ class _Builder:
         return divmod(p, 3)
 
     def glue_pair(self, r1: Ref, r2: Ref) -> None:
-        i, j = 3 * r1[0] + r1[1], 3 * r2[0] + r2[1]
-        if self.partners[i] >= 0 or self.partners[j] >= 0:
-            raise SurfaceError("edge already glued")
         u, v = self.endpoints(r1)
         x, y = self.endpoints(r2)
         if (u, v) != (y, x):
             raise OrientationClash(
                 f"cannot glue {r1}:{(u, v)} to {r2}:{(x, y)}; directions must be mutually reversed"
             )
-        self._link(i, j)
+        self._link(3 * r1[0] + r1[1], 3 * r2[0] + r2[1])
 
     def annulus_strip(self, a_row: list[int], b_row: list[int]) -> int:
         """Append one cylinder band between two vertex rows of equal length
@@ -768,30 +774,6 @@ class _Builder:
             self._link(t2 + 1, 3 * (base + 2 * ((i + 1) % k)))  # (b_j -> a_j) ~ (a_j -> b_j)
         return base
 
-    def identify_vertices(self, pairs) -> None:
-        """Union-find merge of vertex ids, then rewrite all triangles."""
-        parent: dict[int, int] = {}
-
-        def find(x):
-            root = x
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(x, x) != x:
-                parent[x], x = root, parent[x]
-            return root
-
-        for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-        if not parent:
-            return
-        for tri in self.triangles:
-            for i in range(3):
-                tri[i] = find(tri[i])
-
     def drop_triangles(self, indices: set[int]) -> None:
         """Remove triangles (they must not be glued to the kept part)."""
         keep = [t for t in range(len(self.triangles)) if t not in indices]
@@ -808,51 +790,6 @@ class _Builder:
 
     def components(self) -> list[int]:
         return _components(self.partners)
-
-    def corners_at_vertex(self, v: int) -> list[tuple[int, int]]:
-        return [
-            (t, i)
-            for t, tri in enumerate(self.triangles)
-            for i in range(3)
-            if tri[i] == v
-        ]
-
-    def split_vertex_at_circle(self, v: int, keep_corner: tuple[int, int]) -> int:
-        """After ungluing the two circle edges at v, relabel the arc of
-        corners not containing keep_corner with a fresh vertex id."""
-        corners = self.corners_at_vertex(v)
-        cset = set(corners)
-        nxt = {}
-        preds = set()
-        for c in corners:
-            t, i = c
-            p = self.partner((t, (i + 2) % 3))
-            if p is not None and p in cset:
-                nxt[c] = p
-                preds.add(p)
-        starts = [c for c in corners if c not in preds]
-        arcs = []
-        for s0 in sorted(starts):
-            arc = [s0]
-            cur = s0
-            while cur in nxt:
-                cur = nxt[cur]
-                arc.append(cur)
-            arcs.append(arc)
-        if len(arcs) != 2:
-            raise SurfaceError(
-                f"vertex {v} did not split into two arcs when cutting (got {len(arcs)})"
-            )
-        if keep_corner in arcs[0]:
-            other = arcs[1]
-        elif keep_corner in arcs[1]:
-            other = arcs[0]
-        else:
-            raise SurfaceError("keep corner not found at split vertex")
-        w = self.new_vertex()
-        for t, i in other:
-            self.triangles[t][i] = w
-        return w
 
     def finish(self) -> tuple[TriSurface, RefMap]:
         return _canonical_flat(self.triangles, self.partners)
@@ -1116,11 +1053,17 @@ def subdivide(s: TriSurface) -> TriSurface:
 
 
 def _cut_circle_raw(b: _Builder, refs: tuple[Ref, ...]) -> tuple[list[Ref], list[Ref]]:
-    """Unglue a circle and split its vertices; triangle indices stay valid."""
+    """Unglue a circle and split its vertices; triangle indices stay valid.
+
+    Once the circle is unglued, the corners at the start of refs[i] form two
+    arcs: one holds refs[i], and the other begins at the old partner of
+    refs[i-1].  That arc gets a fresh vertex id, for i = 0, 1, ... in turn."""
     partners = [b.unglue(r) for r in refs]
-    for r in refs:
-        v = b.endpoints(r)[0]
-        b.split_vertex_at_circle(v, keep_corner=r)
+    tris = b.triangles
+    for t, e in partners[-1:] + partners[:-1]:
+        w = b.new_vertex()
+        for k in _corners_around(b.partners, 3 * t + e):
+            tris[k // 3][k % 3] = w
     return list(refs), partners
 
 
@@ -1177,16 +1120,27 @@ def _order_cycle(endpoints, refs) -> list[Ref]:
 
 
 def _glue_ref_pairs(b: _Builder, pairs) -> None:
-    """Identify endpoint vertices and glue each (r1, r2) pair reversed."""
-    ident = []
+    """Glue each (r1, r2) pair reversed and merge the vertices it joins.
+
+    This relies on an invariant of the builder when it is called: the
+    corners of each vertex id form one rotation orbit.  Linking the pairs
+    then joins orbits just as identifying the pairs' endpoint ids would, so
+    each joined orbit takes the least id among its corners."""
+    corners = []  # where r1 and r2 start: every joined vertex has one of them
     for r1, r2 in pairs:
-        u, v = b.endpoints(r1)
-        x, y = b.endpoints(r2)
-        ident.append((u, y))
-        ident.append((v, x))
-    b.identify_vertices(ident)
-    for r1, r2 in pairs:
-        b.glue_pair(r1, r2)
+        i, j = 3 * r1[0] + r1[1], 3 * r2[0] + r2[1]
+        b._link(i, j)
+        corners += (i, j)
+    partners, tris = b.partners, b.triangles
+    done: set[int] = set()
+    for c in corners:
+        if c in done:
+            continue
+        orbit = _corners_around(partners, c)
+        done.update(orbit)
+        least = min(tris[k // 3][k % 3] for k in orbit)
+        for k in orbit:
+            tris[k // 3][k % 3] = least
 
 
 def _paste_cycles_raw(b: _Builder, left: list[Ref], right: list[Ref], offset: int) -> None:
@@ -1324,10 +1278,8 @@ def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
     core_b1 = [(base1 + 2 * i + 1, 0) for i in range(k)]  # (m_i -> m_{i+1})
     core_b2 = [(base2 + 2 * i, 2) for i in range(k)]      # (m_{i+1} -> m_i)
     b_refs = [(base2 + 2 * i + 1, 0) for i in range(k)]   # (b_i -> b_{i+1})
-    for r1 in core_b1:
-        u, v = b.endpoints(r1)
-        match = next(r for r in core_b2 if b.endpoints(r) == (v, u))
-        b.glue_pair(r1, match)
+    for r1, r2 in zip(core_b1, core_b2):
+        b.glue_pair(r1, r2)
     left_cycle = _order_cycle(b.endpoints, left)
     right_cycle = _order_cycle(b.endpoints, right)
     a_cycle = _order_cycle(b.endpoints, a_refs)

@@ -667,6 +667,13 @@ def test_json_round_trip():
     assert AbGroupPresentation.from_json(g.to_json()) == g
 
 
+@pytest.mark.parametrize("entry", [2.7, "2", True])
+def test_presentation_from_json_rejects_non_integer_entries(entry):
+    # int() would read 2.7 and "2" as 2 and True as 1
+    with pytest.raises(ValueError, match="relation entry .* is not a JSON integer"):
+        AbGroupPresentation.from_json({"generators": ["x"], "relations": [[entry]]})
+
+
 def test_sparse_helpers():
     assert to_sparse([0, 3, 0, -1]) == {1: 3, 3: -1}
 

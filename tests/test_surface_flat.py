@@ -22,9 +22,11 @@ from cutpaste.surface import (
     DiffeoClass,
     InvalidSurface,
     TriSurface,
+    _corners_around,
     disjoint_union,
     library_for_class,
     mirror,
+    octahedron,
     standard_library,
     subdivide,
 )
@@ -231,3 +233,36 @@ def test_multi_component_library_surfaces_match():
         comp = s.component_of_triangle
         for c in range(s.component_count):
             _assert_chains_match(s, [t for t in range(len(comp)) if comp[t] == c])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        octahedron,
+        lambda: _library(2, 0),
+        lambda: _library(1, 2),
+        lambda: library_for_class(DiffeoClass.from_pairs([(0, 1), (1, 0), (0, 0)]))[0],
+        lambda: subdivide(subdivide(_library(0, 1))),
+    ],
+    ids=["closed", "closed-genus-2", "with-boundary", "multi-component", "subdivided-twice"],
+)
+def test_corners_around_matches_a_scan(build):
+    s = build()
+    glue = surface_oracle.partner_dict(s)
+    scan: dict[int, list] = {}  # each vertex's corners, by scanning every triangle
+    for t, tri in enumerate(s.triangles):
+        for i in range(3):
+            scan.setdefault(tri[i], []).append((t, i))
+    for t, tri in enumerate(s.triangles):
+        for i in range(3):
+            got = [divmod(k, 3) for k in _corners_around(s.partners, 3 * t + i)]
+            # each corner of the vertex once
+            assert sorted(got) == scan[tri[i]]
+            # one rotation step apart: across the ref that ends at a corner
+            # to its partner, which starts at the same vertex
+            steps = [glue.get((u, (j + 2) % 3)) for u, j in got]
+            assert steps[:-1] == got[1:]
+            if s.vertex_is_interior(tri[i]):
+                assert got[0] == (t, i) and steps[-1] == got[0]  # the cycle from the corner
+            else:
+                assert got[0] not in glue and steps[-1] is None  # the whole arc
