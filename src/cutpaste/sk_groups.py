@@ -361,11 +361,11 @@ class DoublingWitness:
         ]
 
 
-def _covering_caps(classes, floor=Caps(2, 2, 2)) -> Caps:
-    g = max([floor.genus] + [gg for c in classes for gg, _ in c.components])
-    b = max([floor.boundary] + [bb for c in classes for _, bb in c.components])
-    k = max([floor.components] + [c.component_count for c in classes])
-    return Caps(g, b, k)
+def _covering_caps(classes) -> Caps:
+    """The least caps of at least (2,2,2) that hold every class."""
+    pairs = [(2, 2)] + [p for c in classes for p in c.components]
+    k = max([2] + [c.component_count for c in classes])
+    return Caps(max(g for g, _ in pairs), max(b for _, b in pairs), k)
 
 
 def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
@@ -406,7 +406,6 @@ class EquivalenceDecision:
     right: DiffeoClass
     chi: tuple[int, int]
     boundary_circles: tuple[int, int]
-    caps: Caps
 
     def to_lines(self) -> list[str]:
         return [
@@ -417,22 +416,19 @@ class EquivalenceDecision:
 
 
 def decide_equivalent(m: TriSurface, n: TriSurface) -> EquivalenceDecision:
-    """Cut-and-paste equivalence of two surfaces.
+    """Cut-and-paste equivalence of two surfaces, decided by (chi, b).
 
-    The decision is taken by coordinate equality in the truncated
-    with-boundary group; the Euler characteristic and boundary circle count
-    are reported as the explaining invariants."""
+    A collar square glues M to M' along k circles, which keeps chi and loses
+    2k boundary circles, and adds k annuli (chi 0, b 2k); so (chi, b) adds up
+    on it and on every disjoint-union square, and is a homomorphism out of
+    the truncated with-boundary group at every caps.  Acceptance criterion 4
+    and the tests' lattice oracle compute that it is injective there.  No
+    group is built here, so no class ceiling applies."""
     cls_m, cls_n = m.classify(), n.classify()
-    caps = _covering_caps([cls_m, cls_n])
-    pres = boundary_sk_presentation(caps)
-    same = pres.coordinate_of(cls_m) == pres.coordinate_of(cls_n)
+    chi, circles = (cls_m.chi, cls_n.chi), (cls_m.boundary_circles, cls_n.boundary_circles)
     return EquivalenceDecision(
-        equivalent=same,
-        left=cls_m,
-        right=cls_n,
-        chi=(cls_m.chi, cls_n.chi),
-        boundary_circles=(cls_m.boundary_circles, cls_n.boundary_circles),
-        caps=caps,
+        equivalent=chi[0] == chi[1] and circles[0] == circles[1],
+        left=cls_m, right=cls_n, chi=chi, boundary_circles=circles,
     )
 
 

@@ -66,14 +66,17 @@ class SquaresPresentation:
 
     @classmethod
     def from_json(cls, data: dict) -> "SquaresPresentation":
-        """Parse the squares file format; the basepoint and the square
-        indices must be JSON integers, else ValueError naming the value."""
+        """Parse the squares file format: the objects a JSON list of distinct
+        strings, the basepoint and square indices JSON integers."""
+        objects = data["objects"]
+        if not isinstance(objects, list) or any(type(x) is not str for x in objects) or len(set(objects)) < len(objects):
+            raise ValueError(f"objects {objects!r} are not a JSON list of pairwise distinct strings")
         basepoint = data["basepoint"]
         squares = tuple(tuple(q) for q in data["squares"])
         require_json_ints((basepoint,), "basepoint")
         for q in squares:
             require_json_ints(q, "square index")
-        return cls(tuple(str(x) for x in data["objects"]), basepoint, squares)
+        return cls(tuple(objects), basepoint, squares)
 
 
 def k0_presentation(p: SquaresPresentation) -> AbGroupPresentation:

@@ -10,6 +10,11 @@ added in their given order, zero rows included, every row normalized first
 pivot first, and normal forms read with the full walk and dense matrix
 entries.
 
+``lattice_decision`` decides cut-and-paste equivalence by coordinate
+equality in the truncated with-boundary group at the covering caps, the
+reference for ``decide_equivalent``; ``coordinate_partition`` groups the
+classes of that group by coordinate.
+
 The homomorphism checks below run on the full generator lattices.
 ``AbHom`` decides injectivity, surjectivity, zero and exactness on the
 induced map between Smith quotients.  These functions answer the same
@@ -20,6 +25,7 @@ presentations' own relation rows, not from their ``_Analysis``.
 """
 
 from cutpaste.abgroup import IntMatrix, IntegerLattice, NormalForm, smith_normal_form, to_sparse
+from cutpaste.sk_groups import Caps, boundary_sk_presentation
 
 
 def _subtract(v: dict, row: dict, q: int) -> None:
@@ -152,3 +158,28 @@ def exact_at(f, g) -> bool:
     for r in kernel:
         ker_lat.add(r)
     return all(im_lat.contains(k) for k in kernel) and all(ker_lat.contains(r) for r in image_rows)
+
+
+def covering_caps(classes) -> Caps:
+    """The least caps of at least (2,2,2) holding every class."""
+    return Caps(
+        max([2] + [g for c in classes for g, _ in c.components]),
+        max([2] + [b for c in classes for _, b in c.components]),
+        max([2] + [c.component_count for c in classes]),
+    )
+
+
+def lattice_decision(left, right) -> bool:
+    """Whether two classes share a coordinate in the with-boundary group at
+    their covering caps."""
+    pres = boundary_sk_presentation(covering_caps([left, right]))
+    return pres.coordinate_of(left) == pres.coordinate_of(right)
+
+
+def coordinate_partition(caps) -> set[frozenset]:
+    """The classes within the caps, grouped by their coordinate."""
+    pres = boundary_sk_presentation(caps)
+    blocks: dict = {}
+    for cls in pres.classes:
+        blocks.setdefault(pres.coordinate_of(cls), set()).add(cls)
+    return {frozenset(b) for b in blocks.values()}

@@ -126,6 +126,38 @@ def test_sk_decide_and_exact(tmp_path, capsys):
     assert "exact_at_middle=FAIL" in out
 
 
+def test_sk_decide_above_the_class_ceiling(tmp_path, monkeypatch, capsys):
+    """Covering caps 12,2,3 span 11,480 classes: the decision compares
+    (chi, b) and builds no group, so it answers with exit 0."""
+    from cutpaste import sk_groups, squares_k0
+    from cutpaste.surface import DiffeoClass, library_for_class
+
+    def build(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    for module in (squares_k0, sk_groups):
+        monkeypatch.setattr(module, "surface_squares_presentation", build)
+    monkeypatch.setattr(squares_k0, "classes_within", build)
+    paths = {}
+    for name, pairs in (
+        ("m", [(12, 1), (1, 1), (0, 2)]),
+        ("n", [(11, 1), (2, 1), (0, 2)]),
+        ("n2", [(11, 1), (1, 1), (0, 2)]),
+    ):
+        paths[name] = tmp_path / f"{name}.surf"
+        paths[name].write_text(json.dumps(library_for_class(DiffeoClass.from_pairs(pairs))[0].to_json()))
+    code, out = run(capsys, "sk", "decide", str(paths["m"]), str(paths["n"]))
+    assert code == 0, out
+    assert out == (
+        "left={(0,2),(1,1),(12,1)} right={(0,2),(2,1),(11,1)}\n"
+        "chi=-24,-24 boundary=4,4\n"
+        "equivalent=yes\n"
+    )
+    code, out = run(capsys, "sk", "decide", str(paths["m"]), str(paths["n2"]))
+    assert code == 0, out
+    assert out.splitlines()[1:] == ["chi=-24,-22 boundary=4,4", "equivalent=no"]
+
+
 def test_square_file_with_uncovered_triangles_exits_1(tmp_path, capsys):
     path = tmp_path / "uncovered.square"
     path.write_text(
@@ -587,6 +619,19 @@ def test_float_and_string_indices_exit_2(tmp_path, capsys):
         code, out = run(capsys, *argv)
         assert code == 2, (argv, out)
         assert out.startswith("error=malformed_input") and rule in out, out
+
+
+@pytest.mark.parametrize(
+    "objects",
+    ["ab", {"a": 0, "b": 1}, ["a", 1], ["a", "a"]],
+    ids=["string", "object", "number_label", "repeated_label"],
+)
+def test_squares_objects_must_be_distinct_strings(objects, tmp_path, capsys):
+    path = tmp_path / "objects.sq"
+    path.write_text(json.dumps({"objects": objects, "basepoint": 0, "squares": []}))
+    code, out = run(capsys, "k0", str(path))
+    assert code == 2, out
+    assert out.startswith("error=malformed_input") and "not a JSON list of pairwise distinct strings" in out, out
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from cutpaste import sk_groups
 import lattice_oracle
 from cutpaste.abgroup import AbGroupPresentation, IntMatrix, IntegerLattice, NormalForm, to_sparse
 from cutpaste.squares_k0 import (
+    classes_within,
     glue_class_components,
     k0_of_surfaces,
     surface_squares_presentation,
@@ -38,6 +39,7 @@ from cutpaste.surface import (
     build_standard,
     disjoint_union,
     fan_disk,
+    library_for_class,
     octahedron,
     seven_vertex_torus,
 )
@@ -362,6 +364,65 @@ def test_decide_torus_vs_sphere_no():
     dec = decide_equivalent(seven_vertex_torus(), octahedron())
     assert not dec.equivalent
     assert dec.chi == (0, 2)
+
+
+# the caps at which the decision is compared with the lattice oracle
+ORACLE_CAPS = [Caps(g, b, k) for g in range(2, 5) for b in range(2, 4) for k in range(2, 4)]
+
+
+@pytest.mark.parametrize("caps", ORACLE_CAPS, ids=lambda c: "%d,%d,%d" % c)
+def test_coordinate_partition_is_the_chi_b_partition(caps):
+    blocks: dict = {}
+    for cls in boundary_sk_presentation(caps).classes:
+        blocks.setdefault((cls.chi, cls.boundary_circles), set()).add(cls)
+    assert lattice_oracle.coordinate_partition(caps) == {frozenset(b) for b in blocks.values()}
+
+
+@lru_cache(maxsize=None)
+def library_surface(cls):
+    return library_for_class(cls)[0]
+
+
+@pytest.mark.parametrize("caps", ORACLE_CAPS, ids=lambda c: "%d,%d,%d" % c)
+def test_decide_agrees_with_the_lattice_decision(caps):
+    """Library surfaces whose covering caps are exactly ``caps``: the class
+    of genus caps.genus with caps.boundary circles plus spheres up to the
+    component cap, against every class within the caps whose chi and whose
+    circle count are each within 2 of its own (chi + b is even, so equal chi
+    with other circle counts needs a circle count 2 away)."""
+    top = DiffeoClass.from_pairs([(caps.genus, caps.boundary)] + [(0, 0)] * (caps.components - 1))
+    others = [
+        c for c in classes_within(caps)
+        if abs(c.chi - top.chi) <= 2 and abs(c.boundary_circles - top.boundary_circles) <= 2
+    ]
+    assert lattice_oracle.covering_caps([top]) == caps
+    answers = set()
+    for other in others:
+        dec = decide_equivalent(library_surface(top), library_surface(other))
+        assert dec.equivalent == lattice_oracle.lattice_decision(top, other), other.label()
+        answers.add(dec.equivalent)
+    assert answers == {True, False}
+
+
+def test_decide_above_the_class_ceiling_builds_no_group(monkeypatch):
+    """Covering caps 12,2,3 span 11,480 classes, above the ceiling; the
+    decision still answers, from (chi, b) alone."""
+    from cutpaste import squares_k0
+
+    def build(*args, **kwargs):
+        raise AssertionError("a group was built")
+
+    for module in (squares_k0, sk_groups):
+        monkeypatch.setattr(module, "surface_squares_presentation", build)
+    monkeypatch.setattr(squares_k0, "classes_within", build)
+    m = library_surface(DiffeoClass.from_pairs([(12, 1), (1, 1), (0, 2)]))
+    n = library_surface(DiffeoClass.from_pairs([(11, 1), (2, 1), (0, 2)]))
+    n2 = library_surface(DiffeoClass.from_pairs([(11, 1), (1, 1), (0, 2)]))
+    assert m.triangle_count == 578
+    dec = decide_equivalent(m, n)
+    assert dec.equivalent and dec.chi == (-24, -24) and dec.boundary_circles == (4, 4)
+    dec = decide_equivalent(m, n2)
+    assert not dec.equivalent and dec.chi == (-24, -22) and dec.boundary_circles == (4, 4)
 
 
 # ---------------------------------------------------------------------------
