@@ -64,7 +64,6 @@ _MAX_PIECE_COMPONENTS = 3
 
 @dataclass(frozen=True)
 class SKPresentation:
-    caps: Caps
     group: AbGroupPresentation
     classes: tuple[DiffeoClass, ...]
 
@@ -214,14 +213,14 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
                 for r1, r2 in zip(results, results[1:]):
                     relations.append({index[r1]: 1, index[r2]: -1})
     group = AbGroupPresentation.make(unions.generators, relations)
-    return SKPresentation(caps=caps, group=group, classes=tuple(classes))
+    return SKPresentation(group=group, classes=tuple(classes))
 
 
 def boundary_sk_presentation(caps: Caps) -> SKPresentation:
     """Cut-and-paste group of surfaces with boundary: the K0 group of the
     truncated gluing-square instance, shared with ``k0_of_surfaces``."""
     inst = surface_squares_presentation(Caps(*caps))
-    return SKPresentation(caps=inst.caps, group=inst.group, classes=inst.classes)
+    return SKPresentation(group=inst.group, classes=inst.classes)
 
 
 def circles_group() -> AbGroupPresentation:
@@ -345,7 +344,6 @@ class DoublingWitness:
     other: DiffeoClass
     double: DiffeoClass
     glued: DiffeoClass
-    caps: Caps
     difference_matches: bool
 
     @property
@@ -380,8 +378,7 @@ def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
     glued = glue_to_mirror(n, m)
     cls_m, cls_n = m.classify(), n.classify()
     cls_dm, cls_l = dm.classify(), glued.classify()
-    caps = _covering_caps([cls_m, cls_n, cls_dm, cls_l])
-    pres = boundary_sk_presentation(caps)
+    pres = boundary_sk_presentation(_covering_caps([cls_m, cls_n, cls_dm, cls_l]))
     lhs = pres.group.element_normal_form(pres.vector_of([(cls_m, 1), (cls_n, -1)]))
     rhs = pres.group.element_normal_form(pres.vector_of([(cls_dm, 1), (cls_l, -1)]))
     return DoublingWitness(
@@ -389,7 +386,6 @@ def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
         other=cls_n,
         double=cls_dm,
         glued=cls_l,
-        caps=caps,
         difference_matches=lhs == rhs,
     )
 

@@ -12,7 +12,8 @@ vertex) or a single path (boundary vertex).
 
 Everything is immutable; operations return new surfaces with canonically
 regenerated labels (breadth-first from the lexicographically least
-triangle), so equal constructions serialize identically.
+triangle), so equal constructions serialize identically, and a written
+surface parses back to itself.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, repeat
-from operator import eq, le
+from itertools import chain, compress, count, islice, repeat
+from operator import eq, le, lt, ne
 
 Ref = tuple[int, int]
 
@@ -448,10 +449,14 @@ class TriSurface:
     # -- serialization --------------------------------------------------------------
 
     def to_json(self) -> dict:
+        """The surface file: each glued pair once, from its lesser ref, in
+        increasing order (the pairs of ``gluing``)."""
         return {
             "vertices": self.vertex_count,
             "triangles": [list(t) for t in self.triangles],
-            "gluing": [[list(r1), list(r2)] for r1, r2 in self.gluing],
+            "gluing": [
+                [[k // 3, k % 3], [p // 3, p % 3]] for k, p in enumerate(self.partners) if k <= p
+            ],
         }
 
     @classmethod
@@ -609,12 +614,22 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     builder guarantee this; a ref glued to itself is allowed.
 
     Triangles are renumbered breadth-first, each component from its least
-    triangle (ties by index).  A triangle's neighbours are visited in the
-    order of its *input* edges 0, 1, 2, and that order moves with the
-    triangle's rotation, so a canonical surface need not canonicalize to
-    itself; one more round trip reaches a fixpoint.  Vertices are numbered
-    by first appearance in that order and each triangle is rotated to its
-    least rotation.
+    triangle (ties by index).  A start visits its neighbours across its
+    edges 0, 1, 2; a triangle entered across its edge e visits them from
+    edge e+1 on, cyclically, so the order does not move with the
+    triangle's rotation.  Vertices are numbered by first appearance in that
+    order and each triangle is rotated to its least rotation.
+
+    On a valid surface the result canonicalizes to itself: a triangle
+    entered across an edge brings at most one new vertex, so its rotation
+    leaves the first appearances in order, and a start with three distinct
+    ids is numbered m, m+1, m+2 in its own edge order, which is its least
+    rotation.  A start with a repeated id may be rotated, which moves its
+    edge order, so such a surface may need one more round trip.  When the
+    walk order, the first appearances and the rotations all come out as
+    the identity (every triangle has three distinct ids, least first), the
+    input lists are already the canonical surface and are returned as they
+    are, with an identity ``RefMap``.
 
     The surface stores the canonical partner list the walk ends with as
     ``partners``, and where each component's block of triangles starts as
@@ -629,15 +644,33 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
             continue
         starts.append(len(order))
         new_index[start] = len(order)
-        block = [start]
-        for t in block:  # breadth first: the block grows while it is read
-            for p in partners[3 * t : 3 * t + 3]:
+        # each triangle of the block as the first ref it visits: a
+        # triangle entered across ref p visits from _turn(p) (inlined) on,
+        # and skips p, whose partner's triangle is already numbered
+        block = [3 * start]
+        for p in partners[3 * start : 3 * start + 3]:
+            if p >= 0 and new_index[p // 3] < 0:
+                new_index[p // 3] = len(order) + len(block)
+                block.append(p + 1 if p % 3 != 2 else p - 2)
+        for f in islice(block, 1, None):  # breadth first: the block grows while it is read
+            for p in (partners[f], partners[f + 1 if f % 3 != 2 else f - 2]):
                 if p >= 0 and new_index[p // 3] < 0:
                     new_index[p // 3] = len(order) + len(block)
-                    block.append(p // 3)
-        order += block
-    flat = [v for t in order for v in triangles[t]]
-    vmap = {v: i for i, v in enumerate(dict.fromkeys(flat))}
+                    block.append(p + 1 if p % 3 != 2 else p - 2)
+        order += [f // 3 for f in block]
+    flat = list(chain.from_iterable(map(triangles.__getitem__, order)))
+    seen = list(dict.fromkeys(flat))  # vertex ids by first appearance
+    if (
+        order == list(range(n_tri))
+        and seen == list(range(len(seen)))
+        and all(map(lt, flat[0::3], flat[1::3]))
+        and all(map(lt, flat[0::3], flat[2::3]))
+        and all(map(ne, flat[1::3], flat[2::3]))
+    ):
+        ident = range(n_tri)
+        surf = TriSurface(len(seen), tuple(map(tuple, triangles)), tuple(partners), tuple(starts))
+        return surf, RefMap(dict(zip(ident, ident)), dict.fromkeys(ident, 0), dict(zip(seen, seen)))
+    vmap = dict(zip(seen, count()))
     new_tris = []
     rots = []  # by new index
     ids = iter([vmap[v] for v in flat])

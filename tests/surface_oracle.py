@@ -1,19 +1,22 @@
 """Reference canonicalization for the tests.
 
 ``canonical_form`` is the plain form of ``surface._canonical_flat``: it
-orders the breadth-first starts with a ``(tuple, index)`` key, maps every
-glued ref through ``RefMap.ref``, picks each triangle's rotation as the
-least of its three rotated copies, and sorts the set of glued pairs.  The
-package's version reaches the same surface and the same ``RefMap`` in flat
-passes over lists.
+orders the breadth-first starts with a ``(tuple, index)`` key, has a start
+visit its edges 0, 1, 2 and a triangle entered across edge e visit all
+three edges from e+1 on (the package skips edge e, which leads back to a
+triangle already numbered), maps every glued ref through ``RefMap.ref``,
+picks each triangle's rotation as the least of its three rotated copies,
+and sorts the set of glued pairs.  The package's version reaches the same
+surface and the same ``RefMap`` in flat passes over lists.
 
 ``components``, ``boundary_cycles``, ``diffeo_class`` and ``validate`` are
 the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
 stored its gluing as a flat partner list: every lookup is a dict lookup
 keyed by a ref tuple.  ``from_fields`` builds a ``TriSurface`` directly
-from a vertex count, triangles and such a dict, and
-``package_canonical_form`` feeds such a dict to the package's
-``_canonical_flat``.
+from a vertex count, triangles and such a dict.  ``package_canonical_form``
+feeds such a dict to the package's ``_canonical_flat``, and
+``identity_refmap`` is what that returns on a surface already in
+canonical form.
 """
 
 from collections import deque
@@ -32,6 +35,12 @@ def flat_partners(n_tri: int, glue: dict) -> list[int]:
 def package_canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
     """The package's ``_canonical_flat`` of a ref-dict gluing."""
     return _canonical_flat(triangles, flat_partners(len(triangles), glue))
+
+
+def identity_refmap(s: TriSurface) -> RefMap:
+    """The ``RefMap`` of a file that is already in canonical form."""
+    tris, verts = range(len(s.triangles)), range(s.vertex_count)
+    return RefMap(dict(zip(tris, tris)), dict.fromkeys(tris, 0), dict(zip(verts, verts)))
 
 
 def from_fields(vertex_count: int, triangles, glue: dict) -> TriSurface:
@@ -217,15 +226,15 @@ def canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
         if visited[start]:
             continue
         visited[start] = True
-        dq = deque([start])
+        dq = deque([(start, 0)])
         while dq:
-            t = dq.popleft()
+            t, first = dq.popleft()
             order.append(t)
-            for e in range(3):
-                p = glue.get((t, e))
+            for e in range(first, first + 3):
+                p = glue.get((t, e % 3))
                 if p is not None and not visited[p[0]]:
                     visited[p[0]] = True
-                    dq.append(p[0])
+                    dq.append((p[0], (p[1] + 1) % 3))
     tri_map = {old: new for new, old in enumerate(order)}
     vmap: dict[int, int] = {}
     for old in order:

@@ -6,7 +6,7 @@ import pytest
 
 from cutpaste.cli import main
 from cutpaste.euler_functor import square_from_circles
-from cutpaste.surface import build_standard, fan_disk, octahedron
+from cutpaste.surface import build_standard, fan_disk, octahedron, standard_library
 
 from test_surface import equator_circle
 
@@ -69,6 +69,18 @@ def test_surface_cut_and_paste(octa_file, tmp_path, capsys):
     code, out = run(capsys, "surface", "paste", out_path, "--left", "0", "--right", "1")
     assert code == 0
     assert "class={(0,0)}" in out
+
+
+def test_surface_cut_on_a_written_standard_surface(tmp_path, capsys):
+    # a written surface parses to itself, so the library's seam refs name
+    # the seam on the file
+    path = str(tmp_path / "torus.surf")
+    code, _ = run(capsys, "surface", "standard", "1", "0", "--out", path)
+    assert code == 0
+    seam = standard_library(1, 0).seams[0]
+    code, out = run(capsys, "surface", "cut", path, "--circle", json.dumps([list(r) for r in seam.refs]))
+    assert code == 0, out
+    assert "class={(0,1),(1,1)}" in out
 
 
 @pytest.mark.parametrize(

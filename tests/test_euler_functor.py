@@ -259,8 +259,22 @@ def test_square_json_round_trip_renumbers_subsets():
     two subsets are renumbered with it, so the square keeps its pieces."""
     lib = standard_library(2, 1)
     q = square_from_circles(lib.surface, [lib.seams[0], lib.nulls[0]])
-    back = SquareInstance.from_json(json.loads(json.dumps(q.to_json())))
-    assert back.surface != q.surface  # this surface is renumbered
+    data = json.loads(json.dumps(q.to_json()))
+    assert SquareInstance.from_json(data) == q  # a written square parses to itself
+    # move triangle t of the file to place[t], so the parse must renumber
+    place = list(range(len(q.surface.triangles)))
+    random.Random(0).shuffle(place)
+    d = data["d"]
+    triangles = d["triangles"][:]
+    for t, tri in enumerate(d["triangles"]):
+        triangles[place[t]] = tri
+    d["triangles"] = triangles
+    d["gluing"] = [[[place[t], e] for t, e in pair] for pair in d["gluing"]]
+    for key in ("b_triangles", "c_triangles"):
+        data[key] = [place[t] for t in data[key]]
+    back = SquareInstance.from_json(data)
+    assert list(map(tuple, d["triangles"])) != list(back.surface.triangles)  # renumbered
+    assert back == q
     assert [p.classify() for p in back.piece_surfaces()] == [
         p.classify() for p in q.piece_surfaces()
     ]

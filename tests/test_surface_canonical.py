@@ -4,11 +4,15 @@
 (``tri_map``, ``rotations``, ``vertex_map``) that the plain version in
 ``surface_oracle`` returns, on any triangles with an involutive gluing:
 valid surfaces under renumbering, and raw complexes with repeated vertex
-ids, refs glued to their own triangle and refs glued to themselves.
+ids, refs glued to their own triangle and refs glued to themselves.  On a
+valid surface it is a fixpoint: its output canonicalizes to itself, by the
+identity exit, with an identity ``RefMap``.
 """
 
+import operator
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import surface_oracle
@@ -16,8 +20,10 @@ from test_surface_golden import _CLASSES
 from cutpaste.surface import (
     DiffeoClass,
     TriSurface,
+    _canonical_flat,
     disjoint_union,
     library_for_class,
+    mirror,
     standard_library,
     subdivide,
 )
@@ -52,6 +58,41 @@ def _disguise(s: TriSurface, rng: random.Random, as_lists: bool):
 
     glue = {ref(*a): ref(*b) for a, b in surface_oracle.partner_dict(s).items()}
     return triangles, glue
+
+
+def _library(g, b):
+    return standard_library(g, b).surface
+
+
+_KINDS = ("library", "subdivided", "union", "mirror", "parsed")
+
+
+@st.composite
+def surfaces(draw):
+    """A library, subdivided, union (with or without a mirror), mirrored or
+    parsed surface, with the rng that made it."""
+    kind = draw(st.sampled_from(_KINDS))
+    g, b = draw(st.integers(0, 2)), draw(st.integers(0, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    s = _library(g, b)
+    if kind == "subdivided":
+        s = subdivide(s)
+    elif kind == "union":
+        other = _library(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
+        s = disjoint_union(mirror(other) if draw(st.booleans()) else other, s)
+    elif kind == "mirror":
+        s = mirror(s)
+    elif kind == "parsed":
+        triangles, glue = _disguise(s, rng, draw(st.booleans()))
+        pairs = [[list(a), list(b)] for a, b in glue.items() if a <= b]
+        rng.shuffle(pairs)
+        for pair in pairs:
+            if rng.random() < 0.5:
+                pair.reverse()
+        vertices = max((v for t in triangles for v in t), default=-1) + 1
+        data = {"vertices": vertices, "triangles": triangles, "gluing": pairs}
+        s = TriSurface.from_json(data)
+    return s, rng
 
 
 def _library_surface(g, b, subdivisions, other):
@@ -132,13 +173,85 @@ def test_oracle_cases_that_must_be_covered():
     _assert_matches_oracle(triangles, glue)
 
 
-def _round_trip(s: TriSurface) -> TriSurface:
-    return TriSurface.from_json(s.to_json())
-
-
 def test_one_round_trip_reaches_a_fixpoint():
-    surfaces = [standard_library(g, b).surface for g in range(4) for b in range(4)]
-    surfaces += [library_for_class(DiffeoClass.from_pairs(pairs))[0] for pairs in _CLASSES]
-    for s in surfaces:
-        t = _round_trip(s)
-        assert _round_trip(t) == t
+    """A written surface parses to itself, so the library's seam and null
+    refs name the same circles on the parsed file."""
+    libraries = [standard_library(g, b) for g in range(4) for b in range(4)]
+    written = [(lib.surface, [lib]) for lib in libraries]
+    written += [library_for_class(DiffeoClass.from_pairs(pairs)) for pairs in _CLASSES]
+    for s, libs in written:
+        back, refmap = TriSurface.parse_json(s.to_json())
+        assert back == s
+        assert back.component_starts == s.component_starts
+        assert refmap == surface_oracle.identity_refmap(s)
+        for circle in (c for lib in libs for c in lib.seams + lib.nulls):
+            assert refmap.refs(circle.refs) == circle.refs
+
+
+@settings(max_examples=60, deadline=None)
+@given(surfaces(), st.booleans())
+def test_canonicalizing_twice_equals_once(drawn, as_lists):
+    s, rng = drawn
+    # shuffled, relabelled and rotated, so the first canonicalization renumbers
+    once, _ = surface_oracle.package_canonical_form(*_disguise(s, rng, as_lists))
+    twice, refmap = _canonical_flat(list(once.triangles), list(once.partners))
+    assert twice == once
+    assert twice.component_starts == once.component_starts
+    assert refmap == surface_oracle.identity_refmap(once)
+    assert _canonical_flat(list(s.triangles), list(s.partners))[0] == s
+
+
+def _swap_triangles(triangles, glue):
+    """Triangles 0 and 1 trade places."""
+    place = {0: 1, 1: 0}
+
+    def move(ref):
+        return place.get(ref[0], ref[0]), ref[1]
+
+    triangles = [triangles[1], triangles[0]] + triangles[2:]
+    return triangles, {move(a): move(b) for a, b in glue.items()}
+
+
+def _rotate_triangle(triangles, glue):
+    """The last triangle starts at its second corner: its edge e becomes e-1."""
+    t = len(triangles) - 1
+    a, b, c = triangles[t]
+
+    def move(ref):
+        return (t, (ref[1] - 1) % 3) if ref[0] == t else ref
+
+    triangles = triangles[:t] + [(b, c, a)]
+    return triangles, {move(x): move(y) for x, y in glue.items()}
+
+
+def _swap_vertex_ids(triangles, glue):
+    """Vertex ids 1 and 2 trade names."""
+    swap = {1: 2, 2: 1}
+    return [tuple(swap.get(v, v) for v in tri) for tri in triangles], glue
+
+
+def _repeat_an_id(triangles, glue):
+    """The last triangle's third corner takes its second corner's id."""
+    a, b, _ = triangles[-1]
+    return triangles[:-1] + [(a, b, b)], glue
+
+
+@pytest.mark.parametrize(
+    "near_miss", [None, _swap_triangles, _rotate_triangle, _swap_vertex_ids, _repeat_an_id]
+)
+def test_identity_exit_matches_the_full_walk(near_miss):
+    written = [standard_library(g, b).surface for g, b in ((0, 0), (1, 1), (2, 3))]
+    written += [subdivide(standard_library(1, 0).surface)]
+    written += [library_for_class(DiffeoClass.from_pairs(pairs))[0] for pairs in _CLASSES]
+    for s in written:
+        triangles, glue = list(s.triangles), surface_oracle.partner_dict(s)
+        if near_miss is not None:
+            triangles, glue = near_miss(triangles, glue)
+        _assert_matches_oracle(triangles, glue)
+        surf, refmap = surface_oracle.package_canonical_form(triangles, glue)
+        # the exit hands the input triangles back as they are
+        took_exit = all(map(operator.is_, surf.triangles, triangles))
+        assert took_exit == (near_miss is None)
+        if near_miss is None:
+            assert surf == s
+            assert refmap == surface_oracle.identity_refmap(s)

@@ -16,55 +16,18 @@ from hypothesis import given, settings, strategies as st
 
 import chain_oracle
 import surface_oracle
-from test_surface_canonical import _disguise, raw_complexes
+from test_surface_canonical import _library, raw_complexes, surfaces
 from cutpaste.euler_functor import surface_chain_data
 from cutpaste.surface import (
     DiffeoClass,
     InvalidSurface,
     TriSurface,
     _corners_around,
-    disjoint_union,
     library_for_class,
-    mirror,
     octahedron,
     standard_library,
     subdivide,
 )
-
-
-def _library(g, b):
-    return standard_library(g, b).surface
-
-
-_KINDS = ("library", "subdivided", "union", "mirror", "parsed")
-
-
-@st.composite
-def surfaces(draw):
-    """A library, subdivided, union (with or without a mirror), mirrored or
-    parsed surface, with the rng that made it."""
-    kind = draw(st.sampled_from(_KINDS))
-    g, b = draw(st.integers(0, 2)), draw(st.integers(0, 3))
-    rng = draw(st.randoms(use_true_random=False))
-    s = _library(g, b)
-    if kind == "subdivided":
-        s = subdivide(s)
-    elif kind == "union":
-        other = _library(draw(st.integers(0, 2)), draw(st.integers(0, 2)))
-        s = disjoint_union(mirror(other) if draw(st.booleans()) else other, s)
-    elif kind == "mirror":
-        s = mirror(s)
-    elif kind == "parsed":
-        triangles, glue = _disguise(s, rng, draw(st.booleans()))
-        pairs = [[list(a), list(b)] for a, b in glue.items() if a <= b]
-        rng.shuffle(pairs)
-        for pair in pairs:
-            if rng.random() < 0.5:
-                pair.reverse()
-        vertices = max((v for t in triangles for v in t), default=-1) + 1
-        data = {"vertices": vertices, "triangles": triangles, "gluing": pairs}
-        s = TriSurface.from_json(data)
-    return s, rng
 
 
 def _assert_walks_match(s: TriSurface):

@@ -4,8 +4,9 @@ Each family below is serialized as JSON (``to_json`` of every surface it
 builds, plus the refs, triangle sets or report lines that go with it) and
 hashed with sha256.  The digests pin the exact bytes: a refactor of the
 surface walks, the builder or the mirror path must leave every one of them
-unchanged.  Library surfaces also feed the benchmark's request pool, which
-refuses a ``library_for_class`` surface that is not canonical.
+unchanged.  Every surface file a family writes must parse to itself, with
+an identity ``RefMap``.  Library surfaces also feed the benchmark's request
+pool, which refuses a ``library_for_class`` surface that is not canonical.
 
 Run ``python tests/test_surface_golden.py`` to print the current digests.
 """
@@ -16,10 +17,12 @@ import json
 
 import pytest
 
+import surface_oracle
 from cutpaste.euler_functor import square_from_circles
 from cutpaste.sk_groups import double_surface, glue_to_mirror, skk_collapse_check
 from cutpaste.surface import (
     DiffeoClass,
+    TriSurface,
     _handle_piece,
     build_standard,
     cut,
@@ -164,15 +167,15 @@ def digest(family: str) -> str:
 
 
 GOLDEN = {
-    "standard_library": "7e40f24348e18cac9671772342d98b4f9deb8dba6a0dfd92bb73e65c24835114",
-    "mirror": "79506e710edb4afd39a0639267f013ba24ee243a07a6868a84f24164e0309389",
-    "cut_paste_cut": "64fe977115c16339480ceeed306cf7d0b50b92631f238929891fdacb0b6158e0",
-    "double_circle": "4462d7ff958fe423cc43ac5bb4d51abbfde46b2d9391fe60b756cb822a1b5cf4",
-    "sk_system_move": "ecdf7eb8cef7ae679846df7a61b1e3b4a03cb0e61f22281b8345da24e3f25ba0",
-    "square_from_circles": "a583ac6b988735418205e014b5093621e9eaa08bbb5140171378ee1ef20bf4db",
-    "double_surface": "8acc64fd96b97e2e92e3fa5e879374a2558e8b7c556765110b9ae6e6d2b60239",
-    "glue_to_mirror": "dc84b5f263bdbed48488c6ef4009359d52b9a82f1c4a0c14f96ade5f1e01fcfb",
-    "library_for_class": "778531c5bdf5f145e33765a642955335b30f691dae8d5e8a4919c9662bc3b4da",
+    "standard_library": "5613df61be2e4c1c76d3e3f36f874c99f7bcb66d97b4f9b73c6d1f9b62e1ec13",
+    "mirror": "0da530d585cc43b970146f90f18c989e913c28daa574a5d36aad450849aa9474",
+    "cut_paste_cut": "c129a8847b84f0fda992b987bc83cf3917b7ffc5c34e3dc96baaf2d8fc4848c5",
+    "double_circle": "b7b30bb00f5a2aa726f561a3a17deac7978bdccc51728f1ea00affebde1f8231",
+    "sk_system_move": "970460f5a7f5aaa9fc020711652ff1eff3d4c497b74309ba8ae7929fe88df515",
+    "square_from_circles": "e4c2521493e492416c96ab6a60bb9de1f058bdaa36cb2a686d51e9ae71bd102f",
+    "double_surface": "bfefd40c54325793b24e09677bb6cc84eb355cf6d9e77c85a77e823aaa71ab10",
+    "glue_to_mirror": "90b3af25c201cca2ca8549bd32040cbd5a221810021c76b29aaa88ae7628cbd8",
+    "library_for_class": "f356e2a416447903edbf0bd59463124c0a73ae5fd2605407b202de6ab630981e",
     "handle_piece": "356a8d6aaf9039d92fe4fa30b58dce543f46dc6d4b553515593eac1875ad2e7a",
     "skk_collapse_check": "d6a3031a05506563b0b5c4f139fd88601612d649507d8960791007ec4e771457",
 }
@@ -181,6 +184,23 @@ GOLDEN = {
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_golden_digest(family):
     assert digest(family) == GOLDEN[family]
+
+
+def _surface_files(data):
+    """Every surface file in a family's data."""
+    if isinstance(data, dict):
+        yield data
+    elif isinstance(data, list):
+        for item in data:
+            yield from _surface_files(item)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_written_surfaces_parse_to_themselves(family):
+    for data in _surface_files(FAMILIES[family]()):
+        s, refmap = TriSurface.parse_json(data)
+        assert s.to_json() == data
+        assert refmap == surface_oracle.identity_refmap(s)
 
 
 if __name__ == "__main__":
