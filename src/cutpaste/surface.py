@@ -22,8 +22,8 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice, repeat
-from operator import eq, le, lt, ne
+from itertools import chain, compress, count, islice
+from operator import eq, lt
 
 Ref = tuple[int, int]
 
@@ -252,14 +252,6 @@ class TriSurface:
 
     # -- basic accessors ----------------------------------------------------
 
-    @cached_property
-    def gluing(self) -> tuple[tuple[Ref, Ref], ...]:
-        """Each glued pair once, from its lesser ref, in increasing order."""
-        partners = self.partners
-        lesser = list(compress(count(), map(le, count(), partners)))  # k <= partners[k]
-        greater = map(partners.__getitem__, lesser)
-        return tuple(zip(map(divmod, lesser, repeat(3)), map(divmod, greater, repeat(3))))
-
     def partner(self, ref: Ref) -> Ref | None:
         t, e = ref
         if 0 <= t < len(self.triangles) and 0 <= e < 3:
@@ -450,7 +442,7 @@ class TriSurface:
 
     def to_json(self) -> dict:
         """The surface file: each glued pair once, from its lesser ref, in
-        increasing order (the pairs of ``gluing``)."""
+        increasing order."""
         return {
             "vertices": self.vertex_count,
             "triangles": [list(t) for t in self.triangles],
@@ -627,7 +619,7 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     rotation.  A start with a repeated id may be rotated, which moves its
     edge order, so such a surface may need one more round trip.  When the
     walk order, the first appearances and the rotations all come out as
-    the identity (every triangle has three distinct ids, least first), the
+    the identity (every triangle's first id is less than its other two), the
     input lists are already the canonical surface and are returned as they
     are, with an identity ``RefMap``.
 
@@ -665,7 +657,6 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
         and seen == list(range(len(seen)))
         and all(map(lt, flat[0::3], flat[1::3]))
         and all(map(lt, flat[0::3], flat[2::3]))
-        and all(map(ne, flat[1::3], flat[2::3]))
     ):
         ident = range(n_tri)
         surf = TriSurface(len(seen), tuple(map(tuple, triangles)), tuple(partners), tuple(starts))

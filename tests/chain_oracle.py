@@ -10,6 +10,7 @@ it finds each ref's edge representative with a ref-keyed partner dict, and
 sorts the set of representative refs as tuples to number the edges.
 """
 
+import surface_oracle
 from cutpaste.abgroup import IntMatrix, _Analysis
 from cutpaste.chains import ChainComplex, HomologyType
 from cutpaste.euler_functor import ChainData
@@ -17,10 +18,7 @@ from cutpaste.surface import SurfaceError, TriSurface
 
 
 def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
-    glue = {}
-    for r1, r2 in s.gluing:
-        glue[r1] = r2
-        glue[r2] = r1
+    glue = surface_oracle.partner_dict(s)
 
     def edge_rep(ref):
         p = glue.get(ref)

@@ -13,10 +13,11 @@ surface and the same ``RefMap`` in flat passes over lists.
 the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
 stored its gluing as a flat partner list: every lookup is a dict lookup
 keyed by a ref tuple.  ``from_fields`` builds a ``TriSurface`` directly
-from a vertex count, triangles and such a dict.  ``package_canonical_form``
-feeds such a dict to the package's ``_canonical_flat``, and
-``identity_refmap`` is what that returns on a surface already in
-canonical form.
+from a vertex count, triangles and such a dict, and ``partner_dict`` reads
+one off a surface, through ``glued_pairs``, its glued pairs as ref tuples.
+``package_canonical_form`` feeds such a dict to the package's
+``_canonical_flat``, and ``identity_refmap`` is what that returns on a
+surface already in canonical form.
 """
 
 from collections import deque
@@ -52,9 +53,15 @@ def from_fields(vertex_count: int, triangles, glue: dict) -> TriSurface:
     return TriSurface(vertex_count, tuple(tuple(t) for t in triangles), tuple(partners), starts)
 
 
+def glued_pairs(s: TriSurface) -> list:
+    """Each glued pair of s once, from its lesser ref, in increasing order:
+    the pairs that ``to_json`` writes, as ref tuples."""
+    return [(divmod(k, 3), divmod(p, 3)) for k, p in enumerate(s.partners) if k <= p]
+
+
 def partner_dict(s: TriSurface) -> dict:
     out = {}
-    for r1, r2 in s.gluing:
+    for r1, r2 in glued_pairs(s):
         out[r1] = r2
         out[r2] = r1
     return out
@@ -113,7 +120,7 @@ def diffeo_class(s: TriSurface) -> DiffeoClass:
         faces[comp[t]] += 1
         verts[comp[t]].update(tri)
     edges = [3 * f for f in faces]
-    for (t, _), _ in s.gluing:
+    for (t, _), _ in glued_pairs(s):
         edges[comp[t]] -= 1
     bnd = [0] * ncomp
     for cyc in boundary_cycles(len(s.triangles), glue):
@@ -144,7 +151,7 @@ def validate(s: TriSurface) -> str | None:
     if len(used) != s.vertex_count:
         return "vertex ids are not exactly 0..vertex_count-1 (isolated or missing ids)"
     seen = set()
-    for r1, r2 in s.gluing:
+    for r1, r2 in glued_pairs(s):
         for t, e in (r1, r2):
             if not (0 <= t < n_tri and 0 <= e < 3):
                 return f"gluing references invalid edge ({t},{e})"
