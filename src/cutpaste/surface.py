@@ -362,29 +362,46 @@ class TriSurface:
             c = next(c for c, (a, b) in enumerate(zip(given, starts)) if a != b)
             return f"component {c} starts at triangle {starts[c]}, not at {given[c]}"
 
-        # The link check.  Around a vertex the step to the next corner is
-        # injective once partners is an involution, and _turn(partners[c])
-        # inverts it, so c has a predecessor exactly when its ref is glued and
-        # the rotation never branches.  Each orbit is then a cycle, or an arc
-        # from a corner whose ref is unglued to one whose incoming ref is
-        # unglued: an orbit without such a start has no dead end.  The pairs
-        # reverse orientation, so an orbit stays at one vertex.  A vertex is a
-        # manifold point exactly when its corners form one orbit; it has one
-        # arc per unglued ref out of it, and none when it is interior.
-        arc_starts: dict[int, list[int]] = {}
-        for c in _unglued(partners):
-            arc_starts.setdefault(corner_vertex[c], []).append(c)
-        some_corner = dict(zip(corner_vertex, range(n3)))
-        for v, size in Counter(corner_vertex).items():  # in first-appearance order
-            starts = arc_starts.get(v, ())
-            if len(starts) > 1:
-                return f"link of vertex {v} splits into {len(starts)} arcs"
-            orbit = _corners_around(partners, starts[0] if starts else some_corner[v])
-            if len(orbit) != size and starts:
-                return f"link of vertex {v} is not a single path"
-            if len(orbit) != size:
-                return f"link of vertex {v} is not a single cycle"
-        return None
+        # The link check.  nxt[c] is the corner after c around its vertex,
+        # partners[_turn(_turn(c))], or -1.  The step is injective once
+        # partners is an involution, and _turn(partners[c]) inverts it, so c
+        # has a predecessor exactly when its ref is glued and the rotation
+        # never branches.  Each orbit is then an arc from a corner whose ref
+        # is unglued, or a cycle; an arc ends where the incoming ref is
+        # unglued, so no orbit has a dead end inside it.  The pairs reverse
+        # orientation, so an orbit stays at one vertex, and every id in
+        # 0..vertex_count-1 has a corner, so each vertex has at least one
+        # orbit.  Hence there are exactly vertex_count orbits when every
+        # vertex's corners form one orbit, a manifold point, and more when
+        # some vertex's do not.
+        nxt = [-1] * n3
+        nxt[0::3], nxt[1::3], nxt[2::3] = partners[2::3], partners[0::3], partners[1::3]
+        seen = bytearray(n3)
+        arc_starts = _unglued(partners)
+        for c in arc_starts:
+            while c >= 0:
+                seen[c] = 1
+                c = nxt[c]
+        cycle_starts = []
+        c = seen.find(0)
+        while c >= 0:
+            cycle_starts.append(c)
+            k = c
+            while not seen[k]:
+                seen[k] = 1
+                k = nxt[k]
+            c = seen.find(0, c + 1)
+        if len(arc_starts) + len(cycle_starts) == vc:
+            return None
+        # name the first vertex, in first-appearance order, with two orbits
+        arcs = Counter(corner_vertex[c] for c in arc_starts)
+        cycles = Counter(corner_vertex[c] for c in cycle_starts)
+        v = next(v for v in dict.fromkeys(corner_vertex) if arcs[v] + cycles[v] > 1)
+        if arcs[v] > 1:
+            return f"link of vertex {v} splits into {arcs[v]} arcs"
+        if arcs[v]:
+            return f"link of vertex {v} is not a single path"
+        return f"link of vertex {v} is not a single cycle"
 
     def require_valid(self) -> "TriSurface":
         violation = self.validate()
@@ -527,13 +544,46 @@ class TriSurface:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class RefMap:
-    """Tracks where triangles, edges and vertices land after canonicalization."""
+    """Tracks where triangles, edges and vertices land after canonicalization:
+    ``tri_map`` takes each input triangle to its new index, ``rotations``
+    to the rotation it got, and ``vertex_map`` each input vertex id to its
+    new id.  ``_canonical_flat`` keeps its walk's lists instead, and the
+    dicts are built from them on first read: most callers drop the map."""
 
-    tri_map: dict[int, int]
-    rotations: dict[int, int]
-    vertex_map: dict[int, int]
+    def __init__(self, tri_map: dict[int, int], rotations: dict[int, int], vertex_map: dict[int, int]):
+        self._maps = (tri_map, rotations, vertex_map)
+
+    @classmethod
+    def _of_walk(cls, order, rotations, seen) -> "RefMap":
+        """The map of a walk that gave new index i and rotation rotations[i]
+        to input triangle order[i], and new id j to vertex id seen[j]."""
+        refmap = cls.__new__(cls)
+        refmap._walk = (order, rotations, seen)
+        return refmap
+
+    @cached_property
+    def _maps(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+        order, rotations, seen = self._walk
+        return dict(zip(order, count())), dict(zip(order, rotations)), dict(zip(seen, count()))
+
+    @property
+    def tri_map(self) -> dict[int, int]:
+        return self._maps[0]
+
+    @property
+    def rotations(self) -> dict[int, int]:
+        return self._maps[1]
+
+    @property
+    def vertex_map(self) -> dict[int, int]:
+        return self._maps[2]
+
+    def __eq__(self, other):
+        return self._maps == other._maps if isinstance(other, RefMap) else NotImplemented
+
+    def __repr__(self):
+        return f"RefMap(tri_map={self.tri_map!r}, rotations={self.rotations!r}, vertex_map={self.vertex_map!r})"
 
     def ref(self, ref: Ref) -> Ref:
         t, e = ref
@@ -606,7 +656,9 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     builder guarantee this; a ref glued to itself is allowed.
 
     Triangles are renumbered breadth-first, each component from its least
-    triangle (ties by index).  A start visits its neighbours across its
+    triangle (ties by index): the first start is found with ``min``, and
+    only the triangles a block leaves unnumbered are sorted, once, for the
+    later starts.  A start visits its neighbours across its
     edges 0, 1, 2; a triangle entered across its edge e visits them from
     edge e+1 on, cyclically, so the order does not move with the
     triangle's rotation.  Vertices are numbered by first appearance in that
@@ -621,19 +673,26 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     walk order, the first appearances and the rotations all come out as
     the identity (every triangle's first id is less than its other two), the
     input lists are already the canonical surface and are returned as they
-    are, with an identity ``RefMap``.
+    are, with an identity ``RefMap``; the first-appearance and rotation
+    checks then read the triangles in file order.
 
     The surface stores the canonical partner list the walk ends with as
     ``partners``, and where each component's block of triangles starts as
-    ``component_starts``.
+    ``component_starts``.  The ``RefMap`` keeps the walk's lists and builds
+    its dicts when one is first read.
     """
     n_tri = len(triangles)
     new_index = [-1] * n_tri
     order: list[int] = []
     starts: list[int] = []  # where each component's block begins
-    for start in sorted(range(n_tri), key=triangles.__getitem__):
-        if new_index[start] >= 0:
-            continue
+    later = None  # the triangles left after the first block, least first
+    while len(order) < n_tri:
+        if not order:
+            start = triangles.index(min(triangles))
+        else:
+            if later is None:
+                later = iter(sorted((t for t in range(n_tri) if new_index[t] < 0), key=triangles.__getitem__))
+            start = next(t for t in later if new_index[t] < 0)
         starts.append(len(order))
         new_index[start] = len(order)
         # each triangle of the block as the first ref it visits: a
@@ -650,17 +709,17 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
                     new_index[p // 3] = len(order) + len(block)
                     block.append(p + 1 if p % 3 != 2 else p - 2)
         order += [f // 3 for f in block]
-    flat = list(chain.from_iterable(map(triangles.__getitem__, order)))
+    identity = order == list(range(n_tri))
+    flat = list(chain.from_iterable(triangles if identity else map(triangles.__getitem__, order)))
     seen = list(dict.fromkeys(flat))  # vertex ids by first appearance
     if (
-        order == list(range(n_tri))
+        identity
         and seen == list(range(len(seen)))
         and all(map(lt, flat[0::3], flat[1::3]))
         and all(map(lt, flat[0::3], flat[2::3]))
     ):
-        ident = range(n_tri)
         surf = TriSurface(len(seen), tuple(map(tuple, triangles)), tuple(partners), tuple(starts))
-        return surf, RefMap(dict(zip(ident, ident)), dict.fromkeys(ident, 0), dict(zip(seen, seen)))
+        return surf, RefMap._of_walk(order, bytes(n_tri), seen)
     vmap = dict(zip(seen, count()))
     new_tris = []
     rots = []  # by new index
@@ -688,7 +747,7 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
         new_ref[o] = k
     out = tuple(map(new_ref.__getitem__, map(partners.__getitem__, old_ref)))
     surf = TriSurface(len(vmap), tuple(new_tris), out, tuple(starts))
-    return surf, RefMap(dict(zip(order, range(n_tri))), dict(zip(order, rots)), vmap)
+    return surf, RefMap._of_walk(order, rots, seen)
 
 
 class _Builder:
@@ -848,7 +907,7 @@ class EmbeddedCircle:
             verts.append(u)
             nu, _ = s.endpoints(refs[(i + 1) % len(refs)])
             if v != nu:
-                raise SurfaceError(f"circle edges {i} and {i + 1} do not chain")
+                raise SurfaceError(f"circle edges {i} and {(i + 1) % len(refs)} do not chain")
         if len(set(verts)) != len(verts):
             raise SurfaceError("circle revisits a vertex")
         for v in verts:

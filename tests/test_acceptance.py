@@ -4,9 +4,11 @@ Each test prints one pass/fail line (shown with pytest -s or on failure)
 and asserts both the outcome and the runtime limit pinned in the suite.
 """
 
+import json
+
 import pytest
 
-from cutpaste import abgroup
+from cutpaste import abgroup, surface
 from cutpaste.acceptance import (
     criterion_1_snf,
     criterion_2_surfaces,
@@ -19,6 +21,7 @@ from cutpaste.acceptance import (
     run_acceptance_suite,
 )
 from cutpaste.squares_k0 import Caps, k0_of_surfaces, surface_squares_presentation
+from cutpaste.surface import TriSurface, build_standard, subdivide
 
 CRITERIA = [
     criterion_1_snf,
@@ -135,3 +138,19 @@ def test_normal_forms_never_walk_the_pivots(cold_group_333):
     assert [group.is_relation({i: 1}) for i in range(n)] == [f.is_zero() for f in forms]
     assert all(group.is_relation(r) for r in group.rows)
     assert forms == list(k0_of_surfaces(Caps(3, 3, 3)).coordinates.values())
+
+
+def test_reading_and_checking_a_surface_runs_in_flat_passes(monkeypatch, tmp_path):
+    """Parsing a written 3,440-triangle surface and validating it make no
+    `_turn` call per corner and build no `RefMap` dicts."""
+    path = tmp_path / "s.surf"
+    path.write_text(json.dumps(subdivide(subdivide(build_standard(3, 3))).to_json()))
+
+    def refuse(*args):
+        raise AssertionError("stepped corner by corner or built the RefMap dicts")
+
+    monkeypatch.setattr(surface, "_turn", refuse)
+    monkeypatch.setattr(surface.RefMap, "_maps", property(refuse))
+    s = TriSurface.from_json(json.loads(path.read_text()))
+    assert s.triangle_count == 3440
+    assert s.validate() is None

@@ -84,6 +84,21 @@ def test_surface_cut_on_a_written_standard_surface(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "circle, edges",
+    [([[0, 0]], "0 and 0"), ([[0, 0], [0, 1]], "1 and 0")],
+    ids=["one_edge", "two_edges"],
+)
+def test_circle_that_does_not_close_names_its_first_edge(circle, edges, tmp_path, capsys):
+    # the last edge must chain to edge 0, not to an edge past the end
+    path = str(tmp_path / "s.surf")
+    code, _ = run(capsys, "surface", "standard", "1", "1", "--out", path)
+    assert code == 0
+    code, out = run(capsys, "surface", "cut", path, "--circle", json.dumps(circle))
+    assert code == 1, out
+    assert f"detail=circle edges {edges} do not chain" in out
+
+
+@pytest.mark.parametrize(
     "circle, rule",
     [
         ([[999, 0], [1, 0], [2, 0]], "circle ref [999, 0] has triangle index outside 0..{last}"),

@@ -23,6 +23,7 @@ from cutpaste.surface import (
     InvalidSurface,
     TriSurface,
     _corners_around,
+    fan_disk,
     library_for_class,
     octahedron,
     standard_library,
@@ -186,6 +187,31 @@ def test_corrupted_surfaces_reach_the_link_messages():
     assert any(m is not None and m.startswith("link of vertex") for m in messages)
     assert any(m is not None and "orientation-reversing" in m for m in messages)
     assert None in messages
+
+
+def _pinched(first: TriSurface, second: TriSurface, v_first: int, v_second: int) -> TriSurface:
+    """first and second side by side, unchecked, with second's vertex
+    v_second given first's id v_first: two components that share one id."""
+    n, off = len(first.triangles), first.vertex_count
+    ids = [v_first if v == v_second else off + v - (v > v_second) for v in range(second.vertex_count)]
+    triangles = list(first.triangles) + [tuple(ids[v] for v in tri) for tri in second.triangles]
+    glue = surface_oracle.partner_dict(first)
+    for (t, e), (u, f) in surface_oracle.partner_dict(second).items():
+        glue[t + n, e] = (u + n, f)
+    return surface_oracle.from_fields(off + second.vertex_count - 1, triangles, glue)
+
+
+def test_pinched_surfaces_give_each_link_message():
+    disk, octa = fan_disk(3), octahedron()
+    rim = next(v for v in range(disk.vertex_count) if not disk.vertex_is_interior(v))
+    cases = [
+        (_pinched(disk, disk, rim, rim), f"link of vertex {rim} splits into 2 arcs"),
+        (_pinched(octa, disk, 4, rim), "link of vertex 4 is not a single path"),
+        (_pinched(octa, octa, 4, 2), "link of vertex 4 is not a single cycle"),
+    ]
+    for s, message in cases:
+        assert s.validate() == message
+        assert surface_oracle.validate(s) == message
 
 
 def test_multi_component_library_surfaces_match():
