@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .abgroup import AbGroupPresentation, AbHom, NormalForm, check_exact_at
+from .classes import DiffeoClass, NonSeparatingCut, SurfaceError
 from .squares_k0 import (
     MAX_CLASSES,
     Caps,
@@ -39,19 +40,12 @@ from .squares_k0 import (
     surface_squares_presentation,
     union_squares,
 )
-from .surface import (
-    DiffeoClass,
-    NonSeparatingCut,
-    SurfaceError,
-    TriSurface,
-    _Builder,
-    _glue_ref_pairs,
-    _order_cycle,
-    _paste_cycles_raw,
-    _refine_cycle_raw,
-    library_for_class,
-    sk_system_move,
-)
+
+# The groups and their exact sequence need no triangulations, so this module
+# does not load ``surface``: the functions that build surfaces import from it
+# when called, and ``TriSurface`` (``cutpaste.surface.TriSurface``) appears
+# only in annotations, which ``from __future__ import annotations`` leaves
+# unevaluated.
 
 CIRCLE_LABEL = "[S^1]"
 
@@ -309,6 +303,8 @@ def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
 def double_surface(m: TriSurface) -> TriSurface:
     """Glue m to its orientation reversal along the whole boundary by the
     identity correspondence of boundary edges."""
+    from .surface import _Builder, _glue_ref_pairs
+
     b = _Builder.from_surface(m)
     place = b.add_surface(m, mirrored=True)
     _glue_ref_pairs(b, [(ref, place(ref)) for ref in m.boundary_refs])
@@ -319,6 +315,8 @@ def double_surface(m: TriSurface) -> TriSurface:
 def glue_to_mirror(n: TriSurface, m: TriSurface) -> TriSurface:
     """Glue n to the orientation reversal of m along a canonical matching of
     their boundary cycles (cycle lengths are equalized by refinement)."""
+    from .surface import _Builder, _order_cycle, _paste_cycles_raw, _refine_cycle_raw
+
     if n.boundary_circle_count() != m.boundary_circle_count():
         raise SurfaceError("boundary circle counts differ; cannot glue")
     b = _Builder.from_surface(n)
@@ -461,6 +459,8 @@ class SearchExhausted(SurfaceError):
 
 
 def _resolve_circles(cls: DiffeoClass):
+    from .surface import library_for_class
+
     surf, entries = library_for_class(cls)
     mapping = {}
     for comp, ent in enumerate(entries):
@@ -473,6 +473,8 @@ def _resolve_circles(cls: DiffeoClass):
 
 def apply_move(cls: DiffeoClass, step: MoveStep) -> DiffeoClass:
     """Apply a named cut-and-paste move to (the library surface of) a class."""
+    from .surface import sk_system_move
+
     surf, mapping = _resolve_circles(cls)
     circles = [mapping[spec] for spec in step.circles]
     moved = sk_system_move(surf, circles, pairing=step.pairing)
@@ -566,6 +568,8 @@ class CylinderRegluingReport:
 def _glue_cylinder_stacks(k: int, pairing, offsets=None) -> TriSurface:
     """Concrete gluing of k annuli onto k annuli: annulus i's far cycle is
     glued to annulus (k + pairing[i])'s near cycle."""
+    from .surface import _Builder, _order_cycle, _paste_cycles_raw
+
     offsets = list(offsets) if offsets is not None else [0] * k
     b = _Builder()
     cycles_near = []

@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .abgroup import AbGroupPresentation, NormalForm, require_json_ints
-from .surface import DiffeoClass
+from .classes import DiffeoClass
 
 
 class Caps(NamedTuple):
