@@ -4,7 +4,8 @@ Everything in this module runs on arbitrary-precision Python ints; there is
 no floating point and no modular shortcut anywhere.  It provides
 
 * ``IntMatrix`` -- a small immutable integer matrix with exact determinants,
-* ``smith_normal_form`` -- Smith normal form with unimodular transforms,
+* ``smith_normal_form`` -- Smith normal form with unimodular transforms and
+  their inverses,
 * ``IntegerLattice`` -- an incremental Hermite-style row basis used for
   membership, canonical residues and kernel computations,
 * ``AbGroupPresentation`` -- a finitely presented abelian group (free group
@@ -20,7 +21,6 @@ fixed-width arithmetic is banned here: Python ints keep everything exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
@@ -59,8 +59,8 @@ class IntMatrix:
     ``columns[j]`` maps a row index to the nonzero entry at (row, j); zeros
     are never stored, so equal matrices have equal columns.  The constructor
     takes dense row-major entries and ``from_columns`` takes the sparse form
-    as it is.  ``entries``, ``row`` and ``to_rows`` are dense views derived
-    from the columns, built on first use.
+    as it is.  ``entries`` and ``to_rows`` are dense views derived from the
+    columns, built on first use.
     """
 
     def __init__(self, rows: int, cols: int, entries):
@@ -130,9 +130,6 @@ class IntMatrix:
     def entry(self, i: int, j: int) -> int:
         return self.columns[j].get(i, 0)
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
     def to_rows(self) -> list[list[int]]:
         out = [[0] * self.cols for _ in range(self.rows)]
         for j, col in enumerate(self.columns):
@@ -188,36 +185,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def inverse_unimodular(self) -> "IntMatrix":
-        """Inverse of a matrix with det +-1 (exact, via rational elimination)."""
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        n = self.rows
-        aug = [
-            [Fraction(self.entry(i, j)) for j in range(n)]
-            + [Fraction(1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        for k in range(n):
-            piv = next((i for i in range(k, n) if aug[i][k]), None)
-            if piv is None:
-                raise ValueError("singular matrix")
-            aug[k], aug[piv] = aug[piv], aug[k]
-            inv = 1 / aug[k][k]
-            aug[k] = [x * inv for x in aug[k]]
-            for i in range(n):
-                if i != k and aug[i][k]:
-                    f = aug[i][k]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[k])]
-        out = []
-        for i in range(n):
-            for j in range(n):
-                x = aug[i][n + j]
-                if x.denominator != 1:
-                    raise ValueError("matrix is not unimodular")
-                out.append(int(x))
-        return IntMatrix(n, n, tuple(out))
-
     def to_json(self) -> dict:
         return {"rows": self.rows, "cols": self.cols, "entries": list(self.entries)}
 
@@ -233,7 +200,8 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SNFResult:
-    """Smith normal form: U @ A @ V == diag(d) with U, V unimodular.
+    """Smith normal form: U @ A @ V == diag(d) with U, V unimodular, and
+    their inverses ``U_inv`` and ``V_inv``.
 
     Invariant factors ``d`` are nonnegative, each divides the next nonzero
     one, and trailing zeros account for the free rank of the cokernel.
@@ -242,6 +210,8 @@ class SNFResult:
     d: tuple[int, ...]
     U: IntMatrix
     V: IntMatrix
+    U_inv: IntMatrix
+    V_inv: IntMatrix
 
     def diagonal_matrix(self) -> IntMatrix:
         m, n = self.U.rows, self.V.rows
@@ -259,6 +229,10 @@ class SNFResult:
             raise AssertionError("U not unimodular")
         if abs(self.V.det()) != 1:
             raise AssertionError("V not unimodular")
+        if self.U * self.U_inv != IntMatrix.identity(self.U.rows):
+            raise AssertionError("U*U_inv is not the identity")
+        if self.V * self.V_inv != IntMatrix.identity(self.V.rows):
+            raise AssertionError("V*V_inv is not the identity")
         if any(dk < 0 for dk in self.d):
             raise AssertionError("negative invariant factor")
         nz = [dk for dk in self.d if dk]
@@ -284,25 +258,34 @@ def _find_pivot(m, t, rows, cols):
 
 
 def smith_normal_form(a: IntMatrix) -> SNFResult:
-    """Smith normal form with transforms, deterministic for a fixed input.
+    """Smith normal form with transforms and their inverses, deterministic
+    for a fixed input.
 
     The pivot at each stage is a nonzero entry of minimal absolute value in
-    the remaining submatrix, ties broken by lowest (row, col) index.
+    the remaining submatrix, ties broken by lowest (row, col) index.  The
+    inverses come from the same elimination: each row operation on U is
+    undone by the opposite column operation on U_inv, and each column
+    operation on V by the opposite row operation on V_inv.  U_inv is kept
+    as its list of columns, so that every operation moves whole lists.
     """
     rows, cols = a.rows, a.cols
     m = a.to_rows()
     u = IntMatrix.identity(rows).to_rows()
+    u_inv = IntMatrix.identity(rows).to_rows()  # the columns of U_inv
     v = IntMatrix.identity(cols).to_rows()
+    v_inv = IntMatrix.identity(cols).to_rows()
 
     def swap_rows(i, k):
         m[i], m[k] = m[k], m[i]
         u[i], u[k] = u[k], u[i]
+        u_inv[i], u_inv[k] = u_inv[k], u_inv[i]
 
     def swap_cols(j, k):
         for r in m:
             r[j], r[k] = r[k], r[j]
         for r in v:
             r[j], r[k] = r[k], r[j]
+        v_inv[j], v_inv[k] = v_inv[k], v_inv[j]
 
     def row_addmul(i, k, q):
         mi, mk = m[i], m[k]
@@ -311,16 +294,23 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         ui, uk = u[i], u[k]
         for j in range(rows):
             ui[j] += q * uk[j]
+        ci, ck = u_inv[i], u_inv[k]
+        for j in range(rows):
+            ck[j] -= q * ci[j]
 
     def col_addmul(j, k, q):
         for r in m:
             r[j] += q * r[k]
         for r in v:
             r[j] += q * r[k]
+        vj, vk = v_inv[j], v_inv[k]
+        for i in range(cols):
+            vk[i] -= q * vj[i]
 
     def negate_row(i):
         m[i] = [-x for x in m[i]]
         u[i] = [-x for x in u[i]]
+        u_inv[i] = [-x for x in u_inv[i]]
 
     t = 0
     limit = min(rows, cols)
@@ -373,7 +363,13 @@ def smith_normal_form(a: IntMatrix) -> SNFResult:
         t += 1
 
     d = tuple(m[k][k] for k in range(limit))
-    return SNFResult(d=d, U=IntMatrix.from_rows(u) if rows else IntMatrix(0, 0, ()), V=IntMatrix.from_rows(v) if cols else IntMatrix(0, 0, ()))
+    return SNFResult(
+        d=d,
+        U=IntMatrix.from_rows(u),
+        V=IntMatrix.from_rows(v),
+        U_inv=IntMatrix.from_columns(rows, rows, map(to_sparse, u_inv)),
+        V_inv=IntMatrix.from_rows(v_inv),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +600,10 @@ class _Analysis:
             snf = smith_normal_form(m2)
             self.small_d = snf.d
             self.small_v = snf.V
+            self.small_v_inv = snf.V_inv
         else:
             self.small_d = ()
-            self.small_v = None
+            self.small_v = self.small_v_inv = None
         self.free_rank = n - lat.rank
         self.torsion = tuple(dk for dk in self.small_d if dk > 1)
         # diagonal entry at each position of the surviving basis
@@ -625,14 +622,14 @@ class _Analysis:
         torsion positions first and then free ones (d_k = 0), in the order of
         ``normal_form``.  Returns (moduli, lifts): lift k is a sparse vector
         of Z^n whose normal form is the k-th unit vector of Q, namely row k
-        of the inverse of ``small_v`` placed on the surviving columns.
-        Built on first use, so chain homology never inverts ``small_v``."""
+        of ``small_v_inv`` placed on the surviving columns.  Built on first
+        use; chain homology reads none of it."""
         pos = self._positions
         order = [k for k, d in enumerate(pos) if d > 1] + [k for k, d in enumerate(pos) if d == 0]
         if self.small_v is None:
             rows = [{k: 1} for k in range(len(pos))]
         else:
-            rows = self.small_v.inverse_unimodular().transpose().columns
+            rows = self.small_v_inv.transpose().columns
         lifts = tuple({self.surviving[i]: x for i, x in rows[k].items()} for k in order)
         return tuple(pos[k] for k in order), lifts
 

@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from math import prod
 
 from .abgroup import IntMatrix, smith_normal_form
@@ -56,6 +57,24 @@ class CriterionResult:
         if with_timing:
             out += f" time={self.runtime_seconds:.2f}s limit={self.limit_seconds:.0f}s"
         return out
+
+
+def _criterion(number: int, name: str, limit_seconds: float):
+    """Make a body that returns (passed, detail) a criterion: called with a
+    seed, it times the body and returns its CriterionResult."""
+
+    def wrap(body):
+        @wraps(body)
+        def criterion(seed: int = 0) -> CriterionResult:
+            start = time.perf_counter()
+            passed, detail = body(seed)
+            return CriterionResult(
+                number, name, passed, limit_seconds, time.perf_counter() - start, detail
+            )
+
+        return criterion
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +128,8 @@ def coset_count_oracle(rows) -> int:
     return len(seen)
 
 
-def criterion_1_snf(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(1, "snf_correctness", 10.0)
+def criterion_1_snf(seed: int = 0):
     rng = random.Random(seed)
     oracle_checked = 0
     for trial in range(500):
@@ -121,25 +140,15 @@ def criterion_1_snf(seed: int = 0) -> CriterionResult:
         try:
             res.verify(a)
         except AssertionError as exc:
-            return CriterionResult(
-                1, "snf_correctness", False, 10.0, time.perf_counter() - start,
-                f"trial {trial}: {exc}",
-            )
+            return False, f"trial {trial}: {exc}"
         if m == n:
             det = a.det()
             if det != 0 and abs(det) <= 200:
                 order = coset_count_oracle(a.to_rows())
                 if order != prod(res.d):
-                    return CriterionResult(
-                        1, "snf_correctness", False, 10.0,
-                        time.perf_counter() - start,
-                        f"trial {trial}: oracle order {order} != {prod(res.d)}",
-                    )
+                    return False, f"trial {trial}: oracle order {order} != {prod(res.d)}"
                 oracle_checked += 1
-    return CriterionResult(
-        1, "snf_correctness", True, 10.0, time.perf_counter() - start,
-        f"500 matrices verified, {oracle_checked} against the coset oracle",
-    )
+    return True, f"500 matrices verified, {oracle_checked} against the coset oracle"
 
 
 # ---------------------------------------------------------------------------
@@ -147,23 +156,15 @@ def criterion_1_snf(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_2_surfaces(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(2, "surface_calculus", 30.0)
+def criterion_2_surfaces(seed: int = 0):
     for g in range(4):
         for b in range(4):
             s = build_standard(g, b)
             if s.classify() != DiffeoClass.connected(g, b):
-                return CriterionResult(
-                    2, "surface_calculus", False, 30.0,
-                    time.perf_counter() - start,
-                    f"classify(build_standard({g},{b})) = {s.classify()}",
-                )
+                return False, f"classify(build_standard({g},{b})) = {s.classify()}"
             if s.euler_characteristic() != 2 - 2 * g - b:
-                return CriterionResult(
-                    2, "surface_calculus", False, 30.0,
-                    time.perf_counter() - start,
-                    f"chi(build_standard({g},{b})) wrong",
-                )
+                return False, f"chi(build_standard({g},{b})) wrong"
     rng = random.Random(seed)
     classes = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2)]
     trips = 0
@@ -186,15 +187,9 @@ def criterion_2_surfaces(seed: int = 0) -> CriterionResult:
             or back.euler_characteristic() != s.euler_characteristic()
             or sorted(len(c) for c in back.boundary_cycles) != fingerprint
         ):
-            return CriterionResult(
-                2, "surface_calculus", False, 30.0, time.perf_counter() - start,
-                f"round trip {trips} on ({g},{b}) broke an invariant",
-            )
+            return False, f"round trip {trips} on ({g},{b}) broke an invariant"
         trips += 1
-    return CriterionResult(
-        2, "surface_calculus", True, 30.0, time.perf_counter() - start,
-        "library classified, 200 cut/paste round trips clean",
-    )
+    return True, "library classified, 200 cut/paste round trips clean"
 
 
 # ---------------------------------------------------------------------------
@@ -202,24 +197,18 @@ def criterion_2_surfaces(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_3_two_tori(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(3, "two_tori_relation", 60.0)
+def criterion_3_two_tori(seed: int = 0):
     m = disjoint_union(build_standard(2, 0), build_standard(0, 0))
     n = disjoint_union(build_standard(1, 0), build_standard(1, 0))
     dec = decide_equivalent(m, n)
     if not dec.equivalent:
-        return CriterionResult(
-            3, "two_tori_relation", False, 60.0, time.perf_counter() - start,
-            "equivalence decision failed",
-        )
+        return False, "equivalence decision failed"
     witness = find_witness(m, n, budget=6)
     replayed = replay_witness(witness)
     target = DiffeoClass.from_pairs([(1, 0), (1, 0)])
     ok = len(witness.steps) <= 6 and replayed == target
-    return CriterionResult(
-        3, "two_tori_relation", ok, 60.0, time.perf_counter() - start,
-        f"witness of {len(witness.steps)} moves replays to {replayed.label()}",
-    )
+    return ok, f"witness of {len(witness.steps)} moves replays to {replayed.label()}"
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +216,12 @@ def criterion_3_two_tori(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_4_k0(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(4, "k0_equals_sk", 60.0)
+def criterion_4_k0(seed: int = 0):
     for caps in (Caps(2, 2, 2), Caps(3, 3, 3), Caps(4, 3, 3)):
         res = k0_of_surfaces(caps)
         if res.free_rank != 2 or res.torsion:
-            return CriterionResult(
-                4, "k0_equals_sk", False, 60.0, time.perf_counter() - start,
-                f"caps {caps}: invariants ({res.free_rank}, {res.torsion})",
-            )
+            return False, f"caps {caps}: invariants ({res.free_rank}, {res.torsion})"
         by_coord: dict = {}
         by_chib: dict = {}
         for cls in res.instance.classes:
@@ -245,10 +231,7 @@ def criterion_4_k0(seed: int = 0) -> CriterionResult:
         part1 = sorted(frozenset(v) for v in by_coord.values())
         part2 = sorted(frozenset(v) for v in by_chib.values())
         if part1 != part2:
-            return CriterionResult(
-                4, "k0_equals_sk", False, 60.0, time.perf_counter() - start,
-                f"caps {caps}: (chi, boundary) is not a complete coordinate invariant",
-            )
+            return False, f"caps {caps}: (chi, boundary) is not a complete coordinate invariant"
         group = res.group
         ngen = len(group.generators)
         s2 = group.generator_index[DiffeoClass.connected(0, 0).label()]
@@ -258,14 +241,8 @@ def criterion_4_k0(seed: int = 0) -> CriterionResult:
             want = group.element_normal_form(vec)
             got = res.coordinate_of(DiffeoClass.connected(g, 0))
             if want != got:
-                return CriterionResult(
-                    4, "k0_equals_sk", False, 60.0, time.perf_counter() - start,
-                    f"caps {caps}: genus-{g} class is not (1-{g}) times the sphere",
-                )
-    return CriterionResult(
-        4, "k0_equals_sk", True, 60.0, time.perf_counter() - start,
-        "rank 2, torsion-free, (chi, boundary) complete, genus line exact at all caps",
-    )
+                return False, f"caps {caps}: genus-{g} class is not (1-{g}) times the sphere"
+    return True, "rank 2, torsion-free, (chi, boundary) complete, genus line exact at all caps"
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +250,12 @@ def criterion_4_k0(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_5_exact_sequence(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(5, "exact_sequence", 60.0)
+def criterion_5_exact_sequence(seed: int = 0):
     for caps in (Caps(2, 2, 2), Caps(3, 3, 3)):
         rep = verify_exact_sequence(caps)
         if not rep.passed:
-            return CriterionResult(
-                5, "exact_sequence", False, 60.0, time.perf_counter() - start,
-                f"caps {caps}: " + "; ".join(rep.to_lines()),
-            )
+            return False, f"caps {caps}: " + "; ".join(rep.to_lines())
     pairs = 0
     types = [(g, b) for g in range(4) for b in range(4)]
     for m1, m2 in itertools.combinations_with_replacement(types, 2):
@@ -289,10 +263,7 @@ def criterion_5_exact_sequence(seed: int = 0) -> CriterionResult:
             continue
         w = doubling_witness(build_standard(*m1), build_standard(*m2))
         if not w.certified:
-            return CriterionResult(
-                5, "exact_sequence", False, 60.0, time.perf_counter() - start,
-                f"doubling witness failed for {m1} vs {m2}",
-            )
+            return False, f"doubling witness failed for {m1} vs {m2}"
         pairs += 1
     # a few disconnected samples
     samples = [
@@ -306,15 +277,9 @@ def criterion_5_exact_sequence(seed: int = 0) -> CriterionResult:
         sb, _ = library_for_class(cb)
         w = doubling_witness(sa, sb)
         if not w.certified:
-            return CriterionResult(
-                5, "exact_sequence", False, 60.0, time.perf_counter() - start,
-                f"doubling witness failed for {ca.label()} vs {cb.label()}",
-            )
+            return False, f"doubling witness failed for {ca.label()} vs {cb.label()}"
         pairs += 1
-    return CriterionResult(
-        5, "exact_sequence", True, 60.0, time.perf_counter() - start,
-        f"exactness at both cap levels, {pairs} doubling certificates",
-    )
+    return True, f"exactness at both cap levels, {pairs} doubling certificates"
 
 
 # ---------------------------------------------------------------------------
@@ -322,8 +287,8 @@ def criterion_5_exact_sequence(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_6_chain_level(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(6, "chain_level", 60.0)
+def criterion_6_chain_level(seed: int = 0):
     rng = random.Random(seed)
     classes = [(0, 0), (1, 0), (2, 0), (1, 1), (0, 2), (2, 1), (1, 2)]
     squares = 0
@@ -344,16 +309,10 @@ def criterion_6_chain_level(seed: int = 0) -> CriterionResult:
         q = square_from_circles(lib.surface, chosen)
         rep = functor_on_square(q)
         if not rep.passed:
-            return CriterionResult(
-                6, "chain_level", False, 60.0, time.perf_counter() - start,
-                f"square on ({g},{b}) failed at degree {rep.failing_degree}",
-            )
+            return False, f"square on ({g},{b}) failed at degree {rep.failing_degree}"
         squares += 1
     if squares < 50:
-        return CriterionResult(
-            6, "chain_level", False, 60.0, time.perf_counter() - start,
-            f"only {squares} squares generated",
-        )
+        return False, f"only {squares} squares generated"
     # commutation on generators and on move outputs
     samples = [build_standard(g, b) for g in range(4) for b in range(4)]
     from .surface import library_for_class
@@ -367,14 +326,8 @@ def criterion_6_chain_level(seed: int = 0) -> CriterionResult:
     )
     for s in samples:
         if chains_of(s).k0_class() != s.euler_characteristic():
-            return CriterionResult(
-                6, "chain_level", False, 60.0, time.perf_counter() - start,
-                f"k0 class disagrees with chi on {s.classify().label()}",
-            )
-    return CriterionResult(
-        6, "chain_level", True, 60.0, time.perf_counter() - start,
-        f"{squares} gluing squares verified, k0 = chi on {len(samples)} samples",
-    )
+            return False, f"k0 class disagrees with chi on {s.classify().label()}"
+    return True, f"{squares} gluing squares verified, k0 = chi on {len(samples)} samples"
 
 
 # ---------------------------------------------------------------------------
@@ -382,24 +335,17 @@ def criterion_6_chain_level(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_7_collapse(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(7, "cylinder_collapse", 10.0)
+def criterion_7_collapse(seed: int = 0):
     checked = 0
     for k in (1, 2, 3):
         identity = tuple(range(k))
         for phi in itertools.permutations(range(k)):
             rep = skk_collapse_check(k, identity, phi)
             if not rep.certified:
-                return CriterionResult(
-                    7, "cylinder_collapse", False, 10.0,
-                    time.perf_counter() - start,
-                    f"pairing {phi} on {k} circles does not collapse",
-                )
+                return False, f"pairing {phi} on {k} circles does not collapse"
             checked += 1
-    return CriterionResult(
-        7, "cylinder_collapse", True, 10.0, time.perf_counter() - start,
-        f"{checked} pairings certified for up to three circles",
-    )
+    return True, f"{checked} pairings certified for up to three circles"
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +353,8 @@ def criterion_7_collapse(seed: int = 0) -> CriterionResult:
 # ---------------------------------------------------------------------------
 
 
-def criterion_8_engine_sanity(seed: int = 0) -> CriterionResult:
-    start = time.perf_counter()
+@_criterion(8, "k0_engine_sanity", 10.0)
+def criterion_8_engine_sanity(seed: int = 0):
     rng = random.Random(seed)
     for trial in range(100):
         n = rng.randint(2, 6)
@@ -423,22 +369,13 @@ def criterion_8_engine_sanity(seed: int = 0) -> CriterionResult:
         extra = (a, b, a, b) if rng.random() < 0.5 else (a, a, b, b)
         p2 = SquaresPresentation(objects, 0, squares + (extra,))
         if k0_presentation(p2).quotient_invariants() != inv:
-            return CriterionResult(
-                8, "k0_engine_sanity", False, 10.0, time.perf_counter() - start,
-                f"trial {trial}: degenerate square changed the invariants",
-            )
+            return False, f"trial {trial}: degenerate square changed the invariants"
         shuffled = list(squares)
         rng.shuffle(shuffled)
         p3 = SquaresPresentation(objects, 0, tuple(shuffled))
         if k0_presentation(p3).quotient_invariants() != inv:
-            return CriterionResult(
-                8, "k0_engine_sanity", False, 10.0, time.perf_counter() - start,
-                f"trial {trial}: permuting squares changed the invariants",
-            )
-    return CriterionResult(
-        8, "k0_engine_sanity", True, 10.0, time.perf_counter() - start,
-        "100 presentations stable under degenerate squares and permutation",
-    )
+            return False, f"trial {trial}: permuting squares changed the invariants"
+    return True, "100 presentations stable under degenerate squares and permutation"
 
 
 ALL_CRITERIA = (

@@ -2,9 +2,10 @@
 
 Complexes are given by their ranks per degree and exact integer boundary
 matrices (rows index degree n-1, columns degree n); the composite of two
-consecutive boundaries must vanish identically.  Homology and the cokernel
-torsion test of chain maps run on ``abgroup._Analysis``, the lattice kernel
-that also diagonalizes group presentations.
+consecutive boundaries must vanish identically.  Homology and the
+injectivity and cokernel torsion tests of chain maps run on
+``abgroup._Analysis``, the lattice kernel that also diagonalizes group
+presentations.
 
 Homology first shrinks the complex by eliminating pairs of cells joined by
 a +-1 entry: free-face collapses and coreductions, which cause no fill-in,
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
-from .abgroup import IntMatrix, IntegerLattice, _Analysis, require_json_ints, smith_normal_form
+from .abgroup import IntMatrix, _Analysis, require_json_ints, smith_normal_form
 
 
 class ChainComplexError(ValueError):
@@ -279,19 +280,18 @@ class ChainMap:
         return self.mats[n - self.source.lo]
 
     @cached_property
-    def levelwise_injective(self) -> bool:
-        for m in self.mats:
-            if m.cols == 0:
-                continue
-            lat = IntegerLattice(m.rows)
-            if sum(lat.add(col) for col in m.columns) != m.cols:
-                return False
-        return True
+    def _analyses(self) -> tuple[_Analysis, ...]:
+        """The lattice spanned by each level's image columns."""
+        return tuple(_Analysis(m.rows, m.columns) for m in self.mats)
 
-    @cached_property
+    @property
+    def levelwise_injective(self) -> bool:
+        return all(x.lattice.rank == m.cols for x, m in zip(self._analyses, self.mats))
+
+    @property
     def cokernel_torsion_free(self) -> bool:
         """True when every level's cokernel is torsion-free (split injection)."""
-        return not any(_Analysis(m.rows, m.columns).torsion for m in self.mats)
+        return not any(x.torsion for x in self._analyses)
 
     def is_monomial_injection(self) -> bool:
         """Each column hits exactly one row, with a unit, rows distinct."""
@@ -478,15 +478,18 @@ def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
 
     Returns a levelwise-free model: the honest quotient (B (+) C)/A when the
     quotient stays free, otherwise the mapping cone of A -> B (+) C, which
-    is quasi-isomorphic to the pushout because f is injective.
+    is quasi-isomorphic to the pushout because f is injective.  A monomial
+    injection is injective by its shape, so that case is tested first.
     """
     if f.source != g.source:
         raise ChainComplexError("pushout legs must share their source")
-    if not f.levelwise_injective:
-        raise ChainComplexError("first leg must be levelwise injective (a cofibration)")
     a = f.source
     b = f.target
     c = g.target
+    if f.is_monomial_injection():
+        return _pushout_monomial(f, g, a, b, c)
+    if not f.levelwise_injective:
+        raise ChainComplexError("first leg must be levelwise injective (a cofibration)")
 
     def stacked(n: int) -> IntMatrix:
         """h_n = (f_n, -g_n): A_n -> B_n (+) C_n."""
@@ -494,8 +497,6 @@ def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
         cols = ({**fc, **_shift(gc, fm.rows, -1)} for fc, gc in zip(fm.columns, gm.columns))
         return IntMatrix.from_columns(fm.rows + gm.rows, fm.cols, cols)
 
-    if f.is_monomial_injection():
-        return _pushout_monomial(f, g, a, b, c)
     bc = b.direct_sum(c)
     if f.cokernel_torsion_free:
         return _pushout_snf(f, g, a, b, c, bc, stacked)
@@ -553,58 +554,37 @@ def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
     return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="quotient")
 
 
-def _matrix_or_zero(rows, nrows, ncols) -> IntMatrix:
-    if nrows == 0 or ncols == 0:
-        return IntMatrix.zeros(nrows, ncols)
-    return IntMatrix.from_rows(rows)
-
-
 def _pushout_snf(f, g, a, b, c, bc, stacked) -> PushoutResult:
     """General split case: diagonalize the relation columns h_n = (f, -g)
-    and quotient out the unit directions."""
+    and quotient out the unit directions.  U h V = diag(1, .., 1) with
+    r = rank A_n ones, so the last m - r Smith coordinates are a basis of
+    the quotient: the projection is rows r.. of U, a section of it is
+    columns r.. of U_inv, and the maps from B and C are the projection's
+    first rank B_n columns and the rest."""
     lo, hi = a.lo, a.hi
     projections = []
     sections = []
-    ranks = []
     for n in range(lo, hi + 1):
         h = stacked(n)  # (rankB+rankC) x rankA
-        m = h.rows
-        r = h.cols
-        if r == 0:
-            proj = IntMatrix.identity(m)
-            sect = IntMatrix.identity(m)
-            ranks.append(m)
-            projections.append(proj)
-            sections.append(sect)
-            continue
+        m, r = h.rows, h.cols
         snf = smith_normal_form(h)
-        if any(d not in (0, 1) for d in snf.d) or any(d == 0 for d in snf.d):
+        if any(d != 1 for d in snf.d):
             raise ChainComplexError("internal: split pushout expected unit invariant factors")
-        u = snf.U
-        uinv = u.inverse_unimodular()
-        keep = list(range(r, m))
-        proj_rows = [list(u.row(i)) for i in keep]
-        proj = _matrix_or_zero(proj_rows, len(keep), m)
-        sect_rows = [[uinv.entry(i, j) for j in keep] for i in range(m)]
-        sect = _matrix_or_zero(sect_rows, m, len(keep))
-        ranks.append(len(keep))
-        projections.append(proj)
-        sections.append(sect)
+        cols = ({i - r: x for i, x in col.items() if i >= r} for col in snf.U.columns)
+        projections.append(IntMatrix.from_columns(m - r, m, cols))
+        sections.append(IntMatrix.from_columns(m, m - r, snf.U_inv.columns[r:]))
     bnds = []
     for n in range(lo + 1, hi + 1):
         k = n - lo
         d_bc = bc.boundary_at(n)
         bnds.append(projections[k - 1] * d_bc * sections[k])
-    p = ChainComplex(lo, hi, tuple(ranks), tuple(bnds))
+    p = ChainComplex(lo, hi, tuple(proj.rows for proj in projections), tuple(bnds))
     include_b = []
     include_c = []
-    for n in range(lo, hi + 1):
-        k = n - lo
-        rb, rc = b.rank_at(n), c.rank_at(n)
-        ib = [[1 if (i == j) else 0 for j in range(rb)] for i in range(rb + rc)]
-        ic = [[1 if (i == j + rb) else 0 for j in range(rc)] for i in range(rb + rc)]
-        include_b.append(projections[k] * _matrix_or_zero(ib, rb + rc, rb))
-        include_c.append(projections[k] * _matrix_or_zero(ic, rb + rc, rc))
+    for n, proj in zip(range(lo, hi + 1), projections):
+        rb = b.rank_at(n)
+        include_b.append(IntMatrix.from_columns(proj.rows, rb, proj.columns[:rb]))
+        include_c.append(IntMatrix.from_columns(proj.rows, c.rank_at(n), proj.columns[rb:]))
     map_b = ChainMap(b, p, tuple(include_b))
     map_c = ChainMap(c, p, tuple(include_c))
     return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="quotient")

@@ -217,8 +217,6 @@ def functor_on_square(q: SquareInstance) -> SquareReport:
     data_d = surface_chain_data(q.surface)
     f = inclusion_chain_map(data_a, data_b)
     g = inclusion_chain_map(data_a, data_c)
-    if not f.levelwise_injective:
-        raise SurfaceError("inclusion is not levelwise injective")
     res = pushout(f, g)
     hp = res.complex.homology()
     hd = data_d.complex.homology()

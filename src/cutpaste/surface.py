@@ -12,8 +12,11 @@ vertex) or a single path (boundary vertex).
 
 Everything is immutable; operations return new surfaces with canonically
 regenerated labels (breadth-first from the lexicographically least
-triangle), so equal constructions serialize identically, and a written
-surface parses back to itself.
+triangle), so equal constructions serialize identically.  A written
+surface in which no triangle repeats a vertex id parses back to itself.
+One with a repeated id need not: its parse may renumber it (see
+``_canonical_flat``), so it may take one more write and parse to reach
+the fixpoint.
 """
 
 from __future__ import annotations
@@ -568,17 +571,23 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     triangle's rotation.  Vertices are numbered by first appearance in that
     order and each triangle is rotated to its least rotation.
 
-    On a valid surface the result canonicalizes to itself: a triangle
-    entered across an edge brings at most one new vertex, so its rotation
-    leaves the first appearances in order, and a start with three distinct
-    ids is numbered m, m+1, m+2 in its own edge order, which is its least
-    rotation.  A start with a repeated id may be rotated, which moves its
-    edge order, so such a surface may need one more round trip.  When the
-    walk order, the first appearances and the rotations all come out as
-    the identity (every triangle's first id is less than its other two), the
-    input lists are already the canonical surface and are returned as they
-    are, with an identity ``RefMap``; the first-appearance and rotation
-    checks then read the triangles in file order.
+    On a valid surface in which no triangle repeats a vertex id, the result
+    canonicalizes to itself: a triangle entered across an edge brings at
+    most one new vertex, so its rotation leaves the first appearances in
+    order; a start is numbered m, m+1, m+2 in its own edge order, which is
+    its least rotation; and every other triangle of its component, and of
+    later ones, sorts after it.  A repeated id breaks the last two.  A
+    triangle whose least rotation repeats an id, such as (0, 0, 2) or
+    (0, 1, 1), sorts before a start (0, 1, 2) of its component, so the next
+    canonicalization starts from it; and a start with a repeated id may be
+    rotated, which moves its edge order.  Such a surface may need one more
+    round trip.
+
+    When the walk order, the first appearances and the rotations all come
+    out as the identity (every triangle's first id is less than its other
+    two), the input lists are already the canonical surface and are
+    returned as they are, with an identity ``RefMap``; the first-appearance
+    and rotation checks then read the triangles in file order.
 
     The surface stores the canonical partner list the walk ends with as
     ``partners``, and where each component's block of triangles starts as

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cutpaste.abgroup import IntMatrix
-from cutpaste.chains import ChainComplex
+from cutpaste.chains import ChainComplex, ChainMap
 from cutpaste.euler_functor import (
     SquareInstance,
     chains_of,
@@ -204,7 +204,7 @@ def test_pi0_naturality_equal_coordinates_imply_equal_k0():
 
 
 def test_acyclic_complex_has_zero_k0():
-    from cutpaste.chains import ChainComplex
+    from cutpaste.chains import ChainComplex, ChainMap
 
     acyclic = ChainComplex.make(0, 1, (2, 2), [[[1, 0], [0, 1]]])
     assert acyclic.k0_class() == 0
@@ -284,13 +284,20 @@ def test_square_json_round_trip_renumbers_subsets():
 
 def test_monomial_pushout_builds_no_direct_sum(monkeypatch):
     """Only the Smith and cone pushouts read B (+) C; the monomial quotient
-    taken by every surface square must not build it."""
+    taken by every surface square must not build it.  Nor does it
+    diagonalize the inclusions: a monomial injection is injective by its
+    shape, and its cokernel is free."""
     lib = standard_library(1, 2)
     q = square_from_circles(lib.surface, lib.nulls[:2])
 
     def direct_sum(self, other):
         raise AssertionError("B (+) C was built")
 
+    def diagonalized(self):
+        raise AssertionError("an inclusion was diagonalized")
+
     monkeypatch.setattr(ChainComplex, "direct_sum", direct_sum)
+    monkeypatch.setattr(ChainMap, "levelwise_injective", property(diagonalized))
+    monkeypatch.setattr(ChainMap, "cokernel_torsion_free", property(diagonalized))
     rep = functor_on_square(q)
     assert rep.passed and rep.pushout_model == "quotient"

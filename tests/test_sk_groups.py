@@ -156,7 +156,6 @@ def test_caps_requests_build_no_dense_relation(monkeypatch):
 
     monkeypatch.setattr(AbGroupPresentation, "relations", property(dense))
     monkeypatch.setattr(IntMatrix, "entries", property(dense))
-    monkeypatch.setattr(IntMatrix, "row", dense)
     caches = (surface_squares_presentation, closed_sk_presentation)
     for f in caches:
         f.cache_clear()
