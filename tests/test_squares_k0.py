@@ -1,6 +1,7 @@
 """Tests for the K0-of-squares engine and the truncated surface instance."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -251,6 +252,169 @@ def test_skipped_when_no_coproduct_tables():
     axiom1 = next(c for c in report.checks if c.name.startswith("axiom1"))
     assert axiom1.status == "skipped"
     assert report.passed  # skips do not fail the report
+
+
+def _dropped(table: dict, key) -> dict:
+    return {k: v for k, v in table.items() if k != key}
+
+
+def _updated(table: dict, key, value) -> dict:
+    return {**table, key: value}
+
+
+CHECK_NAMES = (
+    "identities_well_formed",
+    "composition_total",
+    "composition_associative",
+    "identity_laws",
+    "cof_subcategory_closed",
+    "fib_subcategory_closed",
+    "axiom1_squares_closed_under_coproducts",
+    "axiom2_squares_commute",
+    "axiom2_squares_compose",
+    "axiom3_isos_in_both_subcategories",
+    "axiom4_iso_squares_distinguished",
+    "basepoint_initial_or_terminal_in_cof",
+    "basepoint_initial_or_terminal_in_fib",
+    "coproduct_squares_exist",
+)
+
+# One small mutation of poset_category() per check, aimed at that check, and
+# every check the mutation fails with its detail: the first violation in the
+# checker's loop order.  Morphisms are indexed 0 O->O, 1 O->A, 2 O->B,
+# 3 O->S, 4 A->A, 5 A->S, 6 B->B, 7 B->S, 8 S->S.
+LEMMA_MUTATIONS = {
+    "identities_well_formed": (
+        lambda c: replace(c, identities=(1,) + c.identities[1:]),
+        {
+            "identities_well_formed": "identity of object 0 has wrong endpoints",
+            "identity_laws": "O->O * id != O->O",
+        },
+    ),
+    "composition_total": (
+        lambda c: replace(c, composition=_dropped(c.composition, (5, 1))),
+        {
+            "composition_total": "missing composite A->S*O->A",
+            "cof_subcategory_closed": "A->S*O->A escapes",
+            "fib_subcategory_closed": "A->S*O->A escapes",
+            "axiom2_squares_commute": "square (1, 3, 5, 8) does not commute",
+        },
+    ),
+    "composition_associative": (
+        lambda c: replace(c, composition=_updated(c.composition, (5, 1), 2)),
+        {
+            "composition_total": "composite A->S*O->A has wrong endpoints",
+            "composition_associative": "(S->SA->S)O->A != S->S(A->SO->A)",
+            "axiom2_squares_commute": "square (1, 3, 5, 8) does not commute",
+            "axiom2_squares_compose": "horizontal composite of (1, 3, 5, 8),(5, 5, 8, 8) missing",
+        },
+    ),
+    "identity_laws": (
+        lambda c: replace(c, composition=_updated(c.composition, (4, 1), 3)),
+        {
+            "composition_total": "composite A->A*O->A has wrong endpoints",
+            "composition_associative": "(A->AA->A)O->A != A->A(A->AO->A)",
+            "identity_laws": "id * O->A != O->A",
+            "axiom2_squares_commute": "square (1, 0, 4, 1) does not commute",
+            "axiom2_squares_compose": "horizontal composite of (1, 3, 5, 8),(4, 5, 5, 8) missing",
+        },
+    ),
+    "cof_subcategory_closed": (
+        lambda c: replace(c, cof=c.cof - {3}),
+        {
+            "cof_subcategory_closed": "A->S*O->A escapes",
+            "axiom2_squares_commute": "square (3, 1, 8, 5): horizontals not cofibrations",
+            "basepoint_initial_or_terminal_in_cof": "basepoint neither initial nor terminal",
+        },
+    ),
+    "fib_subcategory_closed": (
+        lambda c: replace(c, fib=c.fib - {3}),
+        {
+            "fib_subcategory_closed": "A->S*O->A escapes",
+            "axiom2_squares_commute": "square (2, 3, 7, 8): verticals not cofiber maps",
+            "basepoint_initial_or_terminal_in_fib": "basepoint neither initial nor terminal",
+        },
+    ),
+    "axiom1_squares_closed_under_coproducts": (
+        lambda c: replace(c, morphism_coproducts=_updated(c.morphism_coproducts, (0, 0), 1)),
+        {
+            "axiom1_squares_closed_under_coproducts": (
+                "coproduct of (0, 2, 2, 6) and (0, 2, 2, 6) not distinguished"
+            ),
+        },
+    ),
+    "axiom2_squares_commute": (
+        lambda c: replace(c, squares=c.squares | {(1, 0, 0, 1)}),
+        {
+            "axiom1_squares_closed_under_coproducts": (
+                "coproduct of (2, 3, 7, 8) and (1, 0, 0, 1) not distinguished"
+            ),
+            "axiom2_squares_commute": "square (1, 0, 0, 1) malformed",
+        },
+    ),
+    "axiom2_squares_compose": (
+        lambda c: replace(c, squares=c.squares - {(0, 1, 3, 5)}),
+        {
+            "axiom1_squares_closed_under_coproducts": (
+                "coproduct of (0, 0, 2, 2) and (0, 1, 1, 4) not distinguished"
+            ),
+            "axiom2_squares_compose": "vertical composite of (0, 0, 1, 1),(1, 1, 5, 5) missing",
+        },
+    ),
+    "axiom3_isos_in_both_subcategories": (
+        lambda c: replace(c, cof=c.cof - {8}),
+        {
+            "cof_subcategory_closed": "identity of object 3 missing",
+            "axiom2_squares_commute": "square (2, 3, 7, 8): horizontals not cofibrations",
+            "axiom3_isos_in_both_subcategories": "isomorphism S->S missing",
+        },
+    ),
+    "axiom4_iso_squares_distinguished": (
+        lambda c: replace(c, squares=c.squares - {(0, 1, 1, 4)}),
+        {
+            "axiom2_squares_compose": "vertical composite of (0, 0, 1, 1),(1, 1, 4, 4) missing",
+            "axiom4_iso_squares_distinguished": (
+                "commuting square (O->O,O->A,O->A,A->A) with iso pair not distinguished"
+            ),
+        },
+    ),
+    "basepoint_initial_or_terminal_in_cof": (
+        lambda c: replace(c, cof=c.cof - {1}),
+        {
+            "axiom2_squares_commute": "square (1, 3, 5, 8): horizontals not cofibrations",
+            "basepoint_initial_or_terminal_in_cof": "basepoint neither initial nor terminal",
+        },
+    ),
+    "basepoint_initial_or_terminal_in_fib": (
+        lambda c: replace(c, fib=c.fib - {2}),
+        {
+            "axiom2_squares_commute": "square (0, 2, 2, 6): verticals not cofiber maps",
+            "basepoint_initial_or_terminal_in_fib": "basepoint neither initial nor terminal",
+        },
+    ),
+    "coproduct_squares_exist": (
+        lambda c: replace(c, squares=c.squares - {(1, 2, 5, 7)}),
+        {
+            "axiom1_squares_closed_under_coproducts": (
+                "coproduct of (0, 2, 2, 6) and (1, 0, 4, 1) not distinguished"
+            ),
+            "axiom2_squares_compose": "horizontal composite of (0, 2, 3, 7),(1, 3, 5, 8) missing",
+            "coproduct_squares_exist": "no coproduct squares for pair (A,B)",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("target", CHECK_NAMES)
+def test_each_lemma_check_reports_its_first_violation(target):
+    mutate, failures = LEMMA_MUTATIONS[target]
+    assert target in failures
+    report = check_lemma_hypotheses(mutate(poset_category()))
+    assert report.to_lines() == [
+        f"check={name} status=FAIL detail={failures[name]}" if name in failures
+        else f"check={name} status=PASS"
+        for name in CHECK_NAMES
+    ] + ["hypotheses=FAIL"]
 
 
 # ---------------------------------------------------------------------------
