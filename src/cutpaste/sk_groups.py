@@ -13,7 +13,10 @@ circle: closed classes include into with-boundary classes, and a
 with-boundary class maps to its total boundary circle count.  Exactness is
 verified lattice-exactly at the truncation, with a constructive doubling
 witness for the middle-kernel argument: for M, N with diffeomorphic
-boundaries, [M] - [N] = [double of M] - [N glued to reversed M].
+boundaries, [M] - [N] = [double of M] - [N glued to reversed M].  That
+witness, the equivalence decision and the cylinder regluing collapse read
+(chi, b) coordinates, which the with-boundary group maps injectively at
+every caps, so they build no group and have no class ceiling.
 
 Move witnesses are sequences of cut-and-paste operations over a canonical
 circle family (handle seams and disk-bounding circles of the standard
@@ -323,11 +326,10 @@ def glue_to_mirror(n: TriSurface, m: TriSurface) -> TriSurface:
     place = b.add_surface(m, mirrored=True)
     n_cycles = [list(cyc) for cyc in n.boundary_cycles]
     m_cycles = [[place(r) for r in cyc] for cyc in m.boundary_cycles]
-    all_lists = n_cycles + m_cycles
     for left, right in zip(n_cycles, m_cycles):
         target = max(len(left), len(right))
-        _refine_cycle_raw(b, left, target, [l for l in all_lists if l is not left])
-        _refine_cycle_raw(b, right, target, [l for l in all_lists if l is not right])
+        _refine_cycle_raw(b, left, target)
+        _refine_cycle_raw(b, right, target)
     for left, right in zip(n_cycles, m_cycles):
         lcyc = _order_cycle(b.endpoints, left)
         rcyc = _order_cycle(b.endpoints, right)
@@ -357,17 +359,18 @@ class DoublingWitness:
         ]
 
 
-def _covering_caps(classes) -> Caps:
-    """The least caps of at least (2,2,2) that hold every class."""
-    pairs = [(2, 2)] + [p for c in classes for p in c.components]
-    k = max([2] + [c.component_count for c in classes])
-    return Caps(max(g for g, _ in pairs), max(b for _, b in pairs), k)
+def _chi_b(plus: DiffeoClass, minus: DiffeoClass) -> tuple[int, int]:
+    """The (chi, b) coordinates of [plus] - [minus] in the with-boundary
+    group, which (chi, b) maps injectively at every caps (see
+    ``decide_equivalent``)."""
+    return plus.chi - minus.chi, plus.boundary_circles - minus.boundary_circles
 
 
 def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
     """Constructive middle-kernel witness: builds the double DM and the
     cross-gluing L = N glued to reversed M, then certifies
-    [M] - [N] = [DM] - [L] in with-boundary coordinates."""
+    [M] - [N] = [DM] - [L] in (chi, b) coordinates.  No group is built, so
+    no class ceiling applies."""
     if m.boundary_circle_count() != n.boundary_circle_count():
         raise SurfaceError(
             "boundaries are not diffeomorphic (circle counts differ)"
@@ -376,15 +379,12 @@ def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
     glued = glue_to_mirror(n, m)
     cls_m, cls_n = m.classify(), n.classify()
     cls_dm, cls_l = dm.classify(), glued.classify()
-    pres = boundary_sk_presentation(_covering_caps([cls_m, cls_n, cls_dm, cls_l]))
-    lhs = pres.group.element_normal_form(pres.vector_of([(cls_m, 1), (cls_n, -1)]))
-    rhs = pres.group.element_normal_form(pres.vector_of([(cls_dm, 1), (cls_l, -1)]))
     return DoublingWitness(
         original=cls_m,
         other=cls_n,
         double=cls_dm,
         glued=cls_l,
-        difference_matches=lhs == rhs,
+        difference_matches=_chi_b(cls_m, cls_n) == _chi_b(cls_dm, cls_l),
     )
 
 
@@ -597,8 +597,10 @@ def skk_collapse_check(
     second_offsets=None,
 ) -> CylinderRegluingReport:
     """Certify that regluing cylinder stacks by two different pairings gives
-    the same class, so the controlled-regluing difference terms vanish and
-    the refined relation collapses onto the plain cut-and-paste relation."""
+    the same class, with equal (chi, b) coordinates, so the
+    controlled-regluing difference terms vanish and the refined relation
+    collapses onto the plain cut-and-paste relation.  No group is built, so
+    no class ceiling applies."""
     k = int(circle_count)
     if k < 1:
         raise ValueError("need at least one circle")
@@ -610,14 +612,11 @@ def skk_collapse_check(
     s1 = _glue_cylinder_stacks(k, first, first_offsets)
     s2 = _glue_cylinder_stacks(k, second, second_offsets)
     c1, c2 = s1.classify(), s2.classify()
-    caps = _covering_caps([c1, c2])
-    pres = boundary_sk_presentation(caps)
-    diff = pres.group.element_normal_form(pres.vector_of([(c1, 1), (c2, -1)]))
     return CylinderRegluingReport(
         circle_count=k,
         first_pairing=first,
         second_pairing=second,
         first_class=c1,
         second_class=c2,
-        coordinates_equal=diff.is_zero(),
+        coordinates_equal=_chi_b(c1, c2) == (0, 0),
     )

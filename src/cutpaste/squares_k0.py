@@ -171,263 +171,172 @@ def _isomorphisms(cat: FiniteSquaresCategory) -> set[int]:
 
 def check_lemma_hypotheses(cat: FiniteSquaresCategory) -> HypothesisReport:
     """Exhaustively verify the squares-category axioms and the side
-    conditions of the K0 presentation on the finite data, reporting a
-    witness for each failure."""
-    checks: list[CheckResult] = []
+    conditions of the K0 presentation on the finite data.  Each check
+    returns its first violation, in its loop order, as the failure's
+    witness, or None when it passes; axiom 1 is skipped without coproduct
+    tables."""
     mor = cat.morphisms
-
-    def add(name, ok, detail=""):
-        checks.append(CheckResult(name, "pass" if ok else "fail", detail))
+    objects = range(len(cat.objects))
+    o = cat.basepoint
 
     # category sanity -------------------------------------------------------
-    ok, detail = True, ""
-    for i, obj_id in enumerate(cat.identities):
-        m = mor[obj_id]
-        if m.src != i or m.tgt != i:
-            ok, detail = False, f"identity of object {i} has wrong endpoints"
-            break
-    add("identities_well_formed", ok, detail)
+    def identities_well_formed():
+        for i, obj_id in enumerate(cat.identities):
+            m = mor[obj_id]
+            if m.src != i or m.tgt != i:
+                return f"identity of object {i} has wrong endpoints"
 
-    ok, detail = True, ""
-    for g_idx, g in enumerate(mor):
-        for f_idx, f in enumerate(mor):
-            if f.tgt == g.src:
-                gf = cat.compose(g_idx, f_idx)
-                if gf is None:
-                    ok, detail = False, f"missing composite {g.name}*{f.name}"
-                    break
-                h = mor[gf]
-                if h.src != f.src or h.tgt != g.tgt:
-                    ok, detail = False, f"composite {g.name}*{f.name} has wrong endpoints"
-                    break
-        if not ok:
-            break
-    add("composition_total", ok, detail)
-
-    ok, detail = True, ""
-    for h_idx, h in enumerate(mor):
+    def composition_total():
         for g_idx, g in enumerate(mor):
-            if g.tgt != h.src:
-                continue
             for f_idx, f in enumerate(mor):
-                if f.tgt != g.src:
+                if f.tgt == g.src:
+                    gf = cat.compose(g_idx, f_idx)
+                    if gf is None:
+                        return f"missing composite {g.name}*{f.name}"
+                    h = mor[gf]
+                    if h.src != f.src or h.tgt != g.tgt:
+                        return f"composite {g.name}*{f.name} has wrong endpoints"
+
+    def composition_associative():
+        for h_idx, h in enumerate(mor):
+            for g_idx, g in enumerate(mor):
+                if g.tgt != h.src:
                     continue
-                left = cat.compose(cat.compose(h_idx, g_idx), f_idx)
-                right = cat.compose(h_idx, cat.compose(g_idx, f_idx))
-                if left != right:
-                    ok = False
-                    detail = f"({h.name}{g.name}){f.name} != {h.name}({g.name}{f.name})"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    add("composition_associative", ok, detail)
+                for f_idx, f in enumerate(mor):
+                    if f.tgt != g.src:
+                        continue
+                    left = cat.compose(cat.compose(h_idx, g_idx), f_idx)
+                    right = cat.compose(h_idx, cat.compose(g_idx, f_idx))
+                    if left != right:
+                        return f"({h.name}{g.name}){f.name} != {h.name}({g.name}{f.name})"
 
-    ok, detail = True, ""
-    for f_idx, f in enumerate(mor):
-        if cat.compose(f_idx, cat.identities[f.src]) != f_idx:
-            ok, detail = False, f"{f.name} * id != {f.name}"
-            break
-        if cat.compose(cat.identities[f.tgt], f_idx) != f_idx:
-            ok, detail = False, f"id * {f.name} != {f.name}"
-            break
-    add("identity_laws", ok, detail)
+    def identity_laws():
+        for f_idx, f in enumerate(mor):
+            if cat.compose(f_idx, cat.identities[f.src]) != f_idx:
+                return f"{f.name} * id != {f.name}"
+            if cat.compose(cat.identities[f.tgt], f_idx) != f_idx:
+                return f"id * {f.name} != {f.name}"
 
-    for name, sub in (("cof_subcategory", cat.cof), ("fib_subcategory", cat.fib)):
-        ok, detail = True, ""
-        for i in range(len(cat.objects)):
+    def subcategory_closed(sub):
+        for i in objects:
             if cat.identities[i] not in sub:
-                ok, detail = False, f"identity of object {i} missing"
-                break
-        if ok:
-            for g_idx in sub:
-                for f_idx in sub:
-                    if mor[f_idx].tgt == mor[g_idx].src:
-                        if cat.compose(g_idx, f_idx) not in sub:
-                            ok = False
-                            detail = f"{mor[g_idx].name}*{mor[f_idx].name} escapes"
-                            break
-                if not ok:
-                    break
-        add(name + "_closed", ok, detail)
+                return f"identity of object {i} missing"
+        for g_idx in sub:
+            for f_idx in sub:
+                if mor[f_idx].tgt == mor[g_idx].src and cat.compose(g_idx, f_idx) not in sub:
+                    return f"{mor[g_idx].name}*{mor[f_idx].name} escapes"
 
-    # axiom 1: coproducts and closure of squares under them -----------------
-    if cat.coproducts is None or cat.morphism_coproducts is None:
-        checks.append(
-            CheckResult(
-                "axiom1_squares_closed_under_coproducts",
-                "skipped",
-                "no coproduct tables provided",
-            )
-        )
-    else:
-        ok, detail = True, ""
+    # axiom 1: closure of squares under coproducts --------------------------
+    def squares_closed_under_coproducts():
         for q1 in cat.squares:
             for q2 in cat.squares:
-                parts = []
-                missing = False
-                for m1, m2 in zip(q1, q2):
-                    mc = cat.morphism_coproducts.get((m1, m2))
-                    if mc is None:
-                        missing = True
-                        break
-                    parts.append(mc)
-                if missing:
-                    continue
-                if tuple(parts) not in cat.squares:
-                    ok = False
-                    detail = f"coproduct of {q1} and {q2} not distinguished"
-                    break
-            if not ok:
-                break
-        add("axiom1_squares_closed_under_coproducts", ok, detail)
+                parts = tuple(cat.morphism_coproducts.get(pair) for pair in zip(q1, q2))
+                if None not in parts and parts not in cat.squares:
+                    return f"coproduct of {q1} and {q2} not distinguished"
 
     # axiom 2: squares commute and compose ----------------------------------
-    ok, detail = True, ""
-    for top, left, right, bottom in cat.squares:
-        if (
-            mor[top].src != mor[left].src
-            or mor[top].tgt != mor[right].src
-            or mor[left].tgt != mor[bottom].src
-            or mor[right].tgt != mor[bottom].tgt
-        ):
-            ok, detail = False, f"square {(top, left, right, bottom)} malformed"
-            break
-        if top not in cat.cof or bottom not in cat.cof:
-            ok, detail = False, f"square {(top, left, right, bottom)}: horizontals not cofibrations"
-            break
-        if left not in cat.fib or right not in cat.fib:
-            ok, detail = False, f"square {(top, left, right, bottom)}: verticals not cofiber maps"
-            break
-        if cat.compose(right, top) != cat.compose(bottom, left):
-            ok, detail = False, f"square {(top, left, right, bottom)} does not commute"
-            break
-    add("axiom2_squares_commute", ok, detail)
+    def squares_commute():
+        for top, left, right, bottom in cat.squares:
+            square = (top, left, right, bottom)
+            if (
+                mor[top].src != mor[left].src
+                or mor[top].tgt != mor[right].src
+                or mor[left].tgt != mor[bottom].src
+                or mor[right].tgt != mor[bottom].tgt
+            ):
+                return f"square {square} malformed"
+            if top not in cat.cof or bottom not in cat.cof:
+                return f"square {square}: horizontals not cofibrations"
+            if left not in cat.fib or right not in cat.fib:
+                return f"square {square}: verticals not cofiber maps"
+            if cat.compose(right, top) != cat.compose(bottom, left):
+                return f"square {square} does not commute"
 
-    ok, detail = True, ""
-    for q1 in cat.squares:
-        for q2 in cat.squares:
-            # horizontal: q1 then q2 when q2's left edge is q1's right edge
-            if q2[1] == q1[2]:
-                comp = (
-                    cat.compose(q2[0], q1[0]),
-                    q1[1],
-                    q2[2],
-                    cat.compose(q2[3], q1[3]),
+    def squares_compose():
+        for q1 in cat.squares:
+            for q2 in cat.squares:
+                # horizontal: q1 then q2 when q2's left edge is q1's right edge
+                if q2[1] == q1[2]:
+                    comp = (cat.compose(q2[0], q1[0]), q1[1], q2[2], cat.compose(q2[3], q1[3]))
+                    if None not in comp and comp not in cat.squares:
+                        return f"horizontal composite of {q1},{q2} missing"
+                # vertical: q1 on top of q2 when q2's top edge is q1's bottom edge
+                if q2[0] == q1[3]:
+                    comp = (q1[0], cat.compose(q2[1], q1[1]), cat.compose(q2[2], q1[2]), q2[3])
+                    if None not in comp and comp not in cat.squares:
+                        return f"vertical composite of {q1},{q2} missing"
+
+    # axioms 3 and 4: isomorphisms ------------------------------------------
+    def isos_in_both_subcategories():
+        for i in _isomorphisms(cat):
+            if i not in cat.cof or i not in cat.fib:
+                return f"isomorphism {mor[i].name} missing"
+
+    def iso_squares_distinguished():
+        isos = _isomorphisms(cat)
+        for top, bottom, left, right in itertools.product(cat.cof, cat.cof, cat.fib, cat.fib):
+            tm, bm, lm, rm = mor[top], mor[bottom], mor[left], mor[right]
+            if (
+                tm.src == lm.src
+                and tm.tgt == rm.src
+                and lm.tgt == bm.src
+                and rm.tgt == bm.tgt
+                and cat.compose(right, top) == cat.compose(bottom, left)
+                and ((top in isos and bottom in isos) or (left in isos and right in isos))
+                and (top, left, right, bottom) not in cat.squares
+            ):
+                return (
+                    f"commuting square ({tm.name},{lm.name},"
+                    f"{rm.name},{bm.name}) with iso pair not distinguished"
                 )
-                if None not in comp and comp not in cat.squares:
-                    ok, detail = False, f"horizontal composite of {q1},{q2} missing"
-                    break
-            # vertical: q1 on top of q2 when q2's top edge is q1's bottom edge
-            if q2[0] == q1[3]:
-                comp = (
-                    q1[0],
-                    cat.compose(q2[1], q1[1]),
-                    cat.compose(q2[2], q1[2]),
-                    q2[3],
-                )
-                if None not in comp and comp not in cat.squares:
-                    ok, detail = False, f"vertical composite of {q1},{q2} missing"
-                    break
-        if not ok:
-            break
-    add("axiom2_squares_compose", ok, detail)
-
-    # axiom 3: isomorphisms in both subcategories ---------------------------
-    isos = _isomorphisms(cat)
-    missing = [i for i in isos if i not in cat.cof or i not in cat.fib]
-    add(
-        "axiom3_isos_in_both_subcategories",
-        not missing,
-        f"isomorphism {mor[missing[0]].name} missing" if missing else "",
-    )
-
-    # axiom 4: squares with iso horizontals or iso verticals distinguished --
-    ok, detail = True, ""
-    for top in cat.cof:
-        for bottom in cat.cof:
-            for left in cat.fib:
-                for right in cat.fib:
-                    tm, bm, lm, rm = mor[top], mor[bottom], mor[left], mor[right]
-                    if (
-                        tm.src != lm.src
-                        or tm.tgt != rm.src
-                        or lm.tgt != bm.src
-                        or rm.tgt != bm.tgt
-                    ):
-                        continue
-                    if cat.compose(right, top) != cat.compose(bottom, left):
-                        continue
-                    if (top in isos and bottom in isos) or (
-                        left in isos and right in isos
-                    ):
-                        if (top, left, right, bottom) not in cat.squares:
-                            ok = False
-                            detail = (
-                                f"commuting square ({tm.name},{lm.name},"
-                                f"{rm.name},{bm.name}) with iso pair not distinguished"
-                            )
-                            break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    add("axiom4_iso_squares_distinguished", ok, detail)
 
     # side conditions of the K0 presentation --------------------------------
-    def initial_or_terminal(sub, name):
-        o = cat.basepoint
-        initial = all(
-            sum(1 for i in sub if mor[i].src == o and mor[i].tgt == x) == 1
-            for x in range(len(cat.objects))
-        )
-        terminal = all(
-            sum(1 for i in sub if mor[i].tgt == o and mor[i].src == x) == 1
-            for x in range(len(cat.objects))
-        )
-        add(name, initial or terminal, "" if initial or terminal else "basepoint neither initial nor terminal")
+    def initial_or_terminal(sub):
+        ends = [(mor[i].src, mor[i].tgt) for i in sub]
+        initial = all(ends.count((o, x)) == 1 for x in objects)
+        terminal = all(ends.count((x, o)) == 1 for x in objects)
+        if not (initial or terminal):
+            return "basepoint neither initial nor terminal"
 
-    initial_or_terminal(cat.cof, "basepoint_initial_or_terminal_in_cof")
-    initial_or_terminal(cat.fib, "basepoint_initial_or_terminal_in_fib")
+    def spans(square, a, b):  # the square's top runs o -> a and its left o -> b
+        top, left, _, _ = square
+        return mor[top].src == o and mor[top].tgt == a and mor[left].src == o and mor[left].tgt == b
 
-    ok, detail = True, ""
-    o = cat.basepoint
-    for a in range(len(cat.objects)):
-        for b in range(len(cat.objects)):
-            found = False
-            for top, left, right, bottom in cat.squares:
-                if (
-                    mor[top].src == o
-                    and mor[top].tgt == a
-                    and mor[left].src == o
-                    and mor[left].tgt == b
-                ):
-                    x = mor[bottom].tgt
-                    # need the mirrored square over the same object
-                    for t2, l2, r2, b2 in cat.squares:
-                        if (
-                            mor[t2].src == o
-                            and mor[t2].tgt == b
-                            and mor[l2].src == o
-                            and mor[l2].tgt == a
-                            and mor[b2].tgt == x
-                        ):
-                            found = True
-                            break
-                if found:
-                    break
-            if not found:
-                ok = False
-                detail = f"no coproduct squares for pair ({cat.objects[a]},{cat.objects[b]})"
-                break
-        if not ok:
-            break
-    add("coproduct_squares_exist", ok, detail)
+    def mirrored(a, b, x):  # a square spans (a, b) with its bottom ending at x
+        return any(spans(q, a, b) and mor[q[3]].tgt == x for q in cat.squares)
 
-    return HypothesisReport(checks=tuple(checks))
+    def coproduct_squares_exist():
+        for a in objects:
+            for b in objects:
+                if not any(spans(q, a, b) and mirrored(b, a, mor[q[3]].tgt) for q in cat.squares):
+                    return f"no coproduct squares for pair ({cat.objects[a]},{cat.objects[b]})"
+
+    checks = (
+        ("identities_well_formed", identities_well_formed),
+        ("composition_total", composition_total),
+        ("composition_associative", composition_associative),
+        ("identity_laws", identity_laws),
+        ("cof_subcategory_closed", lambda: subcategory_closed(cat.cof)),
+        ("fib_subcategory_closed", lambda: subcategory_closed(cat.fib)),
+        ("axiom1_squares_closed_under_coproducts", squares_closed_under_coproducts),
+        ("axiom2_squares_commute", squares_commute),
+        ("axiom2_squares_compose", squares_compose),
+        ("axiom3_isos_in_both_subcategories", isos_in_both_subcategories),
+        ("axiom4_iso_squares_distinguished", iso_squares_distinguished),
+        ("basepoint_initial_or_terminal_in_cof", lambda: initial_or_terminal(cat.cof)),
+        ("basepoint_initial_or_terminal_in_fib", lambda: initial_or_terminal(cat.fib)),
+        ("coproduct_squares_exist", coproduct_squares_exist),
+    )
+    has_tables = cat.coproducts is not None and cat.morphism_coproducts is not None
+    results = []
+    for name, check in checks:
+        if check is squares_closed_under_coproducts and not has_tables:
+            results.append(CheckResult(name, "skipped", "no coproduct tables provided"))
+        elif (violation := check()) is None:
+            results.append(CheckResult(name, "pass"))
+        else:
+            results.append(CheckResult(name, "fail", violation))
+    return HypothesisReport(checks=tuple(results))
 
 
 # ---------------------------------------------------------------------------

@@ -1217,26 +1217,19 @@ def _split_boundary_edge_raw(b: _Builder, ref: Ref):
     return (t, 0), (t2, 0), moved
 
 
-def _apply_moves(moved: dict, *ref_lists) -> None:
-    for lst in ref_lists:
-        for i, r in enumerate(lst):
-            if r in moved:
-                lst[i] = moved[r]
-
-
-def _refine_cycle_raw(b: _Builder, refs: list[Ref], target: int, watched=()) -> list[Ref]:
+def _refine_cycle_raw(b: _Builder, refs: list[Ref], target: int) -> list[Ref]:
     """Split the cycle's first edge until it has target edges.
 
-    ``watched`` is a collection of other mutable ref lists to keep in sync
-    when splitting relocates sibling edges.
+    A split relocates the edge's two sibling refs.  A glued sibling is
+    reglued at its new place; an unglued one meets the split edge at a
+    corner where both are unglued, so it lies on this cycle, and only
+    ``refs`` needs updating.
     """
     if target < len(refs):
         raise SurfaceError(f"cannot shrink a cycle from {len(refs)} to {target} edges")
     while len(refs) < target:
         first, second, moved = _split_boundary_edge_raw(b, refs[0])
-        rest = refs[1:]
-        _apply_moves(moved, rest, *watched)
-        refs[:] = [first, second] + rest
+        refs[:] = [first, second] + [moved.get(r, r) for r in refs[1:]]
     return refs
 
 
@@ -1370,16 +1363,13 @@ def sk_system_move(s: TriSurface, circles, pairing=None, offsets=None) -> TriSur
     # order the cycles that need generic pasting before any refinement
     cycles0 = {i: _order_cycle(b.endpoints, side0[i]) for i in range(k) if not exact[i]}
     cycles1 = {j: _order_cycle(b.endpoints, side1[j]) for j in range(k) if not exact[pairing.index(j)]}
-    all_lists = list(cycles0.values()) + list(cycles1.values()) + [cp[0] for cp in copies] + [cp[1] for cp in copies]
     for i in range(k):
         if exact[i]:
             continue
         j = pairing[i]
         n = max(len(cycles0[i]), len(cycles1[j]))
-        watched = [lst for lst in all_lists if lst is not cycles0[i]]
-        _refine_cycle_raw(b, cycles0[i], n, watched)
-        watched = [lst for lst in all_lists if lst is not cycles1[j]]
-        _refine_cycle_raw(b, cycles1[j], n, watched)
+        _refine_cycle_raw(b, cycles0[i], n)
+        _refine_cycle_raw(b, cycles1[j], n)
     for i in range(k):
         if exact[i]:
             _glue_ref_pairs(b, list(zip(copies[i][0], copies[i][1])))

@@ -12,8 +12,10 @@ entries.
 
 ``lattice_decision`` decides cut-and-paste equivalence by coordinate
 equality in the truncated with-boundary group at the covering caps, the
-reference for ``decide_equivalent``; ``coordinate_partition`` groups the
-classes of that group by coordinate.
+reference for ``decide_equivalent``; ``lattice_differences_equal`` compares
+two differences of classes there, the reference for the doubling witness and
+the cylinder collapse; ``coordinate_partition`` groups the classes of that
+group by coordinate.
 
 The homomorphism checks below run on the full generator lattices.
 ``AbHom`` decides injectivity, surjectivity, zero and exactness on the
@@ -174,6 +176,19 @@ def lattice_decision(left, right) -> bool:
     their covering caps."""
     pres = boundary_sk_presentation(covering_caps([left, right]))
     return pres.coordinate_of(left) == pres.coordinate_of(right)
+
+
+def lattice_differences_equal(first, second) -> bool:
+    """Whether [a] - [b] and [c] - [d], for pairs (a, b) and (c, d) of
+    classes, share a coordinate in the with-boundary group at the covering
+    caps of all four: the reference for the (chi, b) comparisons of
+    ``doubling_witness`` and ``skk_collapse_check``."""
+    pres = boundary_sk_presentation(covering_caps([*first, *second]))
+
+    def coordinate(plus, minus):
+        return pres.group.element_normal_form(pres.vector_of([(plus, 1), (minus, -1)]))
+
+    return coordinate(*first) == coordinate(*second)
 
 
 def coordinate_partition(caps) -> set[frozenset]:

@@ -201,6 +201,16 @@ def test_sk_skk(capsys):
     assert "collapse=PASS" in out
 
 
+def test_sk_skk_above_the_class_ceiling(capsys):
+    """Seven circles: the collapse reads (chi, b), so it answers where the
+    covering caps 2,2,7 span more classes than the ceiling admits."""
+    code, out = run(
+        capsys, "sk", "skk", "--circles", "7", "--first", "0,1,2,3,4,5,6", "--second", "1,0,2,3,4,5,6"
+    )
+    assert code == 0, out
+    assert "collapse=PASS" in out
+
+
 def test_k0_presentation_file(tmp_path, capsys):
     pres = {"objects": ["O", "X"], "basepoint": 0, "squares": []}
     path = tmp_path / "pres.sq"
@@ -459,6 +469,13 @@ def test_malformed_input_exit_2(tmp_path, capsys):
     code, out = run(capsys, "surface", "classify", str(path))
     assert code == 2
     assert "error=malformed_input" in out
+
+
+@pytest.mark.parametrize("group", ["surface", "sk", "chain", "euler"])
+def test_unknown_subcommand_exits_2(group, capsys):
+    code, out = run(capsys, group, "frobnicate")
+    assert code == 2
+    assert out == ""
 
 
 def test_missing_file_exit_2(capsys):

@@ -330,6 +330,55 @@ def test_doubling_witness_generator_pairs_small():
         assert w.certified, (m1, m2)
 
 
+def acceptance_doubling_pairs():
+    """The pairs acceptance criterion 5 certifies: library surfaces of
+    connected types up to (3,3) with equal circle counts, and two
+    disconnected samples."""
+    types = [(g, b) for g in range(4) for b in range(4)]
+    pairs = [
+        (DiffeoClass.connected(*m1), DiffeoClass.connected(*m2))
+        for m1, m2 in itertools.combinations_with_replacement(types, 2)
+        if m1[1] == m2[1]
+    ]
+    return pairs + [
+        (DiffeoClass.from_pairs([(0, 1), (0, 1)]), DiffeoClass.from_pairs([(1, 2)])),
+        (DiffeoClass.from_pairs([(1, 1), (0, 1)]), DiffeoClass.from_pairs([(0, 2), (0, 0)])),
+    ]
+
+
+def test_doubling_witness_matches_the_lattice_oracle():
+    """On every pair of the acceptance suite, the (chi, b) comparison of
+    [M] - [N] with [DM] - [L] answers as coordinates in the with-boundary
+    group at the covering caps do."""
+    pairs = acceptance_doubling_pairs()
+    assert len(pairs) == 42
+    for cm, cn in pairs:
+        w = doubling_witness(library_surface(cm), library_surface(cn))
+        assert (w.original, w.other) == (cm, cn)
+        oracle = lattice_oracle.lattice_differences_equal((cm, cn), (w.double, w.glued))
+        assert w.difference_matches == oracle, (cm.label(), cn.label())
+        assert w.certified
+
+
+def test_certificates_build_no_presentation(monkeypatch):
+    """The doubling witness and the cylinder collapse read (chi, b): neither
+    builds a presentation, so neither has a class ceiling."""
+    from cutpaste import squares_k0
+
+    def build(*args, **kwargs):
+        raise AssertionError("a presentation was built")
+
+    for module in (squares_k0, sk_groups):
+        monkeypatch.setattr(module, "surface_squares_presentation", build)
+    monkeypatch.setattr(squares_k0, "classes_within", build)
+    assert doubling_witness(build_standard(3, 3), build_standard(1, 3)).certified
+    assert skk_collapse_check(3, (0, 1, 2), (2, 0, 1)).certified
+    # seven annuli: covering caps 2,2,7 span 11,440 classes, above the ceiling
+    identity = tuple(range(7))
+    rep = skk_collapse_check(7, identity, (1, 0) + identity[2:])
+    assert rep.certified and rep.first_class.component_count == 7
+
+
 def test_glue_to_mirror_produces_closed_surface():
     out = glue_to_mirror(build_standard(0, 2), build_standard(1, 2))
     assert out.classify().is_closed

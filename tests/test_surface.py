@@ -420,6 +420,35 @@ def test_refine_boundary_cannot_shrink():
         refine_boundary(d, 0, 4)
 
 
+def unglued_siblings_off_their_cycle(s: TriSurface) -> list:
+    """Unglued refs of one triangle that lie on different boundary cycles."""
+    cycle_of = {r: i for i, cyc in enumerate(s.boundary_cycles) for r in cyc}
+    return [
+        (ref, (ref[0], f))
+        for ref, i in cycle_of.items()
+        for f in range(3)
+        if cycle_of.get((ref[0], f), i) != i
+    ]
+
+
+@pytest.mark.parametrize("genus,boundary", [(g, b) for g in range(3) for b in range(3)])
+def test_unglued_siblings_lie_on_one_boundary_cycle(genus, boundary):
+    """The refinement of a cycle updates that cycle's ref list alone.  A
+    split relocates the split edge's siblings; a glued one is reglued, and
+    an unglued one lies on the split edge's cycle.  Checked on a library
+    surface, on its cuts along each canonical circle, and on those cuts
+    with their first cycle refined."""
+    lib = standard_library(genus, boundary)
+    surfaces = [lib.surface, surface_from_data(3, [(0, 1, 2)], [])]
+    for circle in lib.seams + lib.nulls:
+        cut_surface, _ = cut_nonseparating_ok(lib.surface, circle)
+        length = len(cut_surface.boundary_cycles[0])
+        surfaces += [cut_surface, refine_boundary(cut_surface, 0, length + 3)]
+    assert len(surfaces) > 2
+    for s in surfaces:
+        assert unglued_siblings_off_their_cycle(s) == []
+
+
 # ---------------------------------------------------------------------------
 # double_circle
 # ---------------------------------------------------------------------------
