@@ -45,9 +45,7 @@ _EXPORTS = {
     "sk_groups": (
         "MoveStep",
         "MoveWitness",
-        "SKPresentation",
         "SearchExhausted",
-        "boundary_sk_presentation",
         "circles_group",
         "closed_sk_presentation",
         "decide_equivalent",

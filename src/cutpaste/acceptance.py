@@ -224,7 +224,7 @@ def criterion_4_k0(seed: int = 0):
             return False, f"caps {caps}: invariants ({res.free_rank}, {res.torsion})"
         by_coord: dict = {}
         by_chib: dict = {}
-        for cls in res.instance.classes:
+        for cls in res.classes:
             nf = res.coordinate_of(cls)
             by_coord.setdefault((nf.free, nf.torsion), set()).add(cls)
             by_chib.setdefault((cls.chi, cls.boundary_circles), set()).add(cls)

@@ -114,8 +114,11 @@ def _circle_refs(spec: str, n_tri: int) -> tuple[tuple[int, int], ...]:
 def _write_or_print(data: dict, out: str | None) -> None:
     text = json.dumps(data, sort_keys=True)
     if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise MalformedInput(f"cannot write {out}: {exc}") from exc
         print(f"written={out}")
     else:
         print(text)

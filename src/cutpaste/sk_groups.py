@@ -1,12 +1,14 @@
 """Scissors congruence groups of surfaces at a chosen truncation.
 
-Two presentations are computed.  The with-boundary group reuses the
-truncated gluing-square instance verbatim: its K0 presentation is the
+Both groups are ``squares_k0.SurfaceSquares`` records.  The with-boundary
+group is the truncated gluing-square instance itself
+(``surface_squares_presentation``): its K0 presentation is the
 with-boundary cut-and-paste group.  The closed group is presented on
 closed classes with disjoint-union relations plus difference relations
 [result of gluing phi] = [result of gluing psi] for every pair of gluing
 patterns of the same two piece collections (pieces range over bounded
-multisets of connected types, gluing all boundary circles).
+multisets of connected types, gluing all boundary circles), which the
+record carries as its extra relation rows.
 
 The two groups sit in a short exact sequence with the free group on the
 circle: closed classes include into with-boundary classes, and a
@@ -30,14 +32,14 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .abgroup import AbGroupPresentation, AbHom, NormalForm, check_exact_at
+from .abgroup import AbGroupPresentation, AbHom, check_exact_at
 from .classes import DiffeoClass, NonSeparatingCut, SurfaceError
 from .squares_k0 import (
     MAX_CLASSES,
     Caps,
     SquaresPresentation,
+    SurfaceSquares,
     classes_of_types,
-    k0_presentation,
     multiset_count,
     refuse_oversized,
     surface_squares_presentation,
@@ -57,23 +59,6 @@ CIRCLE_LABEL = "[S^1]"
 # (the tests check that a bound of five leaves the (3,3,3) group unchanged)
 _MAX_GLUED_CIRCLES = 4
 _MAX_PIECE_COMPONENTS = 3
-
-
-@dataclass(frozen=True)
-class SKPresentation:
-    group: AbGroupPresentation
-    classes: tuple[DiffeoClass, ...]
-
-    def vector_of(self, combo) -> list[int]:
-        """Integer vector of a formal sum given as (class, coefficient) pairs
-        (repeated classes accumulate)."""
-        vec = [0] * len(self.group.generators)
-        for cls, coeff in combo:
-            vec[self.group.generator_index[cls.label()]] += coeff
-        return vec
-
-    def coordinate_of(self, cls: DiffeoClass) -> NormalForm:
-        return self.group.element_normal_form(self.vector_of([(cls, 1)]))
 
 
 def _piece_multisets(caps: Caps):
@@ -177,12 +162,12 @@ def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
 
 
 @lru_cache(maxsize=None)
-def closed_sk_presentation(caps: Caps) -> SKPresentation:
+def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     """Cut-and-paste group of closed oriented surfaces at the truncation:
-    the K0 presentation of the closed disjoint-union squares plus the
-    gluing-difference relations.  Caps spanning more than MAX_CLASSES
-    with-boundary classes, or gluing-piece multisets, are refused before
-    anything is enumerated."""
+    the closed classes and their disjoint-union squares, with the
+    gluing-difference relations as the record's extra rows.  Caps spanning
+    more than MAX_CLASSES with-boundary classes, or gluing-piece multisets,
+    are refused before anything is enumerated."""
     caps = Caps(*caps)
     refuse_oversized(caps)
     pieces = multiset_count((caps.genus + 1) * _MAX_GLUED_CIRCLES, _MAX_PIECE_COMPONENTS) - 1
@@ -193,31 +178,20 @@ def closed_sk_presentation(caps: Caps) -> SKPresentation:
         )
     classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
-    squares, _ = union_squares(index, caps)
-    unions = k0_presentation(
-        SquaresPresentation(
-            objects=tuple(c.label() for c in classes),
-            basepoint=index[DiffeoClass.empty()],
-            squares=tuple(squares),
-        )
-    )
-    relations = list(unions.rows)
-    pieces = _piece_multisets(caps)
-    for m, combos in sorted(pieces.items()):
+    squares, skipped = union_squares(index, caps)
+    relations = []
+    for _, combos in sorted(_piece_multisets(caps).items()):
         for x, left in enumerate(combos):
             for right in combos[x:]:
                 results = sorted(_gluing_results(left, right, caps))
                 for r1, r2 in zip(results, results[1:]):
-                    relations.append({index[r1]: 1, index[r2]: -1})
-    group = AbGroupPresentation.make(unions.generators, relations)
-    return SKPresentation(group=group, classes=tuple(classes))
-
-
-def boundary_sk_presentation(caps: Caps) -> SKPresentation:
-    """Cut-and-paste group of surfaces with boundary: the K0 group of the
-    truncated gluing-square instance, shared with ``k0_of_surfaces``."""
-    inst = surface_squares_presentation(Caps(*caps))
-    return SKPresentation(group=inst.group, classes=inst.classes)
+                    relations.append(((index[r1], 1), (index[r2], -1)))
+    pres = SquaresPresentation(
+        objects=tuple(c.label() for c in classes),
+        basepoint=index[DiffeoClass.empty()],
+        squares=tuple(squares),
+    )
+    return SurfaceSquares(caps, pres, tuple(classes), skipped, tuple(relations))
 
 
 def circles_group() -> AbGroupPresentation:
@@ -229,18 +203,15 @@ def circles_group() -> AbGroupPresentation:
 def closed_inclusion_hom(caps: Caps) -> AbHom:
     """Closed classes included into the with-boundary group."""
     closed = closed_sk_presentation(Caps(*caps))
-    bdry = boundary_sk_presentation(Caps(*caps))
+    bdry = surface_squares_presentation(Caps(*caps))
     return AbHom.on_generators(
         closed.group, bdry.group, lambda label: {label: 1}
     )
 
 
-def boundary_count_hom(caps: Caps) -> AbHom:
-    """A with-boundary class maps to (number of boundary circles) [S^1]."""
-    return _boundary_count_on(boundary_sk_presentation(Caps(*caps)).group)
-
-
-def _boundary_count_on(bdry: AbGroupPresentation) -> AbHom:
+def boundary_count_hom(bdry: AbGroupPresentation) -> AbHom:
+    """A class of the with-boundary group ``bdry`` maps to (number of
+    boundary circles) [S^1]."""
     return AbHom.on_generators(
         bdry,
         circles_group(),
@@ -285,7 +256,7 @@ def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
     """Check 0 -> closed -> with-boundary -> circles -> 0 at the truncation."""
     caps = Caps(*caps)
     alpha = closed_inclusion_hom(caps)
-    beta = _boundary_count_on(alpha.target)
+    beta = boundary_count_hom(alpha.target)
     composite = beta.compose(alpha)
     return ExactSequenceReport(
         caps=caps,
@@ -500,12 +471,15 @@ def _candidate_moves(cls: DiffeoClass) -> list[MoveStep]:
 def find_witness(m: TriSurface, n: TriSurface, budget: int) -> MoveWitness:
     """Bounded breadth-first search for a cut-and-paste move sequence taking
     the class of m to the class of n.  Raises SearchExhausted when the
-    budget runs out; the witness, when found, replays deterministically."""
+    budget runs out; the witness, when found, replays deterministically.
+    A negative budget is refused with ValueError before anything else."""
+    if budget < 0:
+        raise ValueError(f"witness budget must be at least 0, got {budget}")
     start = m.classify()
     target = n.classify()
     if start == target:
         return MoveWitness(start=start, steps=(), end=target)
-    comp_bound = max(start.component_count, target.component_count) + max(budget, 0)
+    comp_bound = max(start.component_count, target.component_count) + budget
     parents: dict[DiffeoClass, tuple[DiffeoClass, MoveStep] | None] = {start: None}
     frontier = [start]
     depth = 0

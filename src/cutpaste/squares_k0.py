@@ -18,6 +18,9 @@ On top of that sit two concrete providers:
   squares are enumerated between connected pieces; gluings of disconnected
   objects decompose into these plus disjoint-union squares, which the
   computed group confirms (rank stabilizes at two).
+  Its record, ``SurfaceSquares``, is the with-boundary cut-and-paste
+  group (``k0_of_surfaces``); ``sk_groups`` presents the closed group as
+  one too, with extra relation rows.
 """
 
 from __future__ import annotations
@@ -79,10 +82,11 @@ class SquaresPresentation:
         return cls(tuple(objects), basepoint, squares)
 
 
-def k0_presentation(p: SquaresPresentation) -> AbGroupPresentation:
+def k0_presentation(p: SquaresPresentation, extra=()) -> AbGroupPresentation:
     """Free abelian group on the objects modulo [O] = 0 and, per square
     (A, B, C, D), the relation [A] + [D] - [B] - [C] = 0, built as sparse
-    rows."""
+    rows, then the ``extra`` rows, each given as (index, coefficient)
+    pairs."""
     relations = [{p.basepoint: 1}]
     seen = set()
     for q in p.squares:
@@ -93,6 +97,7 @@ def k0_presentation(p: SquaresPresentation) -> AbGroupPresentation:
         for i, x in zip(q, (1, -1, -1, 1)):
             rel[i] = rel.get(i, 0) + x
         relations.append(rel)
+    relations.extend(map(dict, extra))
     return AbGroupPresentation.make(p.objects, relations)
 
 
@@ -494,15 +499,46 @@ ANNULUS = (0, 2)
 
 @dataclass(frozen=True)
 class SurfaceSquares:
+    """A truncated cut-and-paste group: classes in object order, squares,
+    the count skipped for leaving the caps, and ``relations``, rows beyond
+    the squares' own as (index, coefficient) pairs (none for K0 of the
+    squares).  Every field is a tuple, so the record stays hashable."""
+
     caps: Caps
     presentation: SquaresPresentation
     classes: tuple[DiffeoClass, ...]
     skipped: int
+    relations: tuple[tuple[tuple[int, int], ...], ...] = ()
 
     @cached_property
     def group(self) -> AbGroupPresentation:
-        """K0 of the instance: the with-boundary cut-and-paste group."""
-        return k0_presentation(self.presentation)
+        return k0_presentation(self.presentation, self.relations)
+
+    @property
+    def free_rank(self) -> int:
+        return self.group.quotient_invariants()[0]
+
+    @property
+    def torsion(self) -> tuple[int, ...]:
+        return self.group.quotient_invariants()[1]
+
+    @cached_property
+    def coordinates(self) -> dict[str, NormalForm]:
+        """Class label -> normal form of its generator."""
+        group = self.group
+        return {label: group.element_normal_form({i: 1}) for i, label in enumerate(group.generators)}
+
+    def coordinate_of(self, cls: DiffeoClass) -> NormalForm:
+        return self.coordinates[cls.label()]
+
+    def to_lines(self) -> list[str]:
+        return [
+            f"caps={self.caps.genus},{self.caps.boundary},{self.caps.components}",
+            f"objects={len(self.classes)}",
+            f"squares={len(self.presentation.squares)}",
+            f"free_rank={self.free_rank}",
+            f"torsion={list(self.torsion)}",
+        ]
 
 
 @lru_cache(maxsize=None)
@@ -553,43 +589,10 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     )
 
 
-@dataclass(frozen=True)
-class K0Computation:
-    caps: Caps
-    group: AbGroupPresentation
-    free_rank: int
-    torsion: tuple[int, ...]
-    coordinates: dict  # class label -> NormalForm
-    instance: SurfaceSquares
-
-    def coordinate_of(self, cls: DiffeoClass) -> NormalForm:
-        return self.coordinates[cls.label()]
-
-    def to_lines(self) -> list[str]:
-        out = [
-            f"caps={self.caps.genus},{self.caps.boundary},{self.caps.components}",
-            f"objects={len(self.group.generators)}",
-            f"squares={len(self.instance.presentation.squares)}",
-            f"free_rank={self.free_rank}",
-            f"torsion={list(self.torsion)}",
-        ]
-        return out
-
-
-def k0_of_surfaces(caps: Caps) -> K0Computation:
-    """Invariant factors and per-class coordinates of the truncated K0 group."""
+def k0_of_surfaces(caps: Caps) -> SurfaceSquares:
+    """The with-boundary group at caps of at least (2,2,2), where K0 is
+    free of rank two."""
     caps = Caps(*caps)
     if caps.genus < 2 or caps.boundary < 2 or caps.components < 2:
         raise ValueError("k0_of_surfaces needs caps of at least (2,2,2)")
-    inst = surface_squares_presentation(caps)
-    group = inst.group
-    rank, torsion = group.quotient_invariants()
-    coords = {label: group.element_normal_form({i: 1}) for i, label in enumerate(group.generators)}
-    return K0Computation(
-        caps=caps,
-        group=group,
-        free_rank=rank,
-        torsion=torsion,
-        coordinates=coords,
-        instance=inst,
-    )
+    return surface_squares_presentation(caps)

@@ -15,7 +15,8 @@ equality in the truncated with-boundary group at the covering caps, the
 reference for ``decide_equivalent``; ``lattice_differences_equal`` compares
 two differences of classes there, the reference for the doubling witness and
 the cylinder collapse; ``coordinate_partition`` groups the classes of that
-group by coordinate.
+group by coordinate.  ``class_vector`` writes a formal sum of classes as a
+vector over a group's generators.
 
 The homomorphism checks below run on the full generator lattices.
 ``AbHom`` decides injectivity, surjectivity, zero and exactness on the
@@ -27,7 +28,7 @@ presentations' own relation rows, not from their ``_Analysis``.
 """
 
 from cutpaste.abgroup import IntMatrix, IntegerLattice, NormalForm, smith_normal_form, to_sparse
-from cutpaste.sk_groups import Caps, boundary_sk_presentation
+from cutpaste.squares_k0 import Caps, surface_squares_presentation
 
 
 def _subtract(v: dict, row: dict, q: int) -> None:
@@ -162,6 +163,15 @@ def exact_at(f, g) -> bool:
     return all(im_lat.contains(k) for k in kernel) and all(ker_lat.contains(r) for r in image_rows)
 
 
+def class_vector(group, combo) -> list[int]:
+    """Integer vector over the generators of ``group`` of a formal sum
+    given as (class, coefficient) pairs (repeated classes accumulate)."""
+    vec = [0] * len(group.generators)
+    for cls, coeff in combo:
+        vec[group.generator_index[cls.label()]] += coeff
+    return vec
+
+
 def covering_caps(classes) -> Caps:
     """The least caps of at least (2,2,2) holding every class."""
     return Caps(
@@ -174,7 +184,7 @@ def covering_caps(classes) -> Caps:
 def lattice_decision(left, right) -> bool:
     """Whether two classes share a coordinate in the with-boundary group at
     their covering caps."""
-    pres = boundary_sk_presentation(covering_caps([left, right]))
+    pres = surface_squares_presentation(covering_caps([left, right]))
     return pres.coordinate_of(left) == pres.coordinate_of(right)
 
 
@@ -183,17 +193,17 @@ def lattice_differences_equal(first, second) -> bool:
     classes, share a coordinate in the with-boundary group at the covering
     caps of all four: the reference for the (chi, b) comparisons of
     ``doubling_witness`` and ``skk_collapse_check``."""
-    pres = boundary_sk_presentation(covering_caps([*first, *second]))
+    group = surface_squares_presentation(covering_caps([*first, *second])).group
 
     def coordinate(plus, minus):
-        return pres.group.element_normal_form(pres.vector_of([(plus, 1), (minus, -1)]))
+        return group.element_normal_form(class_vector(group, [(plus, 1), (minus, -1)]))
 
     return coordinate(*first) == coordinate(*second)
 
 
 def coordinate_partition(caps) -> set[frozenset]:
     """The classes within the caps, grouped by their coordinate."""
-    pres = boundary_sk_presentation(caps)
+    pres = surface_squares_presentation(caps)
     blocks: dict = {}
     for cls in pres.classes:
         blocks.setdefault(pres.coordinate_of(cls), set()).add(cls)

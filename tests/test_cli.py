@@ -705,6 +705,62 @@ def test_out_of_range_integer_option_exits_1(capsys):
         assert out.startswith("error=domain"), out
 
 
+def test_unwritable_out_path_exits_2(octa_file, disk_file, tmp_path, capsys):
+    """Every command that writes --out reports a path it cannot write as
+    malformed input, in the wording of an unreadable file, with exit 2."""
+    refs = json.dumps([list(r) for r in equator_circle(octahedron()).refs])
+    cut_path = str(tmp_path / "cut.surf")
+    assert run(capsys, "surface", "cut", octa_file, "--circle", refs, "--out", cut_path)[0] == 0
+    zero = {"lo": 0, "hi": 0, "ranks": [0], "boundaries": []}
+    one = {"lo": 0, "hi": 0, "ranks": [1], "boundaries": []}
+    empty = [{"rows": 1, "cols": 0, "entries": []}]
+    bundle = tmp_path / "po.json"
+    bundle.write_text(json.dumps({"a": zero, "b": one, "c": one, "f": empty, "g": empty}))
+    bad = str(tmp_path / "missing" / "out.json")
+    for argv in (
+        ("surface", "union", octa_file, disk_file),
+        ("surface", "cut", octa_file, "--circle", refs),
+        ("surface", "paste", cut_path, "--left", "0", "--right", "1"),
+        ("surface", "standard", "1", "1"),
+        ("chain", "pushout", str(bundle)),
+    ):
+        code, out = run(capsys, *argv, "--out", bad)
+        assert code == 2, (argv, out)
+        assert out.splitlines()[-1].startswith(f"error=malformed_input detail=cannot write {bad}: "), out
+
+
+def test_negative_witness_budget_is_a_domain_error(tmp_path, capsys):
+    """A negative --budget is refused before any search, also for equal
+    classes, where a budget of 0 returns the empty witness."""
+    torus, sphere = tmp_path / "torus.surf", tmp_path / "sphere.surf"
+    torus.write_text(json.dumps(build_standard(1, 0).to_json()))
+    sphere.write_text(json.dumps(octahedron().to_json()))
+    for right in (torus, sphere):
+        code, out = run(capsys, "sk", "witness", str(torus), str(right), "--budget", "-3")
+        assert code == 1, out
+        assert out == "error=domain detail=witness budget must be at least 0, got -3\n"
+    code, out = run(capsys, "sk", "witness", str(torus), str(torus), "--budget", "0")
+    assert code == 0 and out.startswith("witness_moves=0\n"), out
+
+
+def test_standard_surface_above_the_ceiling_exits_1_before_subdividing(monkeypatch, capsys):
+    """genus + boundary above 5,000 is a domain error, refused before the
+    base surface is subdivided."""
+    from cutpaste import surface
+
+    def subdivide(*args, **kwargs):
+        raise AssertionError("subdivision reached above the ceiling")
+
+    monkeypatch.setattr(surface, "subdivide", subdivide)
+    for genus, boundary in ((5001, 0), (0, 5001), (2500, 2501), (10**12, 0)):
+        code, out = run(capsys, "surface", "standard", str(genus), str(boundary))
+        assert code == 1, out
+        assert out == (
+            f"error=domain detail=genus {genus} plus boundary {boundary} is "
+            f"{genus + boundary}, above the ceiling of 5000\n"
+        )
+
+
 def test_oversized_caps_exit_1_before_enumeration(monkeypatch, capsys):
     """Caps above the class ceiling are domain errors, refused before any
     enumerator runs."""

@@ -186,9 +186,9 @@ def test_square_additivity_of_k0_class():
 def test_pi0_naturality_equal_coordinates_imply_equal_k0():
     # classes with equal coordinates in the with-boundary group have equal
     # chain-level k0 class
-    from cutpaste.sk_groups import Caps, boundary_sk_presentation
+    from cutpaste.squares_k0 import Caps, surface_squares_presentation
 
-    pres = boundary_sk_presentation(Caps(2, 2, 2))
+    pres = surface_squares_presentation(Caps(2, 2, 2))
     by_coord = {}
     for cls in pres.classes:
         if cls.is_empty or cls.component_count > 1:

@@ -35,8 +35,8 @@ ROOT_NAMES = {
         "pi0_commutation", "square_from_circles",
     ],
     "sk_groups": [
-        "MoveStep", "MoveWitness", "SKPresentation", "SearchExhausted",
-        "boundary_sk_presentation", "circles_group", "closed_sk_presentation",
+        "MoveStep", "MoveWitness", "SearchExhausted",
+        "circles_group", "closed_sk_presentation",
         "decide_equivalent", "doubling_witness", "find_witness", "replay_witness",
         "skk_collapse_check", "verify_exact_sequence",
     ],

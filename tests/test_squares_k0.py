@@ -25,7 +25,7 @@ from cutpaste.squares_k0 import (
     union_squares,
     within_caps,
 )
-from cutpaste.sk_groups import boundary_sk_presentation, closed_sk_presentation
+from cutpaste.sk_groups import closed_sk_presentation
 from cutpaste.surface import (
     BoundaryGluing,
     DiffeoClass,
@@ -574,7 +574,7 @@ def test_instance_square_counts_at_333():
 
 def test_k0_of_surfaces_shares_the_boundary_group():
     caps = Caps(2, 2, 2)
-    assert k0_of_surfaces(caps).group is boundary_sk_presentation(caps).group
+    assert k0_of_surfaces(caps) is surface_squares_presentation(caps)
 
 
 def test_k0_of_surfaces_small_caps():
@@ -599,7 +599,7 @@ def test_k0_of_surfaces_four_components():
     assert (res.free_rank, res.torsion) == (2, ())
     by_coord: dict = {}
     by_chib: dict = {}
-    for cls in res.instance.classes:
+    for cls in res.classes:
         nf = res.coordinate_of(cls)
         by_coord.setdefault((nf.free, nf.torsion), set()).add(cls)
         by_chib.setdefault((cls.chi, cls.boundary_circles), set()).add(cls)
