@@ -10,7 +10,9 @@ Every public name resolves on first use: ``import cutpaste`` loads no layer,
 and ``cutpaste.k0_of_surfaces`` loads ``squares_k0`` with what it imports
 (``abgroup`` and ``classes``), not the triangulated calculus.  A name is the
 object of its home module (``cutpaste.DiffeoClass is
-cutpaste.classes.DiffeoClass``).
+cutpaste.classes.DiffeoClass``).  ``squares_k0`` and ``sk_groups`` forward
+the same way the names that moved out of them: the lemma checker to
+``lemma_check`` and the surface-side SK operations to ``surface``.
 """
 
 # home module -> the public names it gives the package root
@@ -42,24 +44,11 @@ _EXPORTS = {
         "pi0_commutation",
         "square_from_circles",
     ),
-    "sk_groups": (
-        "MoveStep",
-        "MoveWitness",
-        "SearchExhausted",
-        "circles_group",
-        "closed_sk_presentation",
-        "decide_equivalent",
-        "doubling_witness",
-        "find_witness",
-        "replay_witness",
-        "skk_collapse_check",
-        "verify_exact_sequence",
-    ),
+    "lemma_check": ("FiniteSquaresCategory", "check_lemma_hypotheses"),
+    "sk_groups": ("circles_group", "closed_sk_presentation", "verify_exact_sequence"),
     "squares_k0": (
         "Caps",
-        "FiniteSquaresCategory",
         "SquaresPresentation",
-        "check_lemma_hypotheses",
         "k0_of_surfaces",
         "k0_presentation",
         "surface_squares_presentation",
@@ -67,40 +56,58 @@ _EXPORTS = {
     "surface": (
         "BoundaryGluing",
         "EmbeddedCircle",
+        "MoveStep",
+        "MoveWitness",
+        "SearchExhausted",
         "TriSurface",
         "annulus",
         "build_standard",
         "cut",
+        "decide_equivalent",
         "disjoint_union",
         "double_circle",
+        "doubling_witness",
         "fan_disk",
+        "find_witness",
         "mirror",
         "octahedron",
         "paste",
         "paste_cut",
         "refine_boundary",
+        "replay_witness",
         "seven_vertex_torus",
         "sk_move",
         "sk_system_move",
+        "skk_collapse_check",
         "subdivide",
     ),
 }
-_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_HOME = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 
-def __getattr__(name):
-    """Import the home module of a public name and keep the name here, so
-    the next lookup is an ordinary global.  ``__import__`` rather than
-    ``importlib.import_module``, so ``-X importtime`` reports the load."""
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(__import__(f"{__name__}.{module}", fromlist=(name,)), name)
-    globals()[name] = value
-    return value
+def _forwarder(namespace: dict, homes: dict):
+    """A module ``__getattr__`` (PEP 562) for the module whose globals are
+    ``namespace``: a name of ``homes`` (name -> home module) imports its
+    home on first use and is kept in ``namespace``, so the next lookup is
+    an ordinary global; any other name is an AttributeError.
+    ``__import__`` rather than ``importlib.import_module``, so
+    ``-X importtime`` reports the load."""
+
+    def __getattr__(name):
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = getattr(__import__(home, fromlist=(name,)), name)
+        namespace[name] = value
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _forwarder(globals(), _HOME)
 
 
 def __dir__():

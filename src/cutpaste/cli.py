@@ -13,30 +13,13 @@ import json
 import re
 import sys
 
-from .abgroup import IntMatrix
-from .acceptance import run_acceptance_suite
-from .chains import ChainComplex, ChainComplexError, ChainMap, pushout, quasi_iso_type_equal
-from .euler_functor import SquareInstance, chains_of, functor_on_square, pi0_commutation
-from .sk_groups import (
-    Caps,
-    SearchExhausted,
-    decide_equivalent,
-    find_witness,
-    replay_witness,
-    skk_collapse_check,
-    verify_exact_sequence,
-)
-from .squares_k0 import SquaresPresentation, k0_of_surfaces, k0_presentation
-from .surface import (
-    BoundaryGluing,
-    EmbeddedCircle,
-    SurfaceError,
-    TriSurface,
-    build_standard,
-    cut,
-    disjoint_union,
-    paste,
-)
+import cutpaste as cp
+
+from .classes import SurfaceError
+
+# Library names are read through the lazy package root (``cp.TriSurface``),
+# so a command loads only the layers it calls: ``sk k0`` and ``sk exact``
+# load the group layer and no triangulation, chain or acceptance code.
 
 
 class MalformedInput(ValueError):
@@ -56,8 +39,8 @@ def _int_list(text: str, option: str, count: int | None = None) -> tuple[int, ..
     return tuple(int(x) for x in parts)
 
 
-def _caps(text: str) -> Caps:
-    return Caps(*_int_list(text, "--caps (genus,boundary,components)", 3))
+def _caps(text: str) -> cp.Caps:
+    return cp.Caps(*_int_list(text, "--caps (genus,boundary,components)", 3))
 
 
 def _load_json(path: str) -> dict:
@@ -68,18 +51,20 @@ def _load_json(path: str) -> dict:
         raise MalformedInput(f"cannot read {path}: {exc}") from exc
 
 
-def _load_surface(path: str) -> TriSurface:
+def _load_surface(path: str) -> cp.TriSurface:
     data = _load_json(path)
     try:
-        return TriSurface.from_json(data)
+        return cp.TriSurface.from_json(data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedInput(f"{path} is not a surface file: {exc}") from exc
 
 
-def _load_chain(path: str) -> ChainComplex:
+def _load_chain(path: str) -> cp.ChainComplex:
+    from .chains import ChainComplexError
+
     data = _load_json(path)
     try:
-        return ChainComplex.from_json(data)
+        return cp.ChainComplex.from_json(data)
     except ChainComplexError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -136,7 +121,7 @@ def _cmd_surface(args) -> int:
     if args.surface_cmd == "validate":
         s_data = _load_json(args.file)
         try:
-            s = TriSurface.from_json(s_data)
+            s = cp.TriSurface.from_json(s_data)
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise MalformedInput(str(exc)) from exc
         violation = s.validate()
@@ -153,7 +138,7 @@ def _cmd_surface(args) -> int:
         print(f"chi={_load_surface(args.file).require_valid().euler_characteristic()}")
         return 0
     if args.surface_cmd == "union":
-        out = disjoint_union(
+        out = cp.disjoint_union(
             _load_surface(args.file).require_valid(),
             _load_surface(args.other).require_valid(),
         )
@@ -162,8 +147,8 @@ def _cmd_surface(args) -> int:
         return 0
     if args.surface_cmd == "cut":
         s = _load_surface(args.file).require_valid()
-        circle = EmbeddedCircle(s, _circle_refs(args.circle, s.triangle_count))
-        out, rec = cut(s, circle)
+        circle = cp.EmbeddedCircle(s, _circle_refs(args.circle, s.triangle_count))
+        out, rec = cp.cut(s, circle)
         print(f"class={out.classify().label()}")
         print(f"left_cycle={json.dumps([list(r) for r in rec.left])}")
         print(f"right_cycle={json.dumps([list(r) for r in rec.right])}")
@@ -171,12 +156,12 @@ def _cmd_surface(args) -> int:
         return 0
     if args.surface_cmd == "paste":
         s = _load_surface(args.file).require_valid()
-        out = paste(s, BoundaryGluing(args.left, args.right, args.offset))
+        out = cp.paste(s, cp.BoundaryGluing(args.left, args.right, args.offset))
         print(f"class={out.classify().label()}")
         _write_or_print(out.to_json(), args.out)
         return 0
     # "standard", the last subcommand the parser admits
-    s = build_standard(args.genus, args.boundary)
+    s = cp.build_standard(args.genus, args.boundary)
     print(f"class={s.classify().label()}")
     _write_or_print(s.to_json(), args.out)
     return 0
@@ -187,7 +172,7 @@ def _cmd_surface(args) -> int:
 
 def _cmd_sk(args) -> int:
     if args.sk_cmd == "decide":
-        dec = decide_equivalent(
+        dec = cp.decide_equivalent(
             _load_surface(args.left).require_valid(),
             _load_surface(args.right).require_valid(),
         )
@@ -197,8 +182,8 @@ def _cmd_sk(args) -> int:
         m = _load_surface(args.left).require_valid()
         n = _load_surface(args.right).require_valid()
         try:
-            w = find_witness(m, n, budget=args.budget)
-        except SearchExhausted as exc:
+            w = cp.find_witness(m, n, budget=args.budget)
+        except cp.SearchExhausted as exc:
             print("witness=exhausted")
             print(f"detail={exc}")
             return 1
@@ -208,20 +193,20 @@ def _cmd_sk(args) -> int:
                 f"{c.component}:{c.kind}:{c.index}" for c in step.circles
             )
             print(f"move={i} circles={circles} pairing={list(step.pairing)}")
-        print(f"end_class={replay_witness(w).label()}")
+        print(f"end_class={cp.replay_witness(w).label()}")
         return 0
     if args.sk_cmd == "exact":
-        rep = verify_exact_sequence(_caps(args.caps))
+        rep = cp.verify_exact_sequence(_caps(args.caps))
         _emit(rep.to_lines())
         return 0 if rep.passed else 1
     if args.sk_cmd == "k0":
-        res = k0_of_surfaces(_caps(args.caps))
+        res = cp.k0_of_surfaces(_caps(args.caps))
         _emit(res.to_lines())
         return 0
     # "skk", the last subcommand the parser admits
     first = _int_list(args.first, "--first")
     second = _int_list(args.second, "--second")
-    rep = skk_collapse_check(args.circles, first, second)
+    rep = cp.skk_collapse_check(args.circles, first, second)
     _emit(rep.to_lines())
     return 0 if rep.certified else 1
 
@@ -232,10 +217,10 @@ def _cmd_sk(args) -> int:
 def _cmd_k0(args) -> int:
     data = _load_json(args.file)
     try:
-        pres = SquaresPresentation.from_json(data)
+        pres = cp.SquaresPresentation.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{args.file} is not a squares presentation: {exc}") from exc
-    group = k0_presentation(pres)
+    group = cp.k0_presentation(pres)
     print(f"group={group.describe()}")
     for label in group.generators:
         nf = group.element_normal_form({group.generator_index[label]: 1})
@@ -258,24 +243,26 @@ def _cmd_chain(args) -> int:
         print(f"chi={_load_chain(args.file).euler_char()}")
         return 0
     if args.chain_cmd == "qiso":
-        same = quasi_iso_type_equal(_load_chain(args.file), _load_chain(args.other))
+        same = cp.quasi_iso_type_equal(_load_chain(args.file), _load_chain(args.other))
         print(f"quasi_isomorphic={'yes' if same else 'no'}")
         return 0
     # "pushout", the last subcommand the parser admits
+    from .chains import ChainComplexError
+
     data = _load_json(args.file)
     try:
-        a = ChainComplex.from_json(data["a"])
-        b = ChainComplex.from_json(data["b"])
-        c = ChainComplex.from_json(data["c"])
-        fmats = tuple(IntMatrix.from_json(m) for m in data["f"])
-        gmats = tuple(IntMatrix.from_json(m) for m in data["g"])
+        a = cp.ChainComplex.from_json(data["a"])
+        b = cp.ChainComplex.from_json(data["b"])
+        c = cp.ChainComplex.from_json(data["c"])
+        fmats = tuple(cp.IntMatrix.from_json(m) for m in data["f"])
+        gmats = tuple(cp.IntMatrix.from_json(m) for m in data["g"])
     except ChainComplexError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"bad pushout file: {exc}") from exc
-    f = ChainMap(a, b, fmats)
-    g = ChainMap(a, c, gmats)
-    res = pushout(f, g)
+    f = cp.ChainMap(a, b, fmats)
+    g = cp.ChainMap(a, c, gmats)
+    res = cp.pushout(f, g)
     print(f"model={res.model}")
     h = res.complex.homology()
     for n in h.degrees():
@@ -299,7 +286,7 @@ MAX_COMMUTE_SURFACES = 100
 def _cmd_euler(args) -> int:
     if args.euler_cmd == "chi":
         s = _load_surface(args.file).require_valid()
-        c = chains_of(s)
+        c = cp.chains_of(s)
         print(f"chi={s.euler_characteristic()}")
         print(f"k0_class={c.k0_class()}")
         print(f"agree={'yes' if c.k0_class() == s.euler_characteristic() else 'no'}")
@@ -307,12 +294,12 @@ def _cmd_euler(args) -> int:
     if args.euler_cmd == "verify-square":
         data = _load_json(args.file)
         try:
-            q = SquareInstance.from_json(data)
+            q = cp.SquareInstance.from_json(data)
         except SurfaceError:
             raise
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise MalformedInput(f"bad square file: {exc}") from exc
-        rep = functor_on_square(q)
+        rep = cp.functor_on_square(q)
         _emit(rep.to_lines())
         return 0 if rep.passed else 1
     # "commute", the last subcommand the parser admits
@@ -329,11 +316,11 @@ def _cmd_euler(args) -> int:
             f"standard surfaces, above the ceiling of {MAX_COMMUTE_SURFACES}"
         )
     samples = [
-        build_standard(g, b)
+        cp.build_standard(g, b)
         for g in range(caps.genus + 1)
         for b in range(caps.boundary + 1)
     ]
-    rep = pi0_commutation(samples)
+    rep = cp.pi0_commutation(samples)
     _emit(rep.to_lines())
     return 0 if rep.passed else 1
 
@@ -342,6 +329,8 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_accept(args) -> int:
+    from .acceptance import run_acceptance_suite
+
     only = set(_int_list(args.only, "--only")) if args.only else None
     report = run_acceptance_suite(seed=args.seed, only=only)
     _emit(report.to_lines(with_timing=args.timings))

@@ -17,6 +17,21 @@ surface in which no triangle repeats a vertex id parses back to itself.
 One with a repeated id need not: its parse may renumber it (see
 ``_canonical_flat``), so it may take one more write and parse to reach
 the fixpoint.
+
+The surface-side operations of the cut-and-paste groups live here too,
+next to the builder they glue with, so that ``sk_groups`` stays the group
+layer and loads no triangulation code.  The doubling witness certifies
+[M] - [N] = [double of M] - [N glued to reversed M] for M, N with
+diffeomorphic boundaries (the middle-kernel argument of the exact
+sequence); it, the equivalence decision and the cylinder regluing
+collapse read (chi, b) coordinates, which the with-boundary group maps
+injectively at every caps, so they build no group and have no class
+ceiling.  Move witnesses are sequences of cut-and-paste moves over a
+canonical circle family (handle seams and disk-bounding circles of the
+standard library surfaces); the search is breadth-first, returns the first
+witness in deterministic order, and never claims inequivalence on
+exhaustion.  ``sk_groups`` forwards these names, so
+``sk_groups.find_witness is surface.find_witness``.
 """
 
 from __future__ import annotations
@@ -25,7 +40,7 @@ from bisect import bisect_right
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import chain, compress, count, islice
+from itertools import chain, combinations, compress, count, islice
 from operator import eq, lt
 
 from .classes import (
@@ -1543,3 +1558,320 @@ def library_for_class(cls: DiffeoClass) -> tuple[TriSurface, tuple[LibrarySurfac
         for place, ent in zip(places, entries)
     )
     return out, remapped
+
+
+# ---------------------------------------------------------------------------
+# Doubling
+# ---------------------------------------------------------------------------
+
+
+def double_surface(m: TriSurface) -> TriSurface:
+    """Glue m to its orientation reversal along the whole boundary by the
+    identity correspondence of boundary edges."""
+    b = _Builder.from_surface(m)
+    place = b.add_surface(m, mirrored=True)
+    _glue_ref_pairs(b, [(ref, place(ref)) for ref in m.boundary_refs])
+    out, _ = b.finish()
+    return out.require_valid()
+
+
+def glue_to_mirror(n: TriSurface, m: TriSurface) -> TriSurface:
+    """Glue n to the orientation reversal of m along a canonical matching of
+    their boundary cycles (cycle lengths are equalized by refinement)."""
+    if n.boundary_circle_count() != m.boundary_circle_count():
+        raise SurfaceError("boundary circle counts differ; cannot glue")
+    b = _Builder.from_surface(n)
+    place = b.add_surface(m, mirrored=True)
+    n_cycles = [list(cyc) for cyc in n.boundary_cycles]
+    m_cycles = [[place(r) for r in cyc] for cyc in m.boundary_cycles]
+    for left, right in zip(n_cycles, m_cycles):
+        target = max(len(left), len(right))
+        _refine_cycle_raw(b, left, target)
+        _refine_cycle_raw(b, right, target)
+    for left, right in zip(n_cycles, m_cycles):
+        lcyc = _order_cycle(b.endpoints, left)
+        rcyc = _order_cycle(b.endpoints, right)
+        _paste_cycles_raw(b, lcyc, rcyc, 0)
+    out, _ = b.finish()
+    return out.require_valid()
+
+
+@dataclass(frozen=True)
+class DoublingWitness:
+    original: DiffeoClass
+    other: DiffeoClass
+    double: DiffeoClass
+    glued: DiffeoClass
+    difference_matches: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.difference_matches and self.double.is_closed and self.glued.is_closed
+
+    def to_lines(self) -> list[str]:
+        return [
+            f"m={self.original.label()} n={self.other.label()}",
+            f"double={self.double.label()} glued={self.glued.label()}",
+            f"closed={'PASS' if self.double.is_closed and self.glued.is_closed else 'FAIL'}",
+            f"difference={'PASS' if self.difference_matches else 'FAIL'}",
+        ]
+
+
+def _chi_b(plus: DiffeoClass, minus: DiffeoClass) -> tuple[int, int]:
+    """The (chi, b) coordinates of [plus] - [minus] in the with-boundary
+    group, which (chi, b) maps injectively at every caps (see
+    ``decide_equivalent``)."""
+    return plus.chi - minus.chi, plus.boundary_circles - minus.boundary_circles
+
+
+def doubling_witness(m: TriSurface, n: TriSurface) -> DoublingWitness:
+    """Constructive middle-kernel witness: builds the double DM and the
+    cross-gluing L = N glued to reversed M, then certifies
+    [M] - [N] = [DM] - [L] in (chi, b) coordinates.  No group is built, so
+    no class ceiling applies."""
+    if m.boundary_circle_count() != n.boundary_circle_count():
+        raise SurfaceError(
+            "boundaries are not diffeomorphic (circle counts differ)"
+        )
+    dm = double_surface(m)
+    glued = glue_to_mirror(n, m)
+    cls_m, cls_n = m.classify(), n.classify()
+    cls_dm, cls_l = dm.classify(), glued.classify()
+    return DoublingWitness(
+        original=cls_m,
+        other=cls_n,
+        double=cls_dm,
+        glued=cls_l,
+        difference_matches=_chi_b(cls_m, cls_n) == _chi_b(cls_dm, cls_l),
+    )
+
+
+# ---------------------------------------------------------------------------
+# Equivalence decision
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class EquivalenceDecision:
+    equivalent: bool
+    left: DiffeoClass
+    right: DiffeoClass
+    chi: tuple[int, int]
+    boundary_circles: tuple[int, int]
+
+    def to_lines(self) -> list[str]:
+        return [
+            f"left={self.left.label()} right={self.right.label()}",
+            f"chi={self.chi[0]},{self.chi[1]} boundary={self.boundary_circles[0]},{self.boundary_circles[1]}",
+            f"equivalent={'yes' if self.equivalent else 'no'}",
+        ]
+
+
+def decide_equivalent(m: TriSurface, n: TriSurface) -> EquivalenceDecision:
+    """Cut-and-paste equivalence of two surfaces, decided by (chi, b).
+
+    A collar square glues M to M' along k circles, which keeps chi and loses
+    2k boundary circles, and adds k annuli (chi 0, b 2k); so (chi, b) adds up
+    on it and on every disjoint-union square, and is a homomorphism out of
+    the truncated with-boundary group at every caps.  Acceptance criterion 4
+    and the tests' lattice oracle compute that it is injective there.  No
+    group is built here, so no class ceiling applies."""
+    cls_m, cls_n = m.classify(), n.classify()
+    chi, circles = (cls_m.chi, cls_n.chi), (cls_m.boundary_circles, cls_n.boundary_circles)
+    return EquivalenceDecision(
+        equivalent=chi[0] == chi[1] and circles[0] == circles[1],
+        left=cls_m, right=cls_n, chi=chi, boundary_circles=circles,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Move witnesses
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, order=True)
+class CircleSpec:
+    """Names a canonical circle on a library surface of a class."""
+
+    component: int
+    kind: str  # "seam" | "null"
+    index: int
+
+
+@dataclass(frozen=True)
+class MoveStep:
+    circles: tuple[CircleSpec, ...]
+    pairing: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class MoveWitness:
+    start: DiffeoClass
+    steps: tuple[MoveStep, ...]
+    end: DiffeoClass
+
+
+class SearchExhausted(SurfaceError):
+    """The bounded witness search ran out of budget; says nothing about
+    inequivalence."""
+
+
+def _resolve_circles(cls: DiffeoClass):
+    surf, entries = library_for_class(cls)
+    mapping = {}
+    for comp, ent in enumerate(entries):
+        for i, c in enumerate(ent.seams):
+            mapping[CircleSpec(comp, "seam", i)] = c
+        for i, c in enumerate(ent.nulls):
+            mapping[CircleSpec(comp, "null", i)] = c
+    return surf, mapping
+
+
+def apply_move(cls: DiffeoClass, step: MoveStep) -> DiffeoClass:
+    """Apply a named cut-and-paste move to (the library surface of) a class."""
+    surf, mapping = _resolve_circles(cls)
+    circles = [mapping[spec] for spec in step.circles]
+    moved = sk_system_move(surf, circles, pairing=step.pairing)
+    return moved.classify()
+
+
+def replay_witness(w: MoveWitness) -> DiffeoClass:
+    cls = w.start
+    for step in w.steps:
+        cls = apply_move(cls, step)
+    return cls
+
+
+def _candidate_moves(cls: DiffeoClass) -> list[MoveStep]:
+    _, mapping = _resolve_circles(cls)
+    specs = sorted(mapping)
+    moves = []
+    for a, b in combinations(specs, 2):
+        moves.append(MoveStep(circles=(a, b), pairing=(1, 0)))
+    return moves
+
+
+def find_witness(m: TriSurface, n: TriSurface, budget: int) -> MoveWitness:
+    """Bounded breadth-first search for a cut-and-paste move sequence taking
+    the class of m to the class of n.  Raises SearchExhausted when the
+    budget runs out; the witness, when found, replays deterministically.
+    A negative budget is refused with ValueError before anything else."""
+    if budget < 0:
+        raise ValueError(f"witness budget must be at least 0, got {budget}")
+    start = m.classify()
+    target = n.classify()
+    if start == target:
+        return MoveWitness(start=start, steps=(), end=target)
+    comp_bound = max(start.component_count, target.component_count) + budget
+    parents: dict[DiffeoClass, tuple[DiffeoClass, MoveStep] | None] = {start: None}
+    frontier = [start]
+    depth = 0
+    while frontier and depth < budget:
+        depth += 1
+        next_frontier = []
+        for cls in frontier:
+            for step in _candidate_moves(cls):
+                try:
+                    out = apply_move(cls, step)
+                except NonSeparatingCut:
+                    continue
+                if out in parents or out.component_count > comp_bound:
+                    continue
+                parents[out] = (cls, step)
+                if out == target:
+                    steps = []
+                    cur = out
+                    while parents[cur] is not None:
+                        prev, st = parents[cur]
+                        steps.append(st)
+                        cur = prev
+                    return MoveWitness(
+                        start=start, steps=tuple(reversed(steps)), end=target
+                    )
+                next_frontier.append(out)
+        frontier = next_frontier
+    raise SearchExhausted(
+        f"no witness within {budget} moves (this does not prove inequivalence)"
+    )
+
+
+# ---------------------------------------------------------------------------
+# Cylinder regluing collapse
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CylinderRegluingReport:
+    circle_count: int
+    first_pairing: tuple[int, ...]
+    second_pairing: tuple[int, ...]
+    first_class: DiffeoClass
+    second_class: DiffeoClass
+    coordinates_equal: bool
+
+    @property
+    def certified(self) -> bool:
+        return self.first_class == self.second_class and self.coordinates_equal
+
+    def to_lines(self) -> list[str]:
+        return [
+            f"circles={self.circle_count}",
+            f"first_pairing={list(self.first_pairing)} class={self.first_class.label()}",
+            f"second_pairing={list(self.second_pairing)} class={self.second_class.label()}",
+            f"collapse={'PASS' if self.certified else 'FAIL'}",
+        ]
+
+
+def _glue_cylinder_stacks(k: int, pairing, offsets=None) -> TriSurface:
+    """Concrete gluing of k annuli onto k annuli: annulus i's far cycle is
+    glued to annulus (k + pairing[i])'s near cycle."""
+    offsets = list(offsets) if offsets is not None else [0] * k
+    b = _Builder()
+    cycles_near = []
+    cycles_far = []
+    length = 3
+    for _ in range(2 * k):
+        a_row = [b.new_vertex() for _ in range(length)]
+        b_row = [b.new_vertex() for _ in range(length)]
+        base = b.annulus_strip(a_row, b_row)
+        cycles_near.append([(base + 2 * i, 2) for i in range(length)])
+        cycles_far.append([(base + 2 * i + 1, 0) for i in range(length)])
+    for i in range(k):
+        left = _order_cycle(b.endpoints, cycles_far[i])
+        right = _order_cycle(b.endpoints, cycles_near[k + pairing[i]])
+        _paste_cycles_raw(b, left, right, offsets[i])
+    out, _ = b.finish()
+    return out.require_valid()
+
+
+def skk_collapse_check(
+    circle_count: int,
+    first_pairing,
+    second_pairing,
+    first_offsets=None,
+    second_offsets=None,
+) -> CylinderRegluingReport:
+    """Certify that regluing cylinder stacks by two different pairings gives
+    the same class, with equal (chi, b) coordinates, so the
+    controlled-regluing difference terms vanish and the refined relation
+    collapses onto the plain cut-and-paste relation.  No group is built, so
+    no class ceiling applies."""
+    k = int(circle_count)
+    if k < 1:
+        raise ValueError("need at least one circle")
+    first = tuple(first_pairing)
+    second = tuple(second_pairing)
+    for p in (first, second):
+        if sorted(p) != list(range(k)):
+            raise ValueError("pairing must be a permutation of the circles")
+    s1 = _glue_cylinder_stacks(k, first, first_offsets)
+    s2 = _glue_cylinder_stacks(k, second, second_offsets)
+    c1, c2 = s1.classify(), s2.classify()
+    return CylinderRegluingReport(
+        circle_count=k,
+        first_pairing=first,
+        second_pairing=second,
+        first_class=c1,
+        second_class=c2,
+        coordinates_equal=_chi_b(c1, c2) == (0, 0),
+    )

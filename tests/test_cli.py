@@ -429,12 +429,14 @@ def test_euler_commute(capsys):
 def test_euler_commute_refuses_oversized_caps(monkeypatch, capsys):
     """Caps spanning more than MAX_COMMUTE_SURFACES standard surfaces are
     refused from the count alone, before any surface is built."""
+    import cutpaste
     from cutpaste import cli
 
     def build(*args):
         raise AssertionError("a surface was built")
 
-    monkeypatch.setattr(cli, "build_standard", build)
+    # the command reads the library through the package root
+    monkeypatch.setattr(cutpaste, "build_standard", build)
     for caps, count in (("10,9,1", 110), ("1000000000,1000000000,1", (10**9 + 1) ** 2)):
         code, out = run(capsys, "euler", "commute", "--caps", caps)
         assert code == 1, out
@@ -449,12 +451,13 @@ def test_euler_commute_refuses_oversized_caps(monkeypatch, capsys):
 def test_euler_commute_refuses_negative_caps(monkeypatch, capsys):
     """Negative genus or boundary caps are domain errors, refused before any
     surface is built, with no commutation verdict printed."""
-    from cutpaste import cli
+    import cutpaste
 
     def build(*args):
         raise AssertionError("a surface was built")
 
-    monkeypatch.setattr(cli, "build_standard", build)
+    # the command reads the library through the package root
+    monkeypatch.setattr(cutpaste, "build_standard", build)
     for caps in ("-1,0,0", "0,-1,3"):
         code, out = run(capsys, "euler", "commute", f"--caps={caps}")
         assert code == 1, out

@@ -2,11 +2,14 @@
 
 ``import cutpaste`` loads no submodule, and a caller of the groups (K0, the
 with-boundary and closed SK groups, their exact sequence) never loads the
-triangulated calculus.  Each check runs in a fresh interpreter, since the
-test process has long since imported every module.  The bound is on the
-modules loaded, so it holds on any host, whatever its speed.
+triangulated calculus or the lemma checker, nor do the CLI's ``sk k0`` and
+``sk exact``.  Names that moved out of a module stay readable there.  Each
+check runs in a fresh interpreter, since the test process has long since
+imported every module.  The bound is on the modules loaded and the records
+they define, so it holds on any host, whatever its speed.
 """
 
+import importlib
 import json
 import os
 import pathlib
@@ -101,6 +104,104 @@ def test_group_callers_load_no_triangulation_code():
         "cutpaste", "cutpaste.abgroup", "cutpaste.classes", "cutpaste.sk_groups",
         "cutpaste.squares_k0",
     ]
+
+
+def test_group_callers_define_only_the_group_dataclasses():
+    """The same calls define no record of the lemma checker or of the
+    surface-side SK operations: every ``@dataclass`` the loaded modules
+    define, by module.  A work bound that holds on any host."""
+    code = (
+        "import dataclasses, json, sys\n"
+        "import cutpaste\n"
+        "from cutpaste import sk_groups\n"
+        "res = cutpaste.k0_of_surfaces(cutpaste.Caps(3, 2, 3))\n"
+        "res.coordinate_of(cutpaste.DiffeoClass.connected(1, 0))\n"
+        "sk_groups.verify_exact_sequence(cutpaste.Caps(2, 2, 2))\n"
+        f"mods = {LOADED}\n"
+        "print(json.dumps({m: sorted(n for n, v in vars(sys.modules[m]).items()\n"
+        "    if isinstance(v, type) and dataclasses.is_dataclass(v) and v.__module__ == m)\n"
+        "    for m in mods}))\n"
+    )
+    assert fresh_json(code) == {
+        "cutpaste": [],
+        "cutpaste.abgroup": ["AbHom", "NormalForm", "SNFResult"],
+        "cutpaste.classes": ["DiffeoClass"],
+        "cutpaste.sk_groups": ["ExactSequenceReport"],
+        "cutpaste.squares_k0": ["SquaresPresentation", "SurfaceSquares"],
+    }
+
+
+def cli_modules(*argv: str) -> tuple[int, str, list[str]]:
+    """Exit code, stdout and the ``cutpaste`` modules a fresh
+    ``python -m cutpaste`` run imports, read from ``-X importtime``."""
+    out = fresh("", "-X", "importtime", "-m", "cutpaste", *argv)
+    names = (line.rsplit("|", 1)[-1].strip() for line in out.stderr.splitlines() if line.startswith("import time:"))
+    return out.returncode, out.stdout, sorted(n for n in names if n.split(".")[0] == "cutpaste")
+
+
+def test_cli_group_commands_load_only_the_group_layer():
+    """``sk k0`` and ``sk exact`` read the library through the lazy root, so
+    they load no triangulation, chain or acceptance code."""
+    code, out, loaded = cli_modules("sk", "k0", "--caps", "3,2,3")
+    assert (code, out) == (0, "caps=3,2,3\nobjects=455\nsquares=1040\nfree_rank=2\ntorsion=[]\n")
+    assert loaded == ["cutpaste", "cutpaste.abgroup", "cutpaste.classes", "cutpaste.cli", "cutpaste.squares_k0"]
+    code, out, loaded = cli_modules("sk", "exact", "--caps", "3,2,3")
+    assert code == 0 and out.startswith("caps=3,2,3\nclosed_group=Z^1\nboundary_group=Z^2\n"), out
+    assert loaded == [
+        "cutpaste", "cutpaste.abgroup", "cutpaste.classes", "cutpaste.cli", "cutpaste.sk_groups",
+        "cutpaste.squares_k0",
+    ]
+
+
+# Names that left a module, with their new home: the old module forwards them.
+MOVED = {
+    "squares_k0": ("lemma_check", [
+        "CheckResult", "FiniteSquaresCategory", "HypothesisReport", "Morphism",
+        "check_lemma_hypotheses",
+    ]),
+    "sk_groups": ("surface", [
+        "CircleSpec", "CylinderRegluingReport", "DoublingWitness", "EquivalenceDecision",
+        "MoveStep", "MoveWitness", "SearchExhausted", "apply_move", "decide_equivalent",
+        "double_surface", "doubling_witness", "find_witness", "glue_to_mirror",
+        "replay_witness", "skk_collapse_check",
+    ]),
+}
+
+
+def test_moved_names_are_forwarded_to_their_new_home():
+    from cutpaste import classes
+    from cutpaste.sk_groups import find_witness
+
+    for old_name, (home_name, names) in MOVED.items():
+        old = importlib.import_module(f"cutpaste.{old_name}")
+        home = importlib.import_module(f"cutpaste.{home_name}")
+        for n in names:
+            assert getattr(old, n) is getattr(home, n), n
+            assert getattr(home, n).__module__ == home.__name__, n
+        with pytest.raises(AttributeError, match=f"module 'cutpaste.{old_name}' has no attribute 'no_such_name'"):
+            getattr(old, "no_such_name")
+    assert find_witness is cutpaste.find_witness
+    assert issubclass(cutpaste.sk_groups.SearchExhausted, classes.SurfaceError)
+    # a deleted name stays deleted: probes with a default read the default
+    assert getattr(cutpaste.sk_groups, "boundary_sk_presentation", None) is None
+
+
+def test_moved_names_load_their_home_on_first_read():
+    """After a K0 request neither home is loaded; reading a moved name from
+    its old module loads the home, and only then."""
+    code = (
+        "import json, sys\n"
+        "import cutpaste\n"
+        "from cutpaste import sk_groups, squares_k0\n"
+        "cutpaste.k0_of_surfaces(cutpaste.Caps(2, 2, 2))\n"
+        "seen = [sorted(set(sys.modules) & {'cutpaste.lemma_check', 'cutpaste.surface'})]\n"
+        "squares_k0.check_lemma_hypotheses\n"
+        "seen.append(sorted(set(sys.modules) & {'cutpaste.lemma_check', 'cutpaste.surface'}))\n"
+        "sk_groups.find_witness\n"
+        "seen.append(sorted(set(sys.modules) & {'cutpaste.lemma_check', 'cutpaste.surface'}))\n"
+        "print(json.dumps(seen))\n"
+    )
+    assert fresh_json(code) == [[], ["cutpaste.lemma_check"], ["cutpaste.lemma_check", "cutpaste.surface"]]
 
 
 def test_root_names_are_the_objects_of_their_modules():

@@ -81,6 +81,27 @@ def test_fifth_glued_circle_adds_no_closed_relation(monkeypatch):
         assert at_five.coordinate_of(cls) == at_four.coordinate_of(cls), cls
 
 
+def test_fourth_piece_component_adds_no_closed_relation(monkeypatch):
+    # the closed presentation glues pieces of at most
+    # _MAX_PIECE_COMPONENTS = 3 components; a fourth must not change it
+    # (at (4,3,3) a bound of four is refused: 10,625 piece multisets)
+    caps = Caps(3, 3, 3)
+    closed_sk_presentation.cache_clear()
+    try:
+        at_three = closed_sk_presentation(caps)
+        monkeypatch.setattr(sk_groups, "_MAX_PIECE_COMPONENTS", 4)
+        closed_sk_presentation.cache_clear()
+        at_four = closed_sk_presentation(caps)
+    finally:
+        closed_sk_presentation.cache_clear()
+    assert len(at_four.group.relations) > len(at_three.group.relations)
+    assert at_three.group.quotient_invariants() == (1, ())
+    assert at_four.group.quotient_invariants() == (1, ())
+    assert at_four.classes == at_three.classes
+    for cls in at_three.classes:
+        assert at_four.coordinate_of(cls) == at_three.coordinate_of(cls), cls
+
+
 @lru_cache(maxsize=None)
 def permutation_gluings(left, right):
     """Oracle for the closed gluing relations: every bijection of the left
