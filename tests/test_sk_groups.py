@@ -1,6 +1,8 @@
 """Scissors-congruence group tests: presentations, exactness, witnesses."""
 
+import hashlib
 import itertools
+import json
 from functools import lru_cache
 
 import pytest
@@ -137,6 +139,74 @@ def test_gluing_results_match_permutation_oracle(caps):
         assert sk_groups._gluing_results(left, right, caps) == want, (left, right)
         pairs += 1
     assert pairs > 0
+
+
+def slot_bijection_blocks(row_sums, col_sums):
+    """Oracle for ``_block_partitions``: every bijection of the left circle
+    slots onto the right ones, and the connected components of each
+    resulting bipartite multigraph (left nodes 0..p-1, right nodes p..)."""
+    p = len(row_sums)
+    lslots = [i for i, b in enumerate(row_sums) for _ in range(b)]
+    rslots = [p + j for j, b in enumerate(col_sums) for _ in range(b)]
+    found = set()
+    for perm in itertools.permutations(rslots):
+        adjacent = {node: set() for node in range(p + len(col_sums))}
+        for a, b in zip(lslots, perm):
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        blocks, seen = [], set()
+        for start in adjacent:
+            if start in seen:
+                continue
+            component, stack = set(), [start]
+            while stack:
+                node = stack.pop()
+                if node not in component:
+                    component.add(node)
+                    stack.extend(adjacent[node] - component)
+            seen |= component
+            blocks.append(tuple(sorted(component)))
+        found.add(tuple(sorted(blocks)))
+    return tuple(sorted(found))
+
+
+def test_block_partitions_match_slot_bijections():
+    # every balanced pair of margins with at most three pieces and four
+    # circles a side; the pieces a closed presentation glues give 49 of them
+    margins = [
+        m
+        for total in range(1, 5)
+        for k in range(1, 4)
+        for m in itertools.product(range(1, total + 1), repeat=k)
+        if sum(m) == total
+    ]
+    pairs = [(r, c) for r in margins for c in margins if sum(r) == sum(c)]
+    assert len(pairs) == 70
+    for row_sums, col_sums in pairs:
+        want = slot_bijection_blocks(row_sums, col_sums)
+        assert sk_groups._block_partitions(row_sums, col_sums) == want, (row_sums, col_sums)
+    used = {
+        (tuple(b for _, b in left), tuple(b for _, b in right))
+        for left, right in piece_pairs(Caps(2, 2, 2))
+    }
+    assert len(used) == 49
+    assert used <= set(pairs)
+
+
+# sha256 of the JSON of [relations, presentation.squares, class labels]
+CLOSED_DIGESTS = {
+    (2, 2, 2): (46, "68cb673ed9cffe0f2e764b36c2ff8a5cffb33d033e804cd4d348f6c09bf4450f"),
+    (3, 2, 3): (302, "cd73c9730fcc3c4d134fc3b7458939d99ad087d1427b3887c014a92d15feaa21"),
+    (3, 3, 3): (302, "cd73c9730fcc3c4d134fc3b7458939d99ad087d1427b3887c014a92d15feaa21"),
+    (4, 3, 3): (946, "c005399223538e61330180142e9ec83d9f320774eb6ca10b5549cfa028dafeb4"),
+}
+
+
+@pytest.mark.parametrize("caps", sorted(CLOSED_DIGESTS))
+def test_closed_presentation_digest(caps):
+    pres = closed_sk_presentation(Caps(*caps))
+    blob = json.dumps([pres.relations, pres.presentation.squares, [c.label() for c in pres.classes]])
+    assert (len(pres.relations), hashlib.sha256(blob.encode()).hexdigest()) == CLOSED_DIGESTS[caps]
 
 
 def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
