@@ -83,63 +83,48 @@ def _piece_multisets(caps: Caps):
     return by_circles
 
 
-def _bounded_compositions(total: int, bounds: tuple[int, ...]):
-    """Every tuple x with sum(x) == total and 0 <= x[j] <= bounds[j]."""
-    if len(bounds) == 1:
-        if total <= bounds[0]:
-            yield (total,)
-        return
-    for x in range(min(total, bounds[0]) + 1):
-        for rest in _bounded_compositions(total - x, bounds[1:]):
-            yield (x,) + rest
-
-
-def _degree_tables(row_sums: tuple[int, ...], col_sums: tuple[int, ...]):
-    """Every nonnegative integer matrix, as a tuple of rows, with the given
-    row and column sums (whose totals must agree)."""
-    if not row_sums:
-        yield ()
-        return
-    for row in _bounded_compositions(row_sums[0], col_sums):
-        rest = tuple(c - x for c, x in zip(col_sums, row))
-        for tail in _degree_tables(row_sums[1:], rest):
-            yield (row,) + tail
-
-
 @lru_cache(maxsize=None)
 def _block_partitions(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> tuple:
-    """The distinct ways the degree tables with these margins split their
-    row and column nodes (rows 0..p-1, then columns p..p+q-1) into
-    connected blocks, each a tuple of nodes."""
-    p = len(row_sums)
-    out = set()
-    for table in _degree_tables(row_sums, col_sums):
-        root = list(range(p + len(col_sums)))
+    """The distinct ways gluing every circle of the left pieces (nodes
+    0..p-1, with ``row_sums`` circles each) to a circle of the right pieces
+    (nodes p.., with ``col_sums``) splits the pieces into connected blocks:
+    a sorted tuple of partitions, each a sorted tuple of sorted node tuples.
 
-        def find(x):
-            while root[x] != x:
-                x = root[x]
-            return x
+    Every piece has a circle.  A partition arises exactly when each block
+    holds as many left circles as right circles, L, and L >= n - 1 for its
+    n pieces.  Every circle is glued inside its block, and a connected
+    block of n pieces needs n - 1 glued pairs.  Conversely, a bipartite
+    tree with any degrees >= 1 that sum to n - 1 on each side exists
+    (remove a leaf and induct), each side of the block can give its pieces
+    such tree degrees within their circle counts since L >= n - 1, and the
+    spare circles are glued in pairs inside the block."""
+    circles = row_sums + col_sums
+    signed = [b if x < len(row_sums) else -b for x, b in enumerate(circles)]
 
-        for i, row in enumerate(table):
-            for j, x in enumerate(row):
-                if x:
-                    root[find(p + j)] = find(i)
-        blocks: dict[int, list[int]] = {}
-        for node in range(len(root)):
-            blocks.setdefault(find(node), []).append(node)
-        out.add(tuple(sorted(tuple(b) for b in blocks.values())))
-    return tuple(sorted(out))
+    def split(rest):
+        # the block of the least unplaced node, then the rest
+        if not rest:
+            yield ()
+            return
+        for k in range(len(rest)):
+            for mates in itertools.combinations(rest[1:], k):
+                block = rest[:1] + mates
+                if sum(signed[x] for x in block) == 0 and sum(circles[x] for x in block) >= 2 * len(block) - 2:
+                    others = tuple(x for x in rest[1:] if x not in mates)
+                    for tail in split(others):
+                        yield (block,) + tail
+
+    return tuple(sorted(split(tuple(range(len(circles))))))
 
 
 def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
     """All closed classes obtainable by gluing every circle of the left
     pieces to a circle of the right pieces, truncated to the caps.
 
-    A gluing pattern is its degree table: how many circles of left piece i
-    are glued to right piece j.  Gluing along circles adds Euler
-    characteristics and every circle is glued, so each connected block of
-    the table is a closed surface whose chi is the sum over its pieces."""
+    A gluing pattern matters only through the blocks of pieces it
+    connects (``_block_partitions``).  Gluing along circles adds Euler
+    characteristics and every circle is glued, so each block is a closed
+    connected surface whose chi is the sum over its pieces."""
     chis = [2 - 2 * g - b for g, b in left + right]
     # Every piece has a boundary circle, so each glued component holds a
     # left and a right piece: there are at most k of them, and within the

@@ -211,7 +211,7 @@ def test_closed_presentation_digest(caps):
 
 def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     # The permutation enumeration evaluated one glued class per distinct
-    # edge pattern of every piece pair; the degree-table enumeration skips
+    # edge pattern of every piece pair; the block-partition enumeration skips
     # piece pairs whose chi cannot fit the caps and evaluates each block
     # partition once per remaining pair.
     caps = Caps(3, 2, 3)
