@@ -44,6 +44,31 @@ class ChainComplexError(ValueError):
     pass
 
 
+# Largest number of cells a chain file may declare: the sum of a complex's
+# ranks, or rows + cols of one matrix.  A declared cell costs memory whether
+# or not the file lists an entry for it, so the file parsers refuse more
+# before building anything.  `chain homology` on a file declaring 100,000
+# cells and no entries takes about 0.16 s and 41 MB above the interpreter's
+# own (Python 3.11, one core of a 2-core x86-64 host); the chains of the
+# 17,536-triangle surface have 52,692 cells.  Library callers (`chains_of`,
+# `pushout`) are not capped.
+MAX_FILE_CELLS = 100_000
+
+
+def _refuse_declared(count: int, what: str) -> None:
+    if count > MAX_FILE_CELLS:
+        raise ChainComplexError(f"{what} declares {count} cells, above the ceiling of {MAX_FILE_CELLS}")
+
+
+def matrix_from_json(data: dict) -> IntMatrix:
+    """``IntMatrix.from_json`` for chain files: a matrix whose rows + cols
+    pass MAX_FILE_CELLS is refused before it is built."""
+    rows, cols = data["rows"], data["cols"]
+    require_json_ints((rows, cols), "matrix shape")
+    _refuse_declared(rows + cols, "matrix")
+    return IntMatrix.from_json(data)
+
+
 @dataclass(frozen=True)
 class HomologyType:
     """Per-degree isomorphism type: (free rank, invariant factors > 1)."""
@@ -239,11 +264,14 @@ class ChainComplex:
     def from_json(cls, data: dict) -> "ChainComplex":
         """Parse the chain file format.  ``lo``, ``hi``, ``ranks`` and every
         matrix's ``rows``, ``cols`` and ``entries`` must be JSON integers;
-        anything else raises ValueError naming the value."""
+        anything else raises ValueError naming the value.  A complex or
+        matrix declaring more than MAX_FILE_CELLS cells is refused with
+        ChainComplexError before it is built."""
         lo, hi, ranks = data["lo"], data["hi"], data["ranks"]
         require_json_ints((lo, hi), "degree bound")
         require_json_ints(ranks, "rank")
-        return cls(lo, hi, tuple(ranks), tuple(IntMatrix.from_json(m) for m in data["boundaries"]))
+        _refuse_declared(sum(ranks), "chain complex")
+        return cls(lo, hi, tuple(ranks), tuple(matrix_from_json(m) for m in data["boundaries"]))
 
 
 @dataclass(frozen=True)

@@ -247,15 +247,15 @@ def _cmd_chain(args) -> int:
         print(f"quasi_isomorphic={'yes' if same else 'no'}")
         return 0
     # "pushout", the last subcommand the parser admits
-    from .chains import ChainComplexError
+    from .chains import ChainComplexError, matrix_from_json
 
     data = _load_json(args.file)
     try:
         a = cp.ChainComplex.from_json(data["a"])
         b = cp.ChainComplex.from_json(data["b"])
         c = cp.ChainComplex.from_json(data["c"])
-        fmats = tuple(cp.IntMatrix.from_json(m) for m in data["f"])
-        gmats = tuple(cp.IntMatrix.from_json(m) for m in data["g"])
+        fmats = tuple(matrix_from_json(m) for m in data["f"])
+        gmats = tuple(matrix_from_json(m) for m in data["g"])
     except ChainComplexError:
         raise
     except (KeyError, TypeError, ValueError) as exc:

@@ -850,23 +850,6 @@ class EmbeddedCircle:
         return tuple(self.surface.endpoints(r)[0] for r in self.refs)
 
     @classmethod
-    def from_vertices(cls, s: TriSurface, vertices) -> "EmbeddedCircle":
-        """Build a circle from a vertex cycle, picking the least matching edge refs."""
-        vertices = list(vertices)
-        refs = []
-        for a, b in zip(vertices, vertices[1:] + vertices[:1]):
-            candidates = [
-                (t, e)
-                for t in range(len(s.triangles))
-                for e in range(3)
-                if s.endpoints((t, e)) == (a, b)
-            ]
-            if not candidates:
-                raise SurfaceError(f"no edge from {a} to {b}")
-            refs.append(min(candidates))
-        return cls(s, tuple(refs))
-
-    @classmethod
     def triangle_boundary(cls, s: TriSurface, t: int) -> "EmbeddedCircle":
         return cls(s, ((t, 0), (t, 1), (t, 2)))
 
@@ -939,10 +922,6 @@ def surface_from_data(vertex_count, triangles, gluing_pairs) -> TriSurface:
     except ValueError as exc:
         raise InvalidSurface(str(exc)) from None
     return surf.require_valid()
-
-
-def empty_surface() -> TriSurface:
-    return TriSurface(0, (), (), ())
 
 
 def closed_surface_from_triangles(triangles) -> TriSurface:
@@ -1862,7 +1841,7 @@ def skk_collapse_check(
     first = tuple(first_pairing)
     second = tuple(second_pairing)
     for p in (first, second):
-        if sorted(p) != list(range(k)):
+        if len(p) != k or sorted(p) != list(range(k)):
             raise ValueError("pairing must be a permutation of the circles")
     s1 = _glue_cylinder_stacks(k, first, first_offsets)
     s2 = _glue_cylinder_stacks(k, second, second_offsets)

@@ -211,6 +211,22 @@ def test_sk_skk_above_the_class_ceiling(capsys):
     assert "collapse=PASS" in out
 
 
+def test_sk_skk_refuses_a_short_pairing_before_building_the_range(capsys):
+    """A pairing shorter than --circles is refused by its length, before
+    anything of the requested circle count is built."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code, out = run(capsys, "sk", "skk", "--circles", "1000000", "--first", "0,1", "--second", "1,0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1, out
+    assert out == "error=domain detail=pairing must be a permutation of the circles\n"
+    assert peak < 1_000_000, peak
+
+
 def test_k0_presentation_file(tmp_path, capsys):
     pres = {"objects": ["O", "X"], "basepoint": 0, "squares": []}
     path = tmp_path / "pres.sq"
@@ -308,6 +324,46 @@ def test_malformed_chain_file_exits_2(corrupt, rule, tmp_path, capsys):
         code, out = run(capsys, *argv)
         assert code == 2, (argv, out)
         assert out.startswith("error=malformed_input") and rule in out, out
+
+
+def test_chain_files_above_the_cell_ceiling_exit_1_before_building(monkeypatch, tmp_path, capsys):
+    """A chain file declaring more cells than the ceiling (the sum of a
+    complex's ranks, rows + cols of a matrix) is a domain error, refused
+    before any matrix is built; library constructors are not capped."""
+    from cutpaste import chains
+    from cutpaste.abgroup import IntMatrix
+
+    monkeypatch.setattr(chains, "MAX_FILE_CELLS", 10)
+    path = tmp_path / "at_ceiling.chain"
+    path.write_text(json.dumps({"lo": 0, "hi": 1, "ranks": [10, 0], "boundaries": [{"rows": 10, "cols": 0, "entries": []}]}))
+    code, out = run(capsys, "chain", "homology", str(path))
+    assert (code, out) == (0, "degree=0 rank=10 torsion=[]\ndegree=1 rank=0 torsion=[]\n")
+
+    def build(*args, **kwargs):
+        raise AssertionError("a matrix was built above the ceiling")
+
+    monkeypatch.setattr(IntMatrix, "from_json", build)
+    wide = {"rows": 0, "cols": 11, "entries": []}
+    zero = {"lo": 0, "hi": 0, "ranks": [0], "boundaries": []}
+    files = {
+        "ranks.chain": {"lo": 0, "hi": 1, "ranks": [11, 0], "boundaries": [{"rows": 11, "cols": 0, "entries": []}]},
+        "boundary.chain": {"lo": 0, "hi": 1, "ranks": [1, 1], "boundaries": [wide]},
+        "maps.bundle": {"a": zero, "b": zero, "c": zero, "f": [wide], "g": [wide]},
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_text(json.dumps(data))
+    for argv, what in (
+        (("chain", "homology", str(tmp_path / "ranks.chain")), "chain complex"),
+        (("chain", "chi", str(tmp_path / "ranks.chain")), "chain complex"),
+        (("chain", "qiso", str(tmp_path / "ranks.chain"), str(path)), "chain complex"),
+        (("chain", "homology", str(tmp_path / "boundary.chain")), "matrix"),
+        (("chain", "pushout", str(tmp_path / "maps.bundle")), "matrix"),
+    ):
+        code, out = run(capsys, *argv)
+        assert code == 1, (argv, out)
+        assert out == f"error=domain detail={what} declares 11 cells, above the ceiling of 10\n", (argv, out)
+    monkeypatch.undo()
+    assert chains.ChainComplex.make(0, 0, [11], []).ranks == (11,)
 
 
 def test_chain_qiso(tmp_path, capsys):

@@ -19,8 +19,8 @@ from cutpaste.euler_functor import (
 )
 from cutpaste.surface import (
     DiffeoClass,
+    TriSurface,
     build_standard,
-    empty_surface,
     fan_disk,
     library_for_class,
     octahedron,
@@ -145,7 +145,7 @@ def test_square_instance_json_round_trip():
 
 def test_pi0_commutation_on_library():
     samples = [build_standard(g, b) for g in range(3) for b in range(3)]
-    samples.append(empty_surface())
+    samples.append(TriSurface(0, (), (), ()))
     report = pi0_commutation(samples)
     assert report.passed
     for label, chi, k in report.entries:

@@ -21,7 +21,6 @@ from cutpaste.surface import (
     cut_nonseparating_ok,
     disjoint_union,
     double_circle,
-    empty_surface,
     fan_disk,
     library_for_class,
     mirror,
@@ -215,7 +214,7 @@ def test_disjoint_union_classify_distributes():
     u = disjoint_union(t, d)
     assert u.classify() == DiffeoClass.from_pairs([(1, 0), (0, 1)])
     assert u.euler_characteristic() == t.euler_characteristic() + d.euler_characteristic()
-    assert disjoint_union(t, empty_surface()).classify() == t.classify()
+    assert disjoint_union(t, TriSurface(0, (), (), ())).classify() == t.classify()
     rng = random.Random(41)
     pool = [octahedron(), torus(), fan_disk(3), annulus(4), build_standard(1, 1)]
     for _ in range(10):
@@ -248,6 +247,19 @@ def test_subdivide_preserves_class():
 # ---------------------------------------------------------------------------
 
 
+def vertex_cycle_circle(s: TriSurface, vertices) -> EmbeddedCircle:
+    """The circle through a vertex cycle, taking the least ref of each of
+    its edges."""
+    vertices = list(vertices)
+    refs = []
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        candidates = [(t, e) for t in range(s.triangle_count) for e in range(3) if s.endpoints((t, e)) == (a, b)]
+        if not candidates:
+            raise SurfaceError(f"no edge from {a} to {b}")
+        refs.append(min(candidates))
+    return EmbeddedCircle(s, tuple(refs))
+
+
 def equator_circle(s: TriSurface) -> EmbeddedCircle:
     """The length-4 equator of the canonical octahedron."""
     # find a 4-cycle of interior vertices all of valence 4 away from poles:
@@ -255,7 +267,7 @@ def equator_circle(s: TriSurface) -> EmbeddedCircle:
     # walking edges from vertex adjacency
     for quad in _four_cycles(s):
         try:
-            return EmbeddedCircle.from_vertices(s, quad)
+            return vertex_cycle_circle(s, quad)
         except SurfaceError:
             continue
     raise AssertionError("no embeddable 4-cycle found")
@@ -308,7 +320,7 @@ def torus_meridian(s: TriSurface) -> EmbeddedCircle:
     for triple in itertools.combinations(range(7), 3):
         if triple in faces:
             continue
-        circle = EmbeddedCircle.from_vertices(s, list(triple))
+        circle = vertex_cycle_circle(s, list(triple))
         try:
             cut(s, circle)
         except NonSeparatingCut:
