@@ -362,8 +362,7 @@ def test_chain_files_above_the_cell_ceiling_exit_1_before_building(monkeypatch, 
         code, out = run(capsys, *argv)
         assert code == 1, (argv, out)
         assert out == f"error=domain detail={what} declares 11 cells, above the ceiling of 10\n", (argv, out)
-    monkeypatch.undo()
-    assert chains.ChainComplex.make(0, 0, [11], []).ranks == (11,)
+    assert chains.ChainComplex.make(0, 1, [11, 0], [[[]] * 11]).ranks == (11, 0)
 
 
 def test_chain_qiso(tmp_path, capsys):
