@@ -8,6 +8,7 @@ from cutpaste.cli import main
 from cutpaste.euler_functor import square_from_circles
 from cutpaste.surface import build_standard, fan_disk, octahedron, standard_library
 
+from test_euler_functor import sphere_halves_square
 from test_surface import equator_circle
 
 
@@ -473,6 +474,14 @@ def test_euler_chi_and_square(tmp_path, capsys, octa_file):
     path.write_text(json.dumps(q.to_json()))
     code, out = run(capsys, "euler", "verify-square", str(path))
     assert code == 0 and "square_check=PASS" in out
+
+
+def test_failing_square_exits_1(tmp_path, capsys):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(sphere_halves_square().to_json()))
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 1, out
+    assert out.splitlines()[0] == "square_check=FAIL" and "first_failing_degree=0" in out, out
 
 
 def test_euler_commute(capsys):

@@ -90,6 +90,25 @@ def test_coproduct_square_passes():
     assert q.a_triangles == frozenset()
 
 
+def sphere_halves_square() -> SquareInstance:
+    """The 32-triangle sphere split into triangles 0-15 and 16-31.  The
+    halves share no triangle, so A is empty, yet they meet along edges of
+    D: the pushout over the empty complex is two components, D is one."""
+    return SquareInstance(build_standard(0, 0), frozenset(range(16)), frozenset(range(16, 32)))
+
+
+def test_square_sharing_no_triangle_fails_in_degree_zero():
+    q = sphere_halves_square()
+    assert q.surface.triangle_count == 32 and q.a_triangles == frozenset()
+    assert functor_on_square(q).to_lines() == [
+        "square_check=FAIL",
+        "pushout_model=quotient",
+        "pushout_homology=H_0=Z^2",
+        "glued_homology=H_0=Z, H_2=Z",
+        "first_failing_degree=0",
+    ]
+
+
 def test_sphere_from_two_disks_square():
     s = octahedron()
     circle = equator_circle(s)
