@@ -758,21 +758,6 @@ class AbGroupPresentation:
         parts.extend(f"Z/{d}" for d in torsion)
         return " + ".join(parts) if parts else "0"
 
-    def to_json(self) -> dict:
-        return {
-            "generators": list(self.generators),
-            "relations": [list(r) for r in self.relations],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "AbGroupPresentation":
-        """Parse {"generators", "relations"}; every relation entry must be a
-        JSON integer (not a float, string or boolean), else ValueError."""
-        relations = data["relations"]
-        for row in relations:
-            require_json_ints(row, "relation entry")
-        return cls.make(data["generators"], relations)
-
 
 @dataclass(frozen=True)
 class AbHom:

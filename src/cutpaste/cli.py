@@ -220,6 +220,12 @@ def _cmd_k0(args) -> int:
         pres = cp.SquaresPresentation.from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"{args.file} is not a squares presentation: {exc}") from exc
+    # One coordinate line per object, each as long as the group's rank: the
+    # output grows with the square of the object count.
+    from .squares_k0 import MAX_CLASSES
+
+    if len(pres.objects) > MAX_CLASSES:
+        raise ValueError(f"{args.file} declares {len(pres.objects)} objects, above the ceiling of {MAX_CLASSES}")
     group = cp.k0_presentation(pres)
     print(f"group={group.describe()}")
     for label in group.generators:

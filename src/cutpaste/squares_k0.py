@@ -9,8 +9,10 @@ gluing category of compact oriented surfaces with boundary: objects are
 diffeomorphism classes within caps, squares are the disjoint-union squares
 and the collar squares (annulus stack, piece, piece, glued result).
 Collar squares are enumerated between connected pieces; gluings of
-disconnected objects decompose into these plus disjoint-union squares,
-which the computed group confirms (rank stabilizes at two).  Its record,
+disconnected objects decompose into these plus disjoint-union squares:
+``test_disconnected_gluings_keep_every_coordinate`` adds every such
+gluing at caps (2,2,2) and finds the group still Z^2 with every coordinate
+unchanged.  Its record,
 ``SurfaceSquares``, is the with-boundary cut-and-paste group
 (``k0_of_surfaces``); ``sk_groups`` presents the closed group as one too,
 with extra relation rows.
@@ -90,13 +92,10 @@ def k0_presentation(p: SquaresPresentation, extra=()) -> AbGroupPresentation:
     """Free abelian group on the objects modulo [O] = 0 and, per square
     (A, B, C, D), the relation [A] + [D] - [B] - [C] = 0, built as sparse
     rows, then the ``extra`` rows, each given as (index, coefficient)
-    pairs."""
+    pairs.  A repeated square is kept as one more row; it reduces to zero
+    and leaves the group as it was."""
     relations = [{p.basepoint: 1}]
-    seen = set()
     for q in p.squares:
-        if q in seen:
-            continue
-        seen.add(q)
         rel: dict[int, int] = {}
         for i, x in zip(q, (1, -1, -1, 1)):
             rel[i] = rel.get(i, 0) + x
@@ -207,52 +206,6 @@ def glue_connected(m1: tuple[int, int], m2: tuple[int, int], k: int) -> tuple[in
     if k < 1 or k > min(b1, b2):
         raise ValueError("invalid circle count for gluing")
     return (g1 + g2 + k - 1, b1 + b2 - 2 * k)
-
-
-def glue_class_components(
-    left: DiffeoClass, right: DiffeoClass, edges
-) -> DiffeoClass:
-    """Gluing along a bipartite multigraph: edges are (left component index,
-    right component index) pairs, one per glued circle pair; degrees may not
-    exceed the boundary-circle counts."""
-    ln = left.component_count
-    nodes = list(left.components) + list(right.components)
-    deg = [0] * len(nodes)
-    parent = list(range(len(nodes)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edge_list = []
-    for i, j in edges:
-        a, b = i, ln + j
-        deg[a] += 1
-        deg[b] += 1
-        edge_list.append((a, b))
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    for x, (g, b) in enumerate(nodes):
-        if deg[x] > b:
-            raise ValueError("component does not have enough boundary circles")
-    groups: dict[int, list[int]] = {}
-    for x in range(len(nodes)):
-        groups.setdefault(find(x), []).append(x)
-    edge_count: dict[int, int] = {}
-    for a, b in edge_list:
-        edge_count[find(a)] = edge_count.get(find(a), 0) + 1
-    pairs = []
-    for root, members in groups.items():
-        chi = sum(2 - 2 * nodes[x][0] - nodes[x][1] for x in members)
-        b = sum(nodes[x][1] for x in members) - 2 * edge_count.get(root, 0)
-        g2 = 2 - chi - b
-        if b < 0 or g2 < 0 or g2 % 2:
-            raise ValueError("gluing pattern does not produce oriented surfaces")
-        pairs.append((g2 // 2, b))
-    return DiffeoClass.from_pairs(pairs)
 
 
 ANNULUS = (0, 2)

@@ -663,15 +663,6 @@ def test_quotient_checks_on_known_sequences(mods_a, mods_b, mods_c, hf, hg, exac
 def test_json_round_trip():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert IntMatrix.from_json(a.to_json()) == a
-    g = AbGroupPresentation.make(["x", "y"], [[1, -1]])
-    assert AbGroupPresentation.from_json(g.to_json()) == g
-
-
-@pytest.mark.parametrize("entry", [2.7, "2", True])
-def test_presentation_from_json_rejects_non_integer_entries(entry):
-    # int() would read 2.7 and "2" as 2 and True as 1
-    with pytest.raises(ValueError, match="relation entry .* is not a JSON integer"):
-        AbGroupPresentation.from_json({"generators": ["x"], "relations": [[entry]]})
 
 
 def test_sparse_helpers():
@@ -683,7 +674,7 @@ def test_sparse_helpers():
 def test_sparse_and_dense_relation_rows_agree(n, data):
     """make keeps relation rows sparse.  Dense rows and the same rows as
     {index: coeff} dicts (zeros left in or dropped) give one presentation:
-    equal relations, JSON, invariants and normal forms."""
+    equal relations, invariants and normal forms."""
     entry = st.integers(-6, 6)
     rels = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=7))
     keep_zeros = data.draw(st.booleans())
@@ -693,7 +684,6 @@ def test_sparse_and_dense_relation_rows_agree(n, data):
     sparse_g = AbGroupPresentation.make(gens, sparse)
     assert sparse_g == dense_g and hash(sparse_g) == hash(dense_g)
     assert sparse_g.relations == dense_g.relations == tuple(tuple(r) for r in rels)
-    assert sparse_g.to_json() == dense_g.to_json()
     assert sparse_g.quotient_invariants() == dense_g.quotient_invariants()
     vecs = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=4))
     for v in vecs:

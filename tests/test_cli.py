@@ -237,6 +237,31 @@ def test_k0_presentation_file(tmp_path, capsys):
     assert "group=Z" in out.splitlines()[0]
 
 
+def test_squares_file_above_the_class_ceiling_exits_1_before_building(monkeypatch, tmp_path, capsys):
+    """A squares file declaring more objects than MAX_CLASSES is a domain
+    error, refused before the presentation is built; library callers are
+    not capped."""
+    import cutpaste
+    from cutpaste import squares_k0
+
+    monkeypatch.setattr(squares_k0, "MAX_CLASSES", 3)
+    path = tmp_path / "pres.sq"
+    path.write_text(json.dumps({"objects": ["O", "a", "b"], "basepoint": 0, "squares": [[0, 1, 1, 2]]}))
+    code, out = run(capsys, "k0", str(path))
+    assert (code, out.splitlines()[0]) == (0, "group=Z"), out
+
+    def build(*args, **kwargs):
+        raise AssertionError("a presentation was built above the ceiling")
+
+    monkeypatch.setattr(cutpaste, "k0_presentation", build)
+    path.write_text(json.dumps({"objects": ["O", "a", "b", "c"], "basepoint": 0, "squares": []}))
+    code, out = run(capsys, "k0", str(path))
+    assert code == 1, out
+    assert out == f"error=domain detail={path} declares 4 objects, above the ceiling of 3\n", out
+    pres = squares_k0.SquaresPresentation(("O", "a", "b", "c"), 0, ())
+    assert squares_k0.k0_presentation(pres).quotient_invariants() == (3, ())
+
+
 def test_chain_homology_and_chi(tmp_path, capsys):
     chain = {
         "lo": 0,

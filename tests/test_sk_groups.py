@@ -9,10 +9,10 @@ import pytest
 
 from cutpaste import sk_groups
 import lattice_oracle
+from gluing_oracle import glue_class_components
 from cutpaste.abgroup import AbGroupPresentation, IntMatrix, IntegerLattice, NormalForm, to_sparse
 from cutpaste.squares_k0 import (
     classes_within,
-    glue_class_components,
     k0_of_surfaces,
     surface_squares_presentation,
     within_caps,

@@ -1,5 +1,7 @@
 """Tests for the K0-of-squares engine and the truncated surface instance."""
 
+import collections
+import itertools
 import random
 from dataclasses import replace
 
@@ -15,7 +17,6 @@ from cutpaste.squares_k0 import (
     check_lemma_hypotheses,
     classes_of_types,
     connected_types,
-    glue_class_components,
     glue_connected,
     k0_of_surfaces,
     k0_presentation,
@@ -33,6 +34,8 @@ from cutpaste.surface import (
     disjoint_union,
     paste,
 )
+
+from gluing_oracle import glue_class_components
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +607,46 @@ def test_k0_of_surfaces_four_components():
         by_coord.setdefault((nf.free, nf.torsion), set()).add(cls)
         by_chib.setdefault((cls.chi, cls.boundary_circles), set()).add(cls)
     assert set(map(frozenset, by_coord.values())) == set(map(frozenset, by_chib.values()))
+
+
+def gluing_patterns(left: DiffeoClass, right: DiffeoClass, k: int):
+    """Every multiset of k circle pairs (left component, right component)
+    that no component's boundary circles run short of."""
+    slots = itertools.product(range(left.component_count), range(right.component_count))
+    for edges in itertools.combinations_with_replacement(slots, k):
+        for side, pieces in ((0, left), (1, right)):
+            degrees = collections.Counter(e[side] for e in edges)
+            if any(d > pieces.components[i][1] for i, d in degrees.items()):
+                break
+        else:
+            yield edges
+
+
+def test_disconnected_gluings_keep_every_coordinate():
+    """The instance's collar squares glue connected pieces only.  Adding
+    every collar square (annulus^k, M, M', glued) in which M or M' is
+    disconnected, with collar and result within the caps, leaves the group
+    Z^2 and every class's coordinate as it was."""
+    caps = Caps(2, 2, 2)
+    base = surface_squares_presentation(caps)
+    index = {c: i for i, c in enumerate(base.classes)}
+    nonempty = [c for c in base.classes if not c.is_empty]
+    extra = set()
+    for m, m2 in itertools.product(nonempty, repeat=2):
+        if m.component_count == m2.component_count == 1:
+            continue
+        for k in range(1, caps.components + 1):
+            collar = DiffeoClass.from_pairs([squares_k0.ANNULUS] * k)
+            for edges in gluing_patterns(m, m2, k):
+                glued = glue_class_components(m, m2, edges)
+                if within_caps(glued, caps):
+                    extra.add((index[collar], index[m], index[m2], index[glued]))
+    assert len(extra) == 1053
+    pres = replace(base.presentation, squares=base.presentation.squares + tuple(sorted(extra)))
+    wider = replace(base, presentation=pres)
+    assert (wider.free_rank, wider.torsion) == (2, ())
+    for cls in base.classes:
+        assert wider.coordinate_of(cls) == base.coordinate_of(cls), cls
 
 
 def test_k0_of_surfaces_rejects_tiny_caps():
