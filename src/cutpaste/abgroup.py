@@ -185,18 +185,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def to_json(self) -> dict:
-        return {"rows": self.rows, "cols": self.cols, "entries": list(self.entries)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "IntMatrix":
-        """Parse {"rows", "cols", "entries"}; every one of them must hold JSON
-        integers (not floats, strings or booleans), else ValueError."""
-        rows, cols, entries = data["rows"], data["cols"], data["entries"]
-        require_json_ints((rows, cols), "matrix shape")
-        require_json_ints(entries, "matrix entry")
-        return cls(rows, cols, entries)
-
 
 @dataclass(frozen=True)
 class SNFResult:
@@ -790,17 +778,6 @@ class AbHom:
     def _transpose(self) -> IntMatrix:
         """Column i is the sparse image of source generator i."""
         return self.matrix.transpose()
-
-    @classmethod
-    def on_generators(cls, source, target, image_of) -> "AbHom":
-        """Build from a mapping generator-label -> sparse {target label: coeff}."""
-        columns = [{} for _ in target.generators]
-        for i, g in enumerate(source.generators):
-            for lbl, coeff in image_of(g).items():
-                col = columns[target.generator_index[lbl]]
-                col[i] = col.get(i, 0) + coeff
-        columns = [{i: x for i, x in col.items() if x} for col in columns]
-        return cls(source, target, IntMatrix.from_columns(len(source.generators), len(columns), columns))
 
     @cached_property
     def _induced(self) -> tuple[dict, ...]:

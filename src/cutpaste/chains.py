@@ -61,12 +61,16 @@ def _refuse_declared(count: int, what: str) -> None:
 
 
 def matrix_from_json(data: dict) -> IntMatrix:
-    """``IntMatrix.from_json`` for chain files: a matrix whose rows + cols
-    pass MAX_FILE_CELLS is refused before it is built."""
+    """Parse a chain file matrix {"rows", "cols", "entries"}, dense and row
+    major.  Every one of them must hold JSON integers (not floats, strings
+    or booleans), else ValueError; a matrix whose rows + cols pass
+    MAX_FILE_CELLS is refused before it is built."""
     rows, cols = data["rows"], data["cols"]
     require_json_ints((rows, cols), "matrix shape")
     _refuse_declared(rows + cols, "matrix")
-    return IntMatrix.from_json(data)
+    entries = data["entries"]
+    require_json_ints(entries, "matrix entry")
+    return IntMatrix(rows, cols, entries)
 
 
 @dataclass(frozen=True)
@@ -257,7 +261,9 @@ class ChainComplex:
             "lo": self.lo,
             "hi": self.hi,
             "ranks": list(self.ranks),
-            "boundaries": [m.to_json() for m in self.boundaries],
+            "boundaries": [
+                {"rows": m.rows, "cols": m.cols, "entries": list(m.entries)} for m in self.boundaries
+            ],
         }
 
     @classmethod

@@ -7,6 +7,7 @@ computations.
 """
 
 import random
+import re
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -20,6 +21,7 @@ from cutpaste.abgroup import (
     IntMatrix,
     IntegerLattice,
     NormalForm,
+    SNFResult,
     _Analysis,
     check_exact_at,
     smith_normal_form,
@@ -131,6 +133,33 @@ def test_snf_rectangular_shapes():
     res_b = smith_normal_form(b)
     res_b.verify(b)
     assert res_b.d == (7,)
+
+
+def _diag(*d):
+    return IntMatrix.from_rows([[x if i == j else 0 for j in range(len(d))] for i, x in enumerate(d)])
+
+
+_I1, _I2 = IntMatrix.identity(1), IntMatrix.identity(2)
+
+# message -> (A, a result for A that breaks that invariant and no earlier one)
+_CORRUPT_SNF = {
+    "U*A*V is not diag(d)": (_diag(2, 4), SNFResult((2, 8), _I2, _I2, _I2, _I2)),
+    "U not unimodular": (_diag(0), SNFResult((0,), _diag(2), _I1, _I1, _I1)),
+    "V not unimodular": (_diag(0), SNFResult((0,), _I1, _diag(3), _I1, _I1)),
+    "U*U_inv is not the identity": (_diag(1), SNFResult((1,), _I1, _I1, _diag(2), _I1)),
+    "V*V_inv is not the identity": (_diag(1), SNFResult((1,), _I1, _I1, _I1, _diag(-1))),
+    "negative invariant factor": (_diag(-1), SNFResult((-1,), _I1, _I1, _I1, _I1)),
+    "divisibility chain broken": (_diag(2, 3), SNFResult((2, 3), _I2, _I2, _I2, _I2)),
+    "zero invariant factor before a nonzero one": (_diag(0, 1), SNFResult((0, 1), _I2, _I2, _I2, _I2)),
+}
+
+
+@pytest.mark.parametrize("message", sorted(_CORRUPT_SNF))
+def test_snf_verify_rejects_each_broken_invariant(message):
+    a, res = _CORRUPT_SNF[message]
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        res.verify(a)
+    smith_normal_form(a).verify(a)
 
 
 @settings(max_examples=120, deadline=None)
@@ -658,11 +687,6 @@ def test_quotient_checks_on_known_sequences(mods_a, mods_b, mods_c, hf, hg, exac
         g = _hom_from_canonical(b, c, hg)
         assert check_exact_at(f, g) == exact
         _assert_matches_oracle(f, g)
-
-
-def test_json_round_trip():
-    a = IntMatrix.from_rows([[1, 2], [3, 4]])
-    assert IntMatrix.from_json(a.to_json()) == a
 
 
 def test_sparse_helpers():

@@ -17,6 +17,7 @@ from cutpaste.chains import (
     ChainComplexError,
     ChainMap,
     HomologyType,
+    matrix_from_json,
     pushout,
     quasi_iso_type_equal,
 )
@@ -483,3 +484,10 @@ def test_pushout_square_additivity_of_k0():
 def test_json_round_trip():
     c = times_two_complex()
     assert ChainComplex.from_json(c.to_json()) == c
+
+
+def test_matrix_json_round_trip():
+    a = IntMatrix.from_rows([[1, 2], [3, 4]])
+    data = ChainComplex(0, 1, (2, 2), (a,)).to_json()
+    assert data["boundaries"] == [{"rows": 2, "cols": 2, "entries": [1, 2, 3, 4]}]
+    assert matrix_from_json(data["boundaries"][0]) == a

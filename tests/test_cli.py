@@ -368,7 +368,6 @@ def test_chain_files_above_the_cell_ceiling_exit_1_before_building(monkeypatch, 
     def build(*args, **kwargs):
         raise AssertionError("a matrix was built above the ceiling")
 
-    monkeypatch.setattr(IntMatrix, "from_json", build)
     wide = {"rows": 0, "cols": 11, "entries": []}
     zero = {"lo": 0, "hi": 0, "ranks": [0], "boundaries": []}
     files = {
@@ -378,16 +377,18 @@ def test_chain_files_above_the_cell_ceiling_exit_1_before_building(monkeypatch, 
     }
     for name, data in files.items():
         (tmp_path / name).write_text(json.dumps(data))
-    for argv, what in (
-        (("chain", "homology", str(tmp_path / "ranks.chain")), "chain complex"),
-        (("chain", "chi", str(tmp_path / "ranks.chain")), "chain complex"),
-        (("chain", "qiso", str(tmp_path / "ranks.chain"), str(path)), "chain complex"),
-        (("chain", "homology", str(tmp_path / "boundary.chain")), "matrix"),
-        (("chain", "pushout", str(tmp_path / "maps.bundle")), "matrix"),
-    ):
-        code, out = run(capsys, *argv)
-        assert code == 1, (argv, out)
-        assert out == f"error=domain detail={what} declares 11 cells, above the ceiling of 10\n", (argv, out)
+    with monkeypatch.context() as m:
+        m.setattr(IntMatrix, "__init__", build)
+        for argv, what in (
+            (("chain", "homology", str(tmp_path / "ranks.chain")), "chain complex"),
+            (("chain", "chi", str(tmp_path / "ranks.chain")), "chain complex"),
+            (("chain", "qiso", str(tmp_path / "ranks.chain"), str(path)), "chain complex"),
+            (("chain", "homology", str(tmp_path / "boundary.chain")), "matrix"),
+            (("chain", "pushout", str(tmp_path / "maps.bundle")), "matrix"),
+        ):
+            code, out = run(capsys, *argv)
+            assert code == 1, (argv, out)
+            assert out == f"error=domain detail={what} declares 11 cells, above the ceiling of 10\n", (argv, out)
     assert chains.ChainComplex.make(0, 1, [11, 0], [[[]] * 11]).ranks == (11, 0)
 
 
@@ -833,6 +834,42 @@ def test_negative_witness_budget_is_a_domain_error(tmp_path, capsys):
         assert out == "error=domain detail=witness budget must be at least 0, got -3\n"
     code, out = run(capsys, "sk", "witness", str(torus), str(torus), "--budget", "0")
     assert code == 0 and out.startswith("witness_moves=0\n"), out
+
+
+def test_witness_search_out_of_budget_exits_1(tmp_path, capsys):
+    """Torus + sphere and the sphere have the same chi and no boundary, but
+    no single move relates them: the search reports exhaustion, which is no
+    proof of inequivalence, and exits 1."""
+    from cutpaste.surface import DiffeoClass, library_for_class
+
+    left, sphere = tmp_path / "torus_sphere.surf", tmp_path / "sphere.surf"
+    left.write_text(json.dumps(library_for_class(DiffeoClass.from_pairs([(1, 0), (0, 0)]))[0].to_json()))
+    code, _ = run(capsys, "surface", "standard", "0", "0", "--out", str(sphere))
+    assert code == 0
+    code, out = run(capsys, "sk", "witness", str(left), str(sphere), "--budget", "1")
+    assert (code, out) == (
+        1,
+        "witness=exhausted\ndetail=no witness within 1 moves (this does not prove inequivalence)\n",
+    )
+
+
+def test_sk_exact_with_one_boundary_circle_per_component(capsys):
+    """At a boundary cap of 1 the annulus lies outside the caps, so the
+    with-boundary group has no collar square and is free on the connected
+    types.  Once two components are allowed, the closed gluing relations
+    escape its lattice: the inclusion is refused with a domain error and no
+    report.  With one component the closed group has no gluing row; the
+    report prints and exactness in the middle fails."""
+    for caps in ("1,1,2", "2,1,2", "2,1,3", "3,1,3"):
+        code, out = run(capsys, "sk", "exact", "--caps", caps)
+        assert (code, out) == (
+            1,
+            "error=domain detail=map is not well-defined: a source relation escapes the target lattice\n",
+        ), caps
+    for caps in ("1,1,1", "2,1,1"):
+        code, out = run(capsys, "sk", "exact", "--caps", caps)
+        assert code == 1, caps
+        assert out.startswith(f"caps={caps}\n") and "exact_at_middle=FAIL\n" in out, out
 
 
 def test_standard_surface_above_the_ceiling_exits_1_before_subdividing(monkeypatch, capsys):

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import chain_oracle
 from cutpaste.abgroup import IntMatrix
 from cutpaste.chains import ChainComplex, ChainMap
 from cutpaste.euler_functor import (
@@ -53,6 +54,22 @@ def test_chains_of_single_triangle_disk():
     assert h.at(0) == (1, ())
     assert h.at(1) == (0, ())
     assert h.at(2) == (0, ())
+
+
+def test_chains_of_folded_triangle_disk():
+    """One triangle whose first two edges are glued to each other is a disk:
+    the two refs are one chain edge, summed in the triangle's boundary, and
+    the third edge is a loop with zero boundary."""
+    from cutpaste.surface import surface_from_data
+
+    disk = surface_from_data(2, [[0, 1, 0]], [[[0, 0], [0, 1]]])
+    data = surface_chain_data(disk)
+    assert data.complex.ranks == (2, 2, 1)
+    assert data.complex.homology().describe() == "H_0=Z"
+    assert data.complex.k0_class() == disk.euler_characteristic() == 1
+    want = chain_oracle.surface_chain_data(disk)
+    assert (data.vertices, data.edges, data.triangles) == (want.vertices, want.edges, want.triangles)
+    assert data.complex == want.complex
 
 
 def test_chains_of_torus():
