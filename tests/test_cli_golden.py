@@ -10,7 +10,10 @@ refused with a domain error.
 
 The squares file is read twice, once with one of its squares repeated: a
 repeated square adds a relation row that reduces to zero, so both runs
-print the same bytes.
+print the same bytes.  ``euler verify-square`` runs on a passing square
+(a seam and a null circle of the genus-2, one-boundary library surface)
+and on the sphere split into two halves that share no triangle, which
+exits 1 with a FAIL report.
 
 Run ``python tests/test_cli_golden.py`` to print the current digests.
 """
@@ -25,6 +28,10 @@ from pathlib import Path
 import pytest
 
 from cutpaste.cli import main
+from cutpaste.euler_functor import square_from_circles
+from cutpaste.surface import standard_library
+
+from test_euler_functor import sphere_halves_square
 
 # Object 0 is the basepoint; the squares relate a + b = c and a + c = d.
 _SQUARES = {
@@ -45,6 +52,9 @@ _CASES = {
     "k0 squares": ("k0", "{squares}"),
     "k0 squares repeated": ("k0", "{repeated}"),
     "euler commute 2,2,2": ("euler", "commute", "--caps", "2,2,2"),
+    "euler chi 2,1": ("euler", "chi", "{surface}"),
+    "euler verify-square pass": ("euler", "verify-square", "{passing}"),
+    "euler verify-square fail": ("euler", "verify-square", "{failing}"),
     "accept": ("accept",),
 }
 
@@ -60,15 +70,26 @@ GOLDEN = {
     "k0 squares": (0, "5834cc79fdb9e6d329f0f43586154ba6de3f177836c88a7cb0dfe8911c50c099"),
     "k0 squares repeated": (0, "5834cc79fdb9e6d329f0f43586154ba6de3f177836c88a7cb0dfe8911c50c099"),
     "euler commute 2,2,2": (0, "8919125ccbcf2980cbb009c50b788f9e6315453cf3897a8cf101d10b2c7dfeb0"),
+    "euler chi 2,1": (0, "7947cb22a406677371243e7da358b7049639ab6725b5dc1f21cf30602f528867"),
+    "euler verify-square pass": (0, "5b4424302c454a0092fce14e6487dd77b5a2281666fd1d0cf1d1af27c6f3f605"),
+    "euler verify-square fail": (1, "ab14bbf0b3997de27b4be74e9221a1d518c7525ad789dc74fa0db416b8d1ffaf"),
     "accept": (0, "8314ae389a15c36339cf140d0da1c5cb19b7bbe26bf243bee994fa563272b439"),
 }
 
 
-def _squares_files(directory: Path) -> dict[str, str]:
+def _input_files(directory: Path) -> dict[str, str]:
     repeated = dict(_SQUARES, squares=_SQUARES["squares"] + [_SQUARES["squares"][1]])
+    lib = standard_library(2, 1)
+    passing = square_from_circles(lib.surface, [lib.seams[0], lib.nulls[0]])
     paths = {}
-    for name, data in (("squares", _SQUARES), ("repeated", repeated)):
-        path = directory / f"{name}.sq"
+    for name, data in (
+        ("squares", _SQUARES),
+        ("repeated", repeated),
+        ("surface", lib.surface.to_json()),
+        ("passing", passing.to_json()),
+        ("failing", sphere_halves_square().to_json()),
+    ):
+        path = directory / f"{name}.json"
         path.write_text(json.dumps(data))
         paths[name] = str(path)
     return paths
@@ -76,7 +97,7 @@ def _squares_files(directory: Path) -> dict[str, str]:
 
 def run_case(name: str, directory: Path) -> tuple[int, str]:
     """Exit code and sha256 of the stdout of one case."""
-    argv = [a.format(**_squares_files(directory)) for a in _CASES[name]]
+    argv = [a.format(**_input_files(directory)) for a in _CASES[name]]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = main(argv)
