@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .abgroup import IntMatrix, _Analysis, require_json_ints, smith_normal_form
 
@@ -140,9 +141,13 @@ class ChainComplex:
                     f"{self.ranks[k]}x{self.ranks[k + 1]}"
                 )
         for k in range(len(self.boundaries) - 1):
-            lower = self.boundaries[k]
+            lower = self.boundaries[k].columns
             for j, col in enumerate(self.boundaries[k + 1].columns):
-                if lower.times_column(col):
+                acc: dict[int, int] = {}
+                for i, b in col.items():
+                    for r, a in lower[i].items():
+                        acc[r] = acc.get(r, 0) + a * b
+                if any(acc.values()):
                     raise ChainComplexError(
                         f"boundary composite does not vanish at degree {self.lo + k + 2}, column {j}"
                     )
@@ -303,11 +308,11 @@ class ChainMap:
                 raise ChainComplexError(
                     f"map at degree {self.source.lo + k} has shape {m.rows}x{m.cols}"
                 )
-        for n in range(self.source.lo + 1, self.source.hi + 1):
-            k = n - self.source.lo
-            left = self.target.boundary_at(n) * self.mats[k]
-            right = self.mats[k - 1] * self.source.boundary_at(n)
-            if left != right:
+        mono = [_monomial(m) for m in self.mats]
+        pairs = zip(self.source.boundaries, self.target.boundaries)
+        for k, (ds, dt) in enumerate(pairs, 1):
+            if not _commutes(ds, dt, self.mats[k - 1], self.mats[k], mono[k - 1], mono[k]):
+                n = self.source.lo + k
                 raise ChainComplexError(f"map does not commute with boundaries at degree {n}")
 
     def mat_at(self, n: int) -> IntMatrix:
@@ -352,6 +357,59 @@ class ChainMap:
             self.target,
             tuple(m2 * m1 for m1, m2 in zip(first.mats, self.mats)),
         )
+
+
+def _monomial(m: IntMatrix) -> tuple[list[int], list[int]] | None:
+    """(rows, entries) of a matrix with one entry in every column, else None."""
+    cols = m.columns
+    if not all(cols) or sum(map(len, cols)) != len(cols):
+        return None
+    return list(chain.from_iterable(cols)), list(chain.from_iterable(map(dict.values, cols)))
+
+
+def _image(m: IntMatrix, mono, col: dict) -> dict:
+    """m times the sparse column col, where mono = (rows, entries) is
+    ``_monomial(m)``.  For a monomial m, entry c at i becomes entries[i] * c
+    at rows[i], unless two entries land on one row and must be summed."""
+    if mono is not None:
+        rows, xs = mono
+        out = {rows[i]: xs[i] * c for i, c in col.items()}
+        if len(out) == len(col):
+            return out
+    return m.times_column(col)
+
+
+def _commutes(ds: IntMatrix, dt: IntMatrix, lower: IntMatrix, upper: IntMatrix, mono_lo, mono_up) -> bool:
+    """Whether dt * upper == lower * ds, one column at a time and without
+    building either product.  ``mono_lo`` and ``mono_up`` are ``_monomial``
+    of lower and upper.  Where both are monomial, column j of each side is
+    a relabelled column: upper's entry x at row r in column j picks x times
+    column r of dt, and lower relabels column j of ds.  Otherwise, or where
+    the relabelling would sum two entries, both sides go into one sum that
+    must vanish."""
+    dt_cols, lower_cols, upper_cols = dt.columns, lower.columns, upper.columns
+
+    def vanishes(j, col):
+        acc: dict[int, int] = {}
+        for i, b in upper_cols[j].items():
+            for r, a in dt_cols[i].items():
+                acc[r] = acc.get(r, 0) + a * b
+        for i, b in col.items():
+            for r, a in lower_cols[i].items():
+                acc[r] = acc.get(r, 0) - a * b
+        return not any(acc.values())
+
+    if mono_lo is None or mono_up is None:
+        return all(vanishes(j, col) for j, col in enumerate(ds.columns))
+    rows, xs = mono_lo
+    for j, (col, r, x) in enumerate(zip(ds.columns, *mono_up)):
+        right = {rows[i]: xs[i] * c for i, c in col.items()}
+        if len(right) < len(col):
+            if not vanishes(j, col):
+                return False
+        elif right != (dt_cols[r] if x == 1 else {i: x * c for i, c in dt_cols[r].items()}):
+            return False
+    return True
 
 
 _NO_COFACES = frozenset()
@@ -576,10 +634,10 @@ def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
     bnds = []
     for n in range(lo + 1, hi + 1):
         k = n - lo
-        pb, pc = proj_b[k - 1], proj_c[k - 1]
-        db = b.boundary_at(n)
-        cols = [pb.times_column(db.columns[i]) for i in survivors[k]]
-        cols += [pc.times_column(col) for col in c.boundary_at(n).columns]
+        pb, ns = proj_b[k - 1], len(survivors[k - 1])
+        mono, db = _monomial(pb), b.boundary_at(n).columns
+        cols = [_image(pb, mono, db[i]) for i in survivors[k]]
+        cols += [_shift(col, ns) for col in c.boundary_at(n).columns]
         bnds.append(IntMatrix.from_columns(pb.rows, proj_b[k].rows, cols))
     ranks = tuple(m.rows for m in proj_b)
     p = ChainComplex(lo, hi, ranks, tuple(bnds))

@@ -12,6 +12,14 @@ whose intersection A is the gluing locus; ``functor_on_square`` verifies
 that the chain-level pushout of B <- A -> C is quasi-isomorphic to the
 chains of D, and ``pi0_commutation`` checks that the induced class in
 K0 of chain complexes equals the Euler characteristic.
+
+``functor_on_square`` builds the chains of D once and reads A, B and C off
+them, so the inclusions are lists of cell positions.  The pushout's basis
+is B's cells outside A followed by C's.  When that basis maps one to one
+onto D's cells and carries every boundary column of the pushout onto the
+matching column of D, the pushout is D relabelled: one homology, D's,
+serves both report lines.  Otherwise (a square whose pieces meet outside
+A, say) both homologies are computed.
 """
 
 from __future__ import annotations
@@ -34,12 +42,17 @@ from .surface import (
 
 @dataclass(frozen=True)
 class ChainData:
-    """Chain complex of a subcomplex with its basis keyed by parent cells."""
+    """Chain complex of a subcomplex with its basis keyed by parent cells.
+
+    ``ref_edges[3i + e]`` is the basis edge of ref e of ``triangles[i]``.
+    It is read off the refs, so it also names an edge whose two refs cancel
+    in the triangle's boundary column."""
 
     complex: ChainComplex
     vertices: tuple[int, ...]
     edges: tuple[Ref, ...]
     triangles: tuple[int, ...]
+    ref_edges: tuple[int, ...]
 
 
 def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
@@ -48,26 +61,26 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
     Refs are read by flat index 3t+e.  A geometric edge is represented by
     the lesser of its refs, and edge k of the basis is the k-th
     representative in ref order; a ref has sign +1 when it is the
-    representative and -1 when its partner is."""
-    if subset is None:
-        tris = list(range(s.triangle_count))
-    else:
-        tris = sorted(subset)
-        for t in tris:
-            if not 0 <= t < s.triangle_count:
-                raise SurfaceError(f"triangle {t} outside the surface")
+    representative and -1 when its partner is.  A subset's chains are those
+    of the whole surface restricted to it (``_restrict``)."""
+    if subset is not None:
+        whole = _whole_chain_data(s)
+        return _restrict(s, whole, _vertex_index(whole), subset)[0]
+    return _whole_chain_data(s)
+
+
+def _whole_chain_data(s: TriSurface) -> ChainData:
     triangles = s.triangles
-    verts = sorted({v for t in tris for v in triangles[t]})
+    verts = sorted({v for tri in triangles for v in tri})
     vidx = {v: i for i, v in enumerate(verts)}
-    partners = s.partners
-    refs = [k for t in tris for k in (3 * t, 3 * t + 1, 3 * t + 2)]
-    reps = [p if 0 <= p < k else k for k, p in zip(refs, map(partners.__getitem__, refs))]
+    reps = [p if 0 <= p < k else k for k, p in enumerate(s.partners)]
     edges = sorted(set(reps))
     eidx = {r: i for i, r in enumerate(edges)}
-    nv, ne, nf = len(verts), len(edges), len(tris)
+    ref_edges = tuple(map(eidx.__getitem__, reps))
+    nv, ne, nf = len(verts), len(edges), len(triangles)
 
     d2 = []
-    cells = iter([(eidx[r], 1 if r == k else -1) for k, r in zip(refs, reps)])
+    cells = iter([(i, 1 if r == k else -1) for k, (i, r) in enumerate(zip(ref_edges, reps))])
     for (i0, x0), (i1, x1), (i2, x2) in zip(cells, cells, cells):
         if i0 != i1 and i1 != i2 and i0 != i2:
             d2.append({i0: x0, i1: x1, i2: x2})
@@ -88,8 +101,51 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
         complex=cx,
         vertices=tuple(verts),
         edges=tuple(map(divmod, edges, repeat(3))),
-        triangles=tuple(tris),
+        triangles=tuple(range(nf)),
+        ref_edges=ref_edges,
     )
+
+
+def _vertex_index(whole: ChainData) -> dict[int, int]:
+    """Vertex number -> its position in the basis of the whole surface."""
+    return dict(zip(whole.vertices, range(len(whole.vertices))))
+
+
+def _restrict(s: TriSurface, whole: ChainData, vidx, subset) -> tuple[ChainData, tuple[dict, ...]]:
+    """The chains of a triangle subset read off ``whole``, the chains of all
+    of ``s``, with per degree a dict from each cell's position in ``whole``
+    to its position in the subset's basis (keys in basis order).
+
+    The cells are those of the triangles' corners and refs.  A piece keeps
+    the whole surface's order and edge representatives, so its basis and
+    its boundary columns (entry order included) are those the subset would
+    get built on its own."""
+    tris = sorted(subset)
+    n = s.triangle_count
+    for t in tris:
+        if not 0 <= t < n:
+            raise SurfaceError(f"triangle {t} outside the surface")
+    triangles = s.triangles
+    ref_edges = whole.ref_edges
+    refs = [e for t in tris for e in ref_edges[3 * t : 3 * t + 3]]
+    vloc = {p: i for i, p in enumerate(sorted({vidx[v] for t in tris for v in triangles[t]}))}
+    eloc = {p: i for i, p in enumerate(sorted(set(refs)))}
+    tloc = {t: i for i, t in enumerate(tris)}
+    d1_whole, d2_whole = (m.columns for m in whole.complex.boundaries)
+    d1 = [{vloc[i]: x for i, x in d1_whole[p].items()} for p in eloc]
+    d2 = [{eloc[i]: x for i, x in d2_whole[t].items()} for t in tris]
+    nv, ne, nf = len(vloc), len(eloc), len(tris)
+    cx = ChainComplex.make(
+        0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
+    )
+    data = ChainData(
+        complex=cx,
+        vertices=tuple(map(whole.vertices.__getitem__, vloc)),
+        edges=tuple(map(whole.edges.__getitem__, eloc)),
+        triangles=tuple(tris),
+        ref_edges=tuple(map(eloc.__getitem__, refs)),
+    )
+    return data, (vloc, eloc, tloc)
 
 
 def chains_of(s: TriSurface) -> ChainComplex:
@@ -210,16 +266,28 @@ class SquareReport:
 
 def functor_on_square(q: SquareInstance) -> SquareReport:
     """Check that chains turn the gluing square into a pushout square up to
-    quasi-isomorphism (the Mayer-Vietoris comparison)."""
-    data_a = surface_chain_data(q.surface, q.a_triangles)
-    data_b = surface_chain_data(q.surface, q.b_triangles)
-    data_c = surface_chain_data(q.surface, q.c_triangles)
-    data_d = surface_chain_data(q.surface)
-    f = inclusion_chain_map(data_a, data_b)
-    g = inclusion_chain_map(data_a, data_c)
+    quasi-isomorphism (the Mayer-Vietoris comparison).
+
+    A, B and C are read off the chains of D, and the inclusions are their
+    cells' positions.  When the pushout P is D with its basis relabelled
+    (``_relabels``), D's homology serves for both; otherwise both are
+    computed."""
+    s = q.surface
+    data_d = surface_chain_data(s)
+    vidx = _vertex_index(data_d)
+    data_a, loc_a = _restrict(s, data_d, vidx, q.a_triangles)
+    data_b, loc_b = _restrict(s, data_d, vidx, q.b_triangles)
+    data_c, loc_c = _restrict(s, data_d, vidx, q.c_triangles)
+    f = _inclusion(data_a, data_b, loc_a, loc_b)
+    g = _inclusion(data_a, data_c, loc_a, loc_c)
     res = pushout(f, g)
-    hp = res.complex.homology()
     hd = data_d.complex.homology()
+    # the quotient basis is B's cells outside A, then C's
+    cells = [[p for p in b if p not in a] + list(c) for a, b, c in zip(loc_a, loc_b, loc_c)]
+    if _relabels(res.complex, data_d.complex, cells):
+        hp = hd
+    else:
+        hp = res.complex.homology()
     failing = None
     for n in sorted(set(hp.degrees()) | set(hd.degrees())):
         if hp.at(n) != hd.at(n):
@@ -232,6 +300,33 @@ def functor_on_square(q: SquareInstance) -> SquareReport:
         total_homology=hd,
         failing_degree=failing,
     )
+
+
+def _inclusion(small: ChainData, big: ChainData, loc_small, loc_big) -> ChainMap:
+    """Inclusion of one piece into a larger one, from their cells' positions
+    in the whole surface."""
+    mats = []
+    for ls, lb in zip(loc_small, loc_big):
+        mats.append(IntMatrix.from_columns(len(lb), len(ls), [{lb[p]: 1} for p in ls]))
+    return ChainMap(small.complex, big.complex, tuple(mats))
+
+
+def _relabels(p: ChainComplex, d: ChainComplex, cells) -> bool:
+    """Whether p is d with its basis renumbered: cells[k][i] is the cell of
+    d in degree lo + k that cell i of p becomes.  That holds when each
+    cells[k] is a bijection onto d's basis and carries every boundary column
+    of p onto the matching column of d, entries and signs alike."""
+    if (p.lo, p.hi, p.ranks) != (d.lo, d.hi, d.ranks):
+        return False
+    for perm, rank in zip(cells, d.ranks):
+        if len(perm) != rank or len(set(perm)) != rank:
+            return False
+    for k, (pb, db) in enumerate(zip(p.boundaries, d.boundaries)):
+        lower, upper, dcols = cells[k], cells[k + 1], db.columns
+        for j, col in enumerate(pb.columns):
+            if dcols[upper[j]] != {lower[i]: x for i, x in col.items()}:
+                return False
+    return True
 
 
 def coproduct_square(x: TriSurface, y: TriSurface) -> SquareInstance:

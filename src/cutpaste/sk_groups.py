@@ -151,6 +151,18 @@ def _gluing_results(left, right, caps: Caps) -> set[DiffeoClass]:
     return {DiffeoClass(tuple((g, 0) for g in genera)) for genera in found}
 
 
+def _refuse_oversized_closed(caps: Caps) -> None:
+    """Raise ValueError when the caps span more than MAX_CLASSES
+    with-boundary classes or gluing-piece multisets."""
+    refuse_oversized(caps)
+    pieces = multiset_count((caps.genus + 1) * _MAX_GLUED_CIRCLES, _MAX_PIECE_COMPONENTS) - 1
+    if pieces > MAX_CLASSES:
+        raise ValueError(
+            f"caps {caps.genus},{caps.boundary},{caps.components} need at least {pieces} "
+            f"gluing-piece multisets, above the ceiling of {MAX_CLASSES}"
+        )
+
+
 @lru_cache(maxsize=None)
 def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     """Cut-and-paste group of closed oriented surfaces at the truncation:
@@ -159,13 +171,7 @@ def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     more than MAX_CLASSES with-boundary classes, or gluing-piece multisets,
     are refused before anything is enumerated."""
     caps = Caps(*caps)
-    refuse_oversized(caps)
-    pieces = multiset_count((caps.genus + 1) * _MAX_GLUED_CIRCLES, _MAX_PIECE_COMPONENTS) - 1
-    if pieces > MAX_CLASSES:
-        raise ValueError(
-            f"caps {caps.genus},{caps.boundary},{caps.components} need at least {pieces} "
-            f"gluing-piece multisets, above the ceiling of {MAX_CLASSES}"
-        )
+    _refuse_oversized_closed(caps)
     classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
     squares, skipped = union_squares(index, caps)
@@ -244,9 +250,24 @@ class ExactSequenceReport:
         ]
 
 
+# Least boundary cap at which verify_exact_sequence checks the sequence.
+# Below it the annulus lies outside the caps, so the with-boundary
+# presentation has no collar square and is not the cut-and-paste group.
+MIN_EXACT_BOUNDARY = 2
+
+
 def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
-    """Check 0 -> closed -> with-boundary -> circles -> 0 at the truncation."""
+    """Check 0 -> closed -> with-boundary -> circles -> 0 at the truncation.
+    Caps above the ceilings, then a boundary cap below MIN_EXACT_BOUNDARY,
+    are refused with ValueError before anything is enumerated."""
     caps = Caps(*caps)
+    _refuse_oversized_closed(caps)
+    if caps.boundary < MIN_EXACT_BOUNDARY:
+        raise ValueError(
+            f"the exact sequence needs a boundary cap of at least {MIN_EXACT_BOUNDARY}, "
+            f"got {caps.boundary}: below it the annulus lies outside the caps, "
+            f"so the with-boundary group has no collar square"
+        )
     alpha = closed_inclusion_hom(caps)
     beta = boundary_count_hom(surface_squares_presentation(caps))
     composite = beta.compose(alpha)

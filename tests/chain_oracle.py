@@ -7,7 +7,13 @@ rank d_{n+1} and the invariant factors (> 1) of d_{n+1} as torsion.
 
 ``surface_chain_data`` is the plain form of ``euler_functor.surface_chain_data``:
 it finds each ref's edge representative with a ref-keyed partner dict, and
-sorts the set of representative refs as tuples to number the edges.
+sorts the set of representative refs as tuples to number the edges.  It
+builds a subset's chains on their own, not as a restriction of the whole
+surface's.
+
+``noncommuting_degree`` and ``nonvanishing_composite`` are the product forms
+of the ``ChainMap`` and ``ChainComplex`` checks: they multiply whole
+matrices and compare, where the checks go one column at a time.
 """
 
 import surface_oracle
@@ -52,7 +58,10 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
     cx = ChainComplex.make(
         0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
     )
-    return ChainData(complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris))
+    ref_edges = tuple(eidx[edge_rep((t, e))[0]] for t in tris for e in range(3))
+    return ChainData(
+        complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris), ref_edges=ref_edges
+    )
 
 
 def unreduced_homology(c: ChainComplex) -> HomologyType:
@@ -66,3 +75,18 @@ def unreduced_homology(c: ChainComplex) -> HomologyType:
         rank_up, torsion = data.get(n + 1, (0, ()))
         groups.append((c.rank_at(n) - data[n][0] - rank_up, torsion))
     return HomologyType(lo=c.lo, groups=tuple(groups))
+
+
+def noncommuting_degree(source: ChainComplex, target: ChainComplex, mats) -> int | None:
+    """The first degree n where target.d_n * M_n != M_{n-1} * source.d_n."""
+    for n in range(source.lo + 1, source.hi + 1):
+        k = n - source.lo
+        if target.boundary_at(n) * mats[k] != mats[k - 1] * source.boundary_at(n):
+            return n
+    return None
+
+
+def nonvanishing_composite(lower: IntMatrix, upper: IntMatrix) -> int | None:
+    """The first column j of upper where lower * upper has a nonzero entry."""
+    product = lower * upper
+    return next((j for j, col in enumerate(product.columns) if col), None)

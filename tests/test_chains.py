@@ -11,6 +11,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chain_oracle
+
 from cutpaste.abgroup import AbGroupPresentation, IntMatrix, smith_normal_form
 from cutpaste.chains import (
     ChainComplex,
@@ -172,10 +174,16 @@ def torsion_fixture() -> ChainComplex:
     return ChainComplex.make(0, 2, (2, 3, 1), [[[0, 2, 0], [0, 0, 2]], [[2], [0], [0]]])
 
 
+def two_vertex_circle() -> ChainComplex:
+    """Edges v0 -> v1 and v1 -> v0: boundary columns with two entries."""
+    return ChainComplex.make(0, 1, (2, 2), [[[-1, 1], [1, -1]]])
+
+
 FIXTURES = (
     times_two_complex,
     acyclic_summand,
     torsion_fixture,
+    two_vertex_circle,
     lambda: ChainComplex.single(0, 2),
     lambda: ChainComplex.single(1, 1),
     ChainComplex.zero,
@@ -313,6 +321,110 @@ def test_levelwise_injective_flag():
     assert doubled.levelwise_injective
     assert not doubled.cokernel_torsion_free
     assert inj.cokernel_torsion_free
+
+
+def signed_permutation(perm, signs) -> IntMatrix:
+    return IntMatrix.from_columns(len(perm), len(perm), [{i: x} for i, x in zip(perm, signs)])
+
+
+@st.composite
+def chain_map_cases(draw):
+    """(source, target, mats): a direct sum of fixtures, the same complex
+    with each degree's basis renumbered and re-signed, and degreewise maps
+    between them.  "relabel" is the signed permutation that carries one
+    onto the other; "wrong_sign" and "swapped" break it in one column (a
+    negated entry, or two columns' rows exchanged); "monomial" has one
+    random entry per column, two of which may share a row; "general" has
+    small dense integer entries."""
+    picks = draw(st.lists(st.sampled_from(FIXTURES), min_size=1, max_size=3))
+    c = picks[0]()
+    for make in picks[1:]:
+        c = c.direct_sum(make())
+    unit = st.sampled_from((1, -1))
+    perms = [
+        (draw(st.permutations(range(r))), draw(st.lists(unit, min_size=r, max_size=r)))
+        for r in c.ranks
+    ]
+    p = [signed_permutation(*ps) for ps in perms]
+    target = ChainComplex(
+        c.lo, c.hi, c.ranks, tuple(p[k] * d * p[k + 1].transpose() for k, d in enumerate(c.boundaries))
+    )
+    kind = draw(st.sampled_from(("relabel", "wrong_sign", "swapped", "monomial", "general")))
+    mats = list(p)
+    levels = [k for k, r in enumerate(c.ranks) if r >= (2 if kind == "swapped" else 1)]
+    if kind in ("wrong_sign", "swapped") and levels:
+        k = draw(st.sampled_from(levels))
+        perm, signs = list(perms[k][0]), list(perms[k][1])
+        j = draw(st.integers(0, c.ranks[k] - 1))
+        if kind == "wrong_sign":
+            signs[j] = -signs[j]
+        else:
+            j2 = (j + 1 + draw(st.integers(0, c.ranks[k] - 2))) % c.ranks[k]
+            perm[j], perm[j2] = perm[j2], perm[j]
+        mats[k] = signed_permutation(perm, signs)
+    elif kind == "monomial":
+        entry = st.sampled_from((1, -1, 2, -2))
+        mats = [
+            IntMatrix.from_columns(r, r, [{draw(st.integers(0, r - 1)): draw(entry)} for _ in range(r)])
+            for r in c.ranks
+        ]
+    elif kind == "general":
+        ints = st.integers(-2, 2)
+        mats = [IntMatrix(r, r, draw(st.lists(ints, min_size=r * r, max_size=r * r))) for r in c.ranks]
+    return c, target, tuple(mats)
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_map_cases())
+def test_commutation_check_against_product_oracle(case):
+    """ChainMap raises exactly when the whole-matrix products differ, at
+    the oracle's first failing degree.  Checking only the relabelled
+    columns, or taking a relabelling whose entries collide for a sum,
+    would pass a map that does not commute."""
+    source, target, mats = case
+    degree = chain_oracle.noncommuting_degree(source, target, mats)
+    if degree is None:
+        ChainMap(source, target, mats)
+    else:
+        with pytest.raises(ChainComplexError) as err:
+            ChainMap(source, target, mats)
+        assert str(err.value) == f"map does not commute with boundaries at degree {degree}"
+
+
+def test_monomial_map_sums_entries_that_meet():
+    """Both vertices of the two-vertex circle go to the one vertex of a
+    loop, so the image of each edge's boundary is v - v = 0: the map
+    commutes.  Read as a relabelling, the two entries would land on one row
+    and the later would overwrite the earlier, refusing this map; with one
+    sign changed the image is -2v, and the map is refused."""
+    circle = two_vertex_circle()
+    loop = ChainComplex.make(0, 1, (1, 1), [[[0]]])
+    both = IntMatrix.from_rows([[1, 1]])
+    ChainMap(circle, loop, (both, both))
+    with pytest.raises(ChainComplexError, match="at degree 1"):
+        ChainMap(circle, loop, (IntMatrix.from_rows([[1, -1]]), both))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.data())
+def test_boundary_composite_check_against_product_oracle(r0, r1, r2, data):
+    """A two-step complex is refused exactly when d_1 * d_2 has a nonzero
+    entry, naming the first such column of d_2."""
+    ints = st.integers(-2, 2)
+    d1 = IntMatrix(r0, r1, data.draw(st.lists(ints, min_size=r0 * r1, max_size=r0 * r1)))
+    if data.draw(st.booleans()):  # a kernel-filling d_2, which passes
+        kernel = [c for c, col in enumerate(d1.columns) if not col]
+        cols = [{c: data.draw(ints) for c in kernel} for _ in range(r2)]
+        d2 = IntMatrix.from_columns(r1, r2, [{i: x for i, x in col.items() if x} for col in cols])
+    else:
+        d2 = IntMatrix(r1, r2, data.draw(st.lists(ints, min_size=r1 * r2, max_size=r1 * r2)))
+    column = chain_oracle.nonvanishing_composite(d1, d2)
+    if column is None:
+        ChainComplex(0, 2, (r0, r1, r2), (d1, d2))
+    else:
+        with pytest.raises(ChainComplexError) as err:
+            ChainComplex(0, 2, (r0, r1, r2), (d1, d2))
+        assert str(err.value) == f"boundary composite does not vanish at degree 2, column {column}"
 
 
 # ---------------------------------------------------------------------------

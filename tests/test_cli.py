@@ -151,7 +151,7 @@ def test_sk_decide_and_exact(tmp_path, capsys):
     assert out.count("PASS") >= 4
     code, out = run(capsys, "sk", "exact", "--caps", "1,1,1")
     assert code == 1
-    assert "exact_at_middle=FAIL" in out
+    assert out.startswith("error=domain detail=the exact sequence needs a boundary cap of at least 2")
 
 
 def test_sk_decide_above_the_class_ceiling(tmp_path, monkeypatch, capsys):
@@ -855,21 +855,17 @@ def test_witness_search_out_of_budget_exits_1(tmp_path, capsys):
 
 def test_sk_exact_with_one_boundary_circle_per_component(capsys):
     """At a boundary cap of 1 the annulus lies outside the caps, so the
-    with-boundary group has no collar square and is free on the connected
-    types.  Once two components are allowed, the closed gluing relations
-    escape its lattice: the inclusion is refused with a domain error and no
-    report.  With one component the closed group has no gluing row; the
-    report prints and exactness in the middle fails."""
-    for caps in ("1,1,2", "2,1,2", "2,1,3", "3,1,3"):
+    with-boundary group has no collar square and is not the cut-and-paste
+    group.  `sk exact` refuses such caps up front with a domain error that
+    names the floor, and prints no report."""
+    for caps in ("1,1,1", "2,1,1", "1,1,2", "2,1,2", "2,1,3", "3,1,3"):
         code, out = run(capsys, "sk", "exact", "--caps", caps)
         assert (code, out) == (
             1,
-            "error=domain detail=map is not well-defined: a source relation escapes the target lattice\n",
+            "error=domain detail=the exact sequence needs a boundary cap of at least 2, got 1: "
+            "below it the annulus lies outside the caps, so the with-boundary group has no "
+            "collar square\n",
         ), caps
-    for caps in ("1,1,1", "2,1,1"):
-        code, out = run(capsys, "sk", "exact", "--caps", caps)
-        assert code == 1, caps
-        assert out.startswith(f"caps={caps}\n") and "exact_at_middle=FAIL\n" in out, out
 
 
 def test_standard_surface_above_the_ceiling_exits_1_before_subdividing(monkeypatch, capsys):

@@ -4,9 +4,8 @@ Each case runs ``cli.main`` in process and pins the sha256 of everything
 it prints to stdout, with its exit code.  A refactor of the group layer or
 of the chain functor must leave every digest unchanged: these are the
 commands whose bytes such a change claims to keep.  Two ``sk exact`` cases
-exit 1: at caps 1,1,1 the report reads FAIL, and at 2,1,3 the closed
-gluing relations escape the with-boundary lattice, so the inclusion is
-refused with a domain error.
+exit 1: caps 1,1,1 and 2,1,3 lie below the boundary cap of 2 that the
+exact sequence needs, so both are refused with a domain error.
 
 The squares file is read twice, once with one of its squares repeated: a
 repeated square adds a relation row that reduces to zero, so both runs
@@ -59,8 +58,8 @@ _CASES = {
 }
 
 GOLDEN = {
-    "sk exact 1,1,1": (1, "8aaeaf3fb09cc2ddc97fd8073e32f51d61d7bd45a92017acfa0e1fd2a03ae987"),
-    "sk exact 2,1,3": (1, "6a8ae55fbec43b89bc4519f0d2bf756bcabab18c551463a7ca45fda9d5bf1ef7"),
+    "sk exact 1,1,1": (1, "614285b988a32ee0833751aaba512215213a407e5caf17960620ea5815e337a6"),
+    "sk exact 2,1,3": (1, "614285b988a32ee0833751aaba512215213a407e5caf17960620ea5815e337a6"),
     "sk exact 2,2,2": (0, "87ac825aa086bfda1bbbbf188b39a082fbef0f60ea5477f8b9f6d9262229f2e2"),
     "sk exact 3,2,3": (0, "16260dac2fcadfa027b8156def904fe993cb8d8aed3ac61f3a5b8a7bf9dbd504"),
     "sk exact 3,3,3": (0, "8b1f35ed7a2d0ecac13023646f8e1c08a8ac1596920ee3cd964dedc8b13f42e5"),

@@ -6,8 +6,9 @@ import random
 import pytest
 
 import chain_oracle
+from cutpaste import chains, euler_functor
 from cutpaste.abgroup import IntMatrix
-from cutpaste.chains import ChainComplex, ChainMap
+from cutpaste.chains import ChainComplex, ChainMap, PushoutResult
 from cutpaste.euler_functor import (
     SquareInstance,
     chains_of,
@@ -20,6 +21,7 @@ from cutpaste.euler_functor import (
 )
 from cutpaste.surface import (
     DiffeoClass,
+    SurfaceError,
     TriSurface,
     build_standard,
     fan_disk,
@@ -337,3 +339,134 @@ def test_monomial_pushout_builds_no_direct_sum(monkeypatch):
     monkeypatch.setattr(ChainMap, "cokernel_torsion_free", property(diagonalized))
     rep = functor_on_square(q)
     assert rep.passed and rep.pushout_model == "quotient"
+
+
+def _assert_same_chain_data(got, want):
+    assert got.complex.ranks == want.complex.ranks
+    assert (got.vertices, got.edges, got.triangles) == (want.vertices, want.edges, want.triangles)
+    assert got.ref_edges == want.ref_edges
+    for mine, theirs in zip(got.complex.boundaries, want.complex.boundaries):
+        assert [list(c.items()) for c in mine.columns] == [list(c.items()) for c in theirs.columns]
+
+
+def _check_restrictions(s, subsets):
+    """Each subset's chains read off the whole surface's, as the square
+    check reads them, equal surface_chain_data(s, subset) and the oracle,
+    and its position dicts point at the same cells of the whole."""
+    whole = surface_chain_data(s)
+    vidx = euler_functor._vertex_index(whole)
+    for subset in subsets:
+        data, (vloc, eloc, tloc) = euler_functor._restrict(s, whole, vidx, subset)
+        _assert_same_chain_data(data, surface_chain_data(s, subset))
+        _assert_same_chain_data(data, chain_oracle.surface_chain_data(s, subset))
+        for loc, keys, whole_keys in (
+            (vloc, data.vertices, whole.vertices),
+            (eloc, data.edges, whole.edges),
+            (tloc, data.triangles, whole.triangles),
+        ):
+            assert list(loc.values()) == list(range(len(keys)))
+            assert [whole_keys[p] for p in loc] == list(keys)
+
+
+def test_restriction_of_the_folded_disk_reads_cells_off_the_refs():
+    """The folded triangle's first two refs cancel out of its boundary
+    column, and its third edge is a loop with an empty column: a restriction
+    that took cells from the nonzero entries of the whole surface's columns
+    would give ranks (0, 1, 1) on {0} instead of (2, 2, 1)."""
+    from cutpaste.surface import surface_from_data
+
+    disk = surface_from_data(2, [[0, 1, 0]], [[[0, 0], [0, 1]]])
+    _check_restrictions(disk, [set(), {0}])
+    assert surface_chain_data(disk, {0}).complex.ranks == (2, 2, 1)
+    assert surface_chain_data(disk, set()).complex.ranks == (0, 0, 0)
+
+
+@pytest.mark.parametrize("g, b", [(0, 0), (1, 0), (1, 2), (2, 1)])
+def test_restriction_matches_the_subset_oracle_on_library_surfaces(g, b):
+    """Seeded triangle subsets of library surfaces and of square surfaces
+    (with their A, B and C): a restriction that renumbered edges by their
+    first appearance, or kept the whole surface's vertex positions, fails
+    here."""
+    rng = random.Random(31 * g + b)
+    lib = standard_library(g, b)
+    s = lib.surface
+    n = s.triangle_count
+    subsets = [set(rng.sample(range(n), rng.randint(0, n))) for _ in range(6)]
+    _check_restrictions(s, subsets)
+    circles = list(lib.seams) + list(lib.nulls)
+    if circles:
+        q = square_from_circles(s, circles[:1])
+        _check_restrictions(q.surface, [q.a_triangles, q.b_triangles, q.c_triangles])
+
+
+def test_restriction_refuses_a_triangle_outside_the_surface():
+    with pytest.raises(SurfaceError, match="triangle 8 outside the surface"):
+        surface_chain_data(octahedron(), {0, 8})
+
+
+def _count_reductions(monkeypatch) -> list:
+    calls = []
+    reduce = chains._reduce_unit_pairs
+
+    def counted(*args):
+        calls.append(1)
+        return reduce(*args)
+
+    monkeypatch.setattr(chains, "_reduce_unit_pairs", counted)
+    return calls
+
+
+def _passing_square() -> SquareInstance:
+    lib = standard_library(2, 1)
+    return square_from_circles(lib.surface, [lib.seams[0], lib.nulls[0]])
+
+
+def test_square_whose_pushout_is_d_relabelled_reduces_once(monkeypatch):
+    """The pushout of a library square is D with its basis renumbered, so
+    D's homology serves both lines: one unit-pair reduction, where the
+    parent ran two."""
+    calls = _count_reductions(monkeypatch)
+    rep = functor_on_square(_passing_square())
+    assert len(calls) == 1
+    assert rep.to_lines() == [
+        "square_check=PASS",
+        "pushout_model=quotient",
+        "pushout_homology=H_0=Z, H_1=Z^4",
+        "glued_homology=H_0=Z, H_1=Z^4",
+    ]
+
+
+def test_halves_meeting_outside_a_reduce_twice(monkeypatch):
+    """The sphere's two halves share edges but no triangle: the pushout's
+    cells do not map one to one onto D's, so both homologies are computed
+    and the report is the FAIL it always was."""
+    calls = _count_reductions(monkeypatch)
+    rep = functor_on_square(sphere_halves_square())
+    assert len(calls) == 2
+    assert rep.to_lines()[-1] == "first_failing_degree=0" and not rep.passed
+
+
+def test_relabelling_certificate_refuses_a_flipped_sign(monkeypatch):
+    """A pushout whose first triangle has its boundary column negated still
+    has d o d = 0 and a one-to-one basis onto D's cells, but one column no
+    longer matches: the certificate refuses and both homologies are
+    computed.  A certificate that checked only the bijection would accept
+    it and reduce once."""
+    real = euler_functor.pushout
+    built = []
+
+    def flipped(f, g):
+        res = real(f, g)
+        p = res.complex
+        d1, d2 = p.boundaries
+        cols = ({i: -x for i, x in d2.columns[0].items()},) + d2.columns[1:]
+        p2 = ChainComplex(p.lo, p.hi, p.ranks, (d1, IntMatrix.from_columns(d2.rows, d2.cols, cols)))
+        built.append(p2)
+        return PushoutResult(p2, res.from_first, res.from_second, res.model)
+
+    monkeypatch.setattr(euler_functor, "pushout", flipped)
+    calls = _count_reductions(monkeypatch)
+    rep = functor_on_square(_passing_square())
+    assert len(calls) == 2
+    assert rep.pushout_homology == built[0].homology()
+    assert rep.total_homology.describe() == "H_0=Z, H_1=Z^4"

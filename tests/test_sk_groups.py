@@ -10,7 +10,14 @@ import pytest
 from cutpaste import sk_groups
 import lattice_oracle
 from gluing_oracle import glue_class_components
-from cutpaste.abgroup import AbGroupPresentation, IntMatrix, IntegerLattice, NormalForm, to_sparse
+from cutpaste.abgroup import (
+    AbGroupPresentation,
+    IntMatrix,
+    IntegerLattice,
+    NormalForm,
+    check_exact_at,
+    to_sparse,
+)
 from cutpaste.squares_k0 import (
     classes_within,
     k0_of_surfaces,
@@ -18,6 +25,7 @@ from cutpaste.squares_k0 import (
     within_caps,
 )
 from cutpaste.sk_groups import (
+    MIN_EXACT_BOUNDARY,
     Caps,
     SearchExhausted,
     apply_move,
@@ -361,23 +369,36 @@ def test_exact_sequence(caps):
 )
 def test_exact_sequence_matches_lattice_oracle(caps):
     """The four report fields, decided in Smith quotient coordinates, equal
-    the full-width lattice verdicts; at (1,1,1) both read exact_at_middle
-    FAIL."""
-    report = verify_exact_sequence(caps)
+    the full-width lattice verdicts.  verify_exact_sequence refuses (1,1,1),
+    below its boundary floor; the same four checks on its two maps read
+    exact_at_middle FAIL there, and so does the oracle."""
     alpha = closed_inclusion_hom(caps)
     beta = boundary_count_hom(surface_squares_presentation(caps))
-    assert (
-        report.inclusion_injective,
-        report.exact_at_middle,
-        report.count_surjective,
-        report.composite_zero,
-    ) == (
+    if caps.boundary < MIN_EXACT_BOUNDARY:
+        with pytest.raises(ValueError, match="boundary cap of at least 2"):
+            verify_exact_sequence(caps)
+        fields = (
+            alpha.is_injective(),
+            check_exact_at(alpha, beta),
+            beta.is_surjective(),
+            beta.compose(alpha).is_zero(),
+        )
+        assert not fields[1]
+    else:
+        report = verify_exact_sequence(caps)
+        assert report.passed
+        fields = (
+            report.inclusion_injective,
+            report.exact_at_middle,
+            report.count_surjective,
+            report.composite_zero,
+        )
+    assert fields == (
         lattice_oracle.is_injective(alpha),
         lattice_oracle.exact_at(alpha, beta),
         lattice_oracle.is_surjective(beta),
         lattice_oracle.is_zero(beta.compose(alpha)),
     )
-    assert report.passed == (caps != Caps(1, 1, 1))
 
 
 # Widest lattice the hom checks of the exact sequence may build, in columns:
