@@ -309,8 +309,7 @@ class ChainMap:
                     f"map at degree {self.source.lo + k} has shape {m.rows}x{m.cols}"
                 )
         mono = [_monomial(m) for m in self.mats]
-        pairs = zip(self.source.boundaries, self.target.boundaries)
-        for k, (ds, dt) in enumerate(pairs, 1):
+        for k, (ds, dt) in enumerate(zip(self.source.boundaries, self.target.boundaries), 1):
             if not _commutes(ds, dt, self.mats[k - 1], self.mats[k], mono[k - 1], mono[k]):
                 n = self.source.lo + k
                 raise ChainComplexError(f"map does not commute with boundaries at degree {n}")

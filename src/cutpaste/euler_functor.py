@@ -63,10 +63,10 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
     representative in ref order; a ref has sign +1 when it is the
     representative and -1 when its partner is.  A subset's chains are those
     of the whole surface restricted to it (``_restrict``)."""
-    if subset is not None:
-        whole = _whole_chain_data(s)
-        return _restrict(s, whole, _vertex_index(whole), subset)[0]
-    return _whole_chain_data(s)
+    whole = _whole_chain_data(s)
+    if subset is None:
+        return whole
+    return _restrict(s, whole, _vertex_index(whole), subset)[0]
 
 
 def _whole_chain_data(s: TriSurface) -> ChainData:

@@ -400,6 +400,8 @@ def test_restriction_matches_the_subset_oracle_on_library_surfaces(g, b):
 
 
 def test_restriction_refuses_a_triangle_outside_the_surface():
+    """Slicing the whole surface's ref_edges past its end gives an empty
+    slice, not an error, so the restriction must check the range itself."""
     with pytest.raises(SurfaceError, match="triangle 8 outside the surface"):
         surface_chain_data(octahedron(), {0, 8})
 
