@@ -2,9 +2,10 @@
 
 ``chains_of`` sends a surface to its simplicial chain complex in degrees
 0..2 (vertices, geometric edges, triangles, with orientation signs taken
-from the directed-edge structure).  Subcomplexes of a common surface get
-chain bases keyed by the parent's cells, which makes inclusion maps plain
-0/1 monomial matrices and the pushout of B <- A -> C land literally on the
+from the directed-edge structure).  A piece of a surface names each cell
+of its basis once, by the cell's position in the whole surface's basis
+(``ChainData.cells``), which makes inclusion maps plain 0/1 monomial
+matrices and the pushout of B <- A -> C land literally on the
 Mayer-Vietoris subcomplex of D.
 
 Square instances package a surface D with two triangle subsets covering it
@@ -14,27 +15,27 @@ chains of D, and ``pi0_commutation`` checks that the induced class in
 K0 of chain complexes equals the Euler characteristic.
 
 ``functor_on_square`` builds the chains of D once and reads A, B and C off
-them, so the inclusions are lists of cell positions.  The pushout's basis
-is B's cells outside A followed by C's.  When that basis maps one to one
-onto D's cells and carries every boundary column of the pushout onto the
-matching column of D, the pushout is D relabelled: one homology, D's,
-serves both report lines.  Otherwise (a square whose pieces meet outside
+them; ``inclusion_chain_map`` builds both inclusions from the pieces'
+cells.  The pushout's basis is B's cells outside A followed by C's.  When
+that basis maps one to one onto D's cells and carries every boundary
+column of the pushout onto the matching column of D, the pushout is D
+relabelled: one homology, D's, serves both report lines.  Otherwise (a square whose pieces meet outside
 A, say) both homologies are computed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 
 from .abgroup import IntMatrix, require_json_ints
 from .chains import ChainComplex, ChainMap, HomologyType, pushout
 from .surface import (
-    Ref,
     SurfaceError,
     TriSurface,
     _Builder,
     _canonical_flat,
+    _check_circle_on,
     _insert_collar_raw,
     circles_vertex_disjoint,
 )
@@ -42,46 +43,38 @@ from .surface import (
 
 @dataclass(frozen=True)
 class ChainData:
-    """Chain complex of a subcomplex with its basis keyed by parent cells.
+    """Chain complex of a surface or of a triangle subset of it.
 
-    ``ref_edges[3i + e]`` is the basis edge of ref e of ``triangles[i]``.
-    It is read off the refs, so it also names an edge whose two refs cancel
-    in the triangle's boundary column."""
+    ``cells[k][i]`` is the position of basis cell i of degree k in the
+    basis of the whole surface's chains: a vertex's id, an edge's place in
+    the whole surface's edge basis, a triangle's index.  ``ref_edges[3i + e]``
+    is the basis edge of ref e of the i-th triangle.  It is read off the
+    refs, so it also names an edge whose two refs cancel in the triangle's
+    boundary column."""
 
     complex: ChainComplex
-    vertices: tuple[int, ...]
-    edges: tuple[Ref, ...]
-    triangles: tuple[int, ...]
+    cells: tuple[tuple[int, ...], ...]
     ref_edges: tuple[int, ...]
 
 
-def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
-    """Simplicial chains of the full surface or of a triangle subset.
+def surface_chain_data(s: TriSurface) -> ChainData:
+    """Simplicial chains of the whole surface.
 
-    Refs are read by flat index 3t+e.  A geometric edge is represented by
-    the lesser of its refs, and edge k of the basis is the k-th
-    representative in ref order; a ref has sign +1 when it is the
-    representative and -1 when its partner is.  A subset's chains are those
-    of the whole surface restricted to it (``_restrict``)."""
-    whole = _whole_chain_data(s)
-    if subset is None:
-        return whole
-    return _restrict(s, whole, _vertex_index(whole), subset)[0]
-
-
-def _whole_chain_data(s: TriSurface) -> ChainData:
+    Vertex v is basis vertex v (a surface uses every id in
+    0..vertex_count-1, which ``validate`` checks).  Refs are read by flat
+    index 3t+e.  A geometric edge is represented by the lesser of its refs,
+    and edge k of the basis is the k-th representative in ref order; a ref
+    has sign +1 when it is the representative and -1 when its partner is."""
     triangles = s.triangles
-    verts = sorted({v for tri in triangles for v in tri})
-    vidx = {v: i for i, v in enumerate(verts)}
     reps = [p if 0 <= p < k else k for k, p in enumerate(s.partners)]
     edges = sorted(set(reps))
     eidx = {r: i for i, r in enumerate(edges)}
     ref_edges = tuple(map(eidx.__getitem__, reps))
-    nv, ne, nf = len(verts), len(edges), len(triangles)
+    nv, ne, nf = s.vertex_count, len(edges), len(triangles)
 
     d2 = []
-    cells = iter([(i, 1 if r == k else -1) for k, (i, r) in enumerate(zip(ref_edges, reps))])
-    for (i0, x0), (i1, x1), (i2, x2) in zip(cells, cells, cells):
+    signed = iter([(i, 1 if r == k else -1) for k, (i, r) in enumerate(zip(ref_edges, reps))])
+    for (i0, x0), (i1, x1), (i2, x2) in zip(signed, signed, signed):
         if i0 != i1 and i1 != i2 and i0 != i2:
             d2.append({i0: x0, i1: x1, i2: x2})
             continue
@@ -93,59 +86,39 @@ def _whole_chain_data(s: TriSurface) -> ChainData:
     for r in edges:
         tri = triangles[r // 3]
         u, v = tri[r % 3], tri[(r + 1) % 3]
-        d1.append({vidx[v]: 1, vidx[u]: -1} if u != v else {})
+        d1.append({v: 1, u: -1} if u != v else {})
     cx = ChainComplex.make(
         0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
     )
-    return ChainData(
-        complex=cx,
-        vertices=tuple(verts),
-        edges=tuple(map(divmod, edges, repeat(3))),
-        triangles=tuple(range(nf)),
-        ref_edges=ref_edges,
-    )
+    cells = (tuple(range(nv)), tuple(range(ne)), tuple(range(nf)))
+    return ChainData(complex=cx, cells=cells, ref_edges=ref_edges)
 
 
-def _vertex_index(whole: ChainData) -> dict[int, int]:
-    """Vertex number -> its position in the basis of the whole surface."""
-    return dict(zip(whole.vertices, range(len(whole.vertices))))
-
-
-def _restrict(s: TriSurface, whole: ChainData, vidx, subset) -> tuple[ChainData, tuple[dict, ...]]:
+def _restrict(s: TriSurface, whole: ChainData, subset) -> ChainData:
     """The chains of a triangle subset read off ``whole``, the chains of all
-    of ``s``, with per degree a dict from each cell's position in ``whole``
-    to its position in the subset's basis (keys in basis order).
+    of ``s``.
 
     The cells are those of the triangles' corners and refs.  A piece keeps
     the whole surface's order and edge representatives, so its basis and
     its boundary columns (entry order included) are those the subset would
     get built on its own."""
     tris = sorted(subset)
-    n = s.triangle_count
-    for t in tris:
-        if not 0 <= t < n:
-            raise SurfaceError(f"triangle {t} outside the surface")
     triangles = s.triangles
     ref_edges = whole.ref_edges
     refs = [e for t in tris for e in ref_edges[3 * t : 3 * t + 3]]
-    vloc = {p: i for i, p in enumerate(sorted({vidx[v] for t in tris for v in triangles[t]}))}
-    eloc = {p: i for i, p in enumerate(sorted(set(refs)))}
-    tloc = {t: i for i, t in enumerate(tris)}
+    verts = sorted({v for t in tris for v in triangles[t]})
+    edges = sorted(set(refs))
+    vloc = {v: i for i, v in enumerate(verts)}
+    eloc = {p: i for i, p in enumerate(edges)}
     d1_whole, d2_whole = (m.columns for m in whole.complex.boundaries)
-    d1 = [{vloc[i]: x for i, x in d1_whole[p].items()} for p in eloc]
+    d1 = [{vloc[i]: x for i, x in d1_whole[p].items()} for p in edges]
     d2 = [{eloc[i]: x for i, x in d2_whole[t].items()} for t in tris]
-    nv, ne, nf = len(vloc), len(eloc), len(tris)
+    nv, ne, nf = len(verts), len(edges), len(tris)
     cx = ChainComplex.make(
         0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
     )
-    data = ChainData(
-        complex=cx,
-        vertices=tuple(map(whole.vertices.__getitem__, vloc)),
-        edges=tuple(map(whole.edges.__getitem__, eloc)),
-        triangles=tuple(tris),
-        ref_edges=tuple(map(eloc.__getitem__, refs)),
-    )
-    return data, (vloc, eloc, tloc)
+    cells = (tuple(verts), tuple(edges), tuple(tris))
+    return ChainData(complex=cx, cells=cells, ref_edges=tuple(map(eloc.__getitem__, refs)))
 
 
 def chains_of(s: TriSurface) -> ChainComplex:
@@ -154,19 +127,13 @@ def chains_of(s: TriSurface) -> ChainComplex:
 
 
 def inclusion_chain_map(small: ChainData, big: ChainData) -> ChainMap:
-    """Inclusion of one subcomplex into a larger one of the same parent."""
-    vpos = {v: i for i, v in enumerate(big.vertices)}
-    epos = {r: i for i, r in enumerate(big.edges)}
-    tpos = {t: i for i, t in enumerate(big.triangles)}
+    """Inclusion of one piece of a surface into a larger piece of it."""
     mats = []
-    for keys, positions, nbig in (
-        (small.vertices, vpos, len(big.vertices)),
-        (small.edges, epos, len(big.edges)),
-        (small.triangles, tpos, len(big.triangles)),
-    ):
-        if any(key not in positions for key in keys):
+    for keys, cells in zip(small.cells, big.cells):
+        pos = {p: i for i, p in enumerate(cells)}
+        if not pos.keys() >= set(keys):
             raise SurfaceError("not a subcomplex: cell missing from the bigger piece")
-        mats.append(IntMatrix.from_columns(nbig, len(keys), ({positions[key]: 1} for key in keys)))
+        mats.append(IntMatrix.from_columns(len(cells), len(keys), [{pos[p]: 1} for p in keys]))
     return ChainMap(small.complex, big.complex, tuple(mats))
 
 
@@ -268,22 +235,22 @@ def functor_on_square(q: SquareInstance) -> SquareReport:
     """Check that chains turn the gluing square into a pushout square up to
     quasi-isomorphism (the Mayer-Vietoris comparison).
 
-    A, B and C are read off the chains of D, and the inclusions are their
-    cells' positions.  When the pushout P is D with its basis relabelled
+    A, B and C are read off the chains of D, and the inclusions are built
+    from their cells.  When the pushout P is D with its basis relabelled
     (``_relabels``), D's homology serves for both; otherwise both are
     computed."""
     s = q.surface
     data_d = surface_chain_data(s)
-    vidx = _vertex_index(data_d)
-    data_a, loc_a = _restrict(s, data_d, vidx, q.a_triangles)
-    data_b, loc_b = _restrict(s, data_d, vidx, q.b_triangles)
-    data_c, loc_c = _restrict(s, data_d, vidx, q.c_triangles)
-    f = _inclusion(data_a, data_b, loc_a, loc_b)
-    g = _inclusion(data_a, data_c, loc_a, loc_c)
-    res = pushout(f, g)
+    data_a = _restrict(s, data_d, q.a_triangles)
+    data_b = _restrict(s, data_d, q.b_triangles)
+    data_c = _restrict(s, data_d, q.c_triangles)
+    res = pushout(inclusion_chain_map(data_a, data_b), inclusion_chain_map(data_a, data_c))
     hd = data_d.complex.homology()
     # the quotient basis is B's cells outside A, then C's
-    cells = [[p for p in b if p not in a] + list(c) for a, b, c in zip(loc_a, loc_b, loc_c)]
+    cells = [
+        [p for p in b if p not in a] + list(c)
+        for a, b, c in zip(map(set, data_a.cells), data_b.cells, data_c.cells)
+    ]
     if _relabels(res.complex, data_d.complex, cells):
         hp = hd
     else:
@@ -300,15 +267,6 @@ def functor_on_square(q: SquareInstance) -> SquareReport:
         total_homology=hd,
         failing_degree=failing,
     )
-
-
-def _inclusion(small: ChainData, big: ChainData, loc_small, loc_big) -> ChainMap:
-    """Inclusion of one piece into a larger one, from their cells' positions
-    in the whole surface."""
-    mats = []
-    for ls, lb in zip(loc_small, loc_big):
-        mats.append(IntMatrix.from_columns(len(lb), len(ls), [{lb[p]: 1} for p in ls]))
-    return ChainMap(small.complex, big.complex, tuple(mats))
 
 
 def _relabels(p: ChainComplex, d: ChainComplex, cells) -> bool:
@@ -349,6 +307,8 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     circles = list(circles)
     if not circles:
         raise SurfaceError("need at least one circle")
+    for c in circles:
+        _check_circle_on(s, c)
     if not circles_vertex_disjoint(circles):
         raise SurfaceError("circles must be pairwise vertex-disjoint")
     b = _Builder.from_surface(s)

@@ -9,7 +9,8 @@ rank d_{n+1} and the invariant factors (> 1) of d_{n+1} as torsion.
 it finds each ref's edge representative with a ref-keyed partner dict, and
 sorts the set of representative refs as tuples to number the edges.  It
 builds a subset's chains on their own, not as a restriction of the whole
-surface's.
+surface's, and numbers the sorted representatives of all of the surface's
+edges to find each edge's position in the whole surface's basis.
 
 ``noncommuting_degree`` and ``nonvanishing_composite`` are the product forms
 of the ``ChainMap`` and ``ChainComplex`` checks: they multiply whole
@@ -20,7 +21,7 @@ import surface_oracle
 from cutpaste.abgroup import IntMatrix, _Analysis
 from cutpaste.chains import ChainComplex, HomologyType
 from cutpaste.euler_functor import ChainData
-from cutpaste.surface import SurfaceError, TriSurface
+from cutpaste.surface import TriSurface
 
 
 def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
@@ -32,13 +33,7 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
             return ref, 1
         return p, -1
 
-    if subset is None:
-        tris = list(range(s.triangle_count))
-    else:
-        tris = sorted(subset)
-        for t in tris:
-            if not 0 <= t < s.triangle_count:
-                raise SurfaceError(f"triangle {t} outside the surface")
+    tris = list(range(s.triangle_count)) if subset is None else sorted(subset)
     verts = sorted({v for t in tris for v in s.triangles[t]})
     vidx = {v: i for i, v in enumerate(verts)}
     edges = sorted({edge_rep((t, e))[0] for t in tris for e in range(3)})
@@ -59,9 +54,12 @@ def surface_chain_data(s: TriSurface, subset=None) -> ChainData:
         0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
     )
     ref_edges = tuple(eidx[edge_rep((t, e))[0]] for t in tris for e in range(3))
-    return ChainData(
-        complex=cx, vertices=tuple(verts), edges=tuple(edges), triangles=tuple(tris), ref_edges=ref_edges
-    )
+    # a cell's position in the whole surface's basis: vertex ids, the
+    # place among all of the surface's edges, triangle indices
+    all_edges = sorted({edge_rep((t, e))[0] for t in range(s.triangle_count) for e in range(3)})
+    place = {r: i for i, r in enumerate(all_edges)}
+    cells = (tuple(verts), tuple(map(place.__getitem__, edges)), tuple(tris))
+    return ChainData(complex=cx, cells=cells, ref_edges=ref_edges)
 
 
 def unreduced_homology(c: ChainComplex) -> HomologyType:

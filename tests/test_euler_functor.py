@@ -6,7 +6,7 @@ import random
 import pytest
 
 import chain_oracle
-from cutpaste import chains, euler_functor
+from cutpaste import chains, euler_functor, surface
 from cutpaste.abgroup import IntMatrix
 from cutpaste.chains import ChainComplex, ChainMap, PushoutResult
 from cutpaste.euler_functor import (
@@ -70,7 +70,7 @@ def test_chains_of_folded_triangle_disk():
     assert data.complex.homology().describe() == "H_0=Z"
     assert data.complex.k0_class() == disk.euler_characteristic() == 1
     want = chain_oracle.surface_chain_data(disk)
-    assert (data.vertices, data.edges, data.triangles) == (want.vertices, want.edges, want.triangles)
+    assert data.cells == want.cells
     assert data.complex == want.complex
 
 
@@ -94,8 +94,8 @@ def test_chi_agreement_on_library(g, b):
 
 def test_subcomplex_inclusion_is_injective_chain_map():
     s = octahedron()
-    sub = surface_chain_data(s, {0, 1, 2})
     full = surface_chain_data(s)
+    sub = euler_functor._restrict(s, full, {0, 1, 2})
     inc = inclusion_chain_map(sub, full)
     assert inc.levelwise_injective
     assert inc.is_monomial_injection()
@@ -211,10 +211,11 @@ def test_square_additivity_of_k0_class():
         if not circles:
             continue
         q = square_from_circles(lib.surface, [circles[0]])
-        data_a = surface_chain_data(q.surface, q.a_triangles)
-        data_b = surface_chain_data(q.surface, q.b_triangles)
-        data_c = surface_chain_data(q.surface, q.c_triangles)
         data_d = surface_chain_data(q.surface)
+        data_a, data_b, data_c = (
+            euler_functor._restrict(q.surface, data_d, t)
+            for t in (q.a_triangles, q.b_triangles, q.c_triangles)
+        )
         assert (
             data_a.complex.k0_class() + data_d.complex.k0_class()
             == data_b.complex.k0_class() + data_c.complex.k0_class()
@@ -343,7 +344,7 @@ def test_monomial_pushout_builds_no_direct_sum(monkeypatch):
 
 def _assert_same_chain_data(got, want):
     assert got.complex.ranks == want.complex.ranks
-    assert (got.vertices, got.edges, got.triangles) == (want.vertices, want.edges, want.triangles)
+    assert got.cells == want.cells
     assert got.ref_edges == want.ref_edges
     for mine, theirs in zip(got.complex.boundaries, want.complex.boundaries):
         assert [list(c.items()) for c in mine.columns] == [list(c.items()) for c in theirs.columns]
@@ -351,21 +352,15 @@ def _assert_same_chain_data(got, want):
 
 def _check_restrictions(s, subsets):
     """Each subset's chains read off the whole surface's, as the square
-    check reads them, equal surface_chain_data(s, subset) and the oracle,
-    and its position dicts point at the same cells of the whole."""
+    check reads them, equal the oracle's, which builds the subset on its
+    own, cells included; and the cells place the piece in the whole: its
+    inclusion commutes with the boundaries (ChainMap checks that)."""
     whole = surface_chain_data(s)
-    vidx = euler_functor._vertex_index(whole)
+    assert whole.cells == chain_oracle.surface_chain_data(s).cells
     for subset in subsets:
-        data, (vloc, eloc, tloc) = euler_functor._restrict(s, whole, vidx, subset)
-        _assert_same_chain_data(data, surface_chain_data(s, subset))
+        data = euler_functor._restrict(s, whole, subset)
         _assert_same_chain_data(data, chain_oracle.surface_chain_data(s, subset))
-        for loc, keys, whole_keys in (
-            (vloc, data.vertices, whole.vertices),
-            (eloc, data.edges, whole.edges),
-            (tloc, data.triangles, whole.triangles),
-        ):
-            assert list(loc.values()) == list(range(len(keys)))
-            assert [whole_keys[p] for p in loc] == list(keys)
+        assert inclusion_chain_map(data, whole).is_monomial_injection()
 
 
 def test_restriction_of_the_folded_disk_reads_cells_off_the_refs():
@@ -377,8 +372,9 @@ def test_restriction_of_the_folded_disk_reads_cells_off_the_refs():
 
     disk = surface_from_data(2, [[0, 1, 0]], [[[0, 0], [0, 1]]])
     _check_restrictions(disk, [set(), {0}])
-    assert surface_chain_data(disk, {0}).complex.ranks == (2, 2, 1)
-    assert surface_chain_data(disk, set()).complex.ranks == (0, 0, 0)
+    whole = surface_chain_data(disk)
+    assert euler_functor._restrict(disk, whole, {0}).complex.ranks == (2, 2, 1)
+    assert euler_functor._restrict(disk, whole, set()).complex.ranks == (0, 0, 0)
 
 
 @pytest.mark.parametrize("g, b", [(0, 0), (1, 0), (1, 2), (2, 1)])
@@ -399,11 +395,12 @@ def test_restriction_matches_the_subset_oracle_on_library_surfaces(g, b):
         _check_restrictions(q.surface, [q.a_triangles, q.b_triangles, q.c_triangles])
 
 
-def test_restriction_refuses_a_triangle_outside_the_surface():
+def test_square_refuses_a_triangle_outside_the_surface():
     """Slicing the whole surface's ref_edges past its end gives an empty
-    slice, not an error, so the restriction must check the range itself."""
-    with pytest.raises(SurfaceError, match="triangle 8 outside the surface"):
-        surface_chain_data(octahedron(), {0, 8})
+    slice, not an error; the restriction leaves the range to the square,
+    which refuses pieces that are not exactly the surface's triangles."""
+    with pytest.raises(SurfaceError, match="square pieces must cover the surface"):
+        SquareInstance(octahedron(), frozenset(range(9)), frozenset({0}))
 
 
 def _count_reductions(monkeypatch) -> list:
@@ -472,3 +469,52 @@ def test_relabelling_certificate_refuses_a_flipped_sign(monkeypatch):
     assert len(calls) == 2
     assert rep.pushout_homology == built[0].homology()
     assert rep.total_homology.describe() == "H_0=Z, H_1=Z^4"
+
+
+@pytest.mark.parametrize("kind", ["seams", "nulls"])
+@pytest.mark.parametrize(
+    "move",
+    [
+        surface.cut,
+        surface.double_circle,
+        lambda s, c: sk_system_move(s, [c]),
+        lambda s, c: square_from_circles(s, [c]),
+    ],
+    ids=["cut", "double_circle", "sk_system_move", "square_from_circles"],
+)
+def test_moves_refuse_a_circle_of_another_surface(move, kind):
+    """A genus-2 circle handed to the sphere: its refs would name unrelated
+    edges of the sphere, or none at all."""
+    circle = getattr(standard_library(2, 0), kind)[0]
+    with pytest.raises(SurfaceError, match="circle does not live on this surface"):
+        move(standard_library(0, 0).surface, circle)
+
+
+def test_inclusion_refuses_a_piece_outside_the_bigger_one():
+    q = _passing_square()
+    whole = surface_chain_data(q.surface)
+    data_b = euler_functor._restrict(q.surface, whole, q.b_triangles)
+    data_c = euler_functor._restrict(q.surface, whole, q.c_triangles)
+    assert not q.c_triangles <= q.b_triangles
+    with pytest.raises(SurfaceError, match="not a subcomplex"):
+        inclusion_chain_map(data_c, data_b)
+
+
+def test_square_builds_its_chains_once_and_two_inclusions(monkeypatch):
+    """One surface_chain_data call (D) and two inclusion_chain_map calls
+    (A into B and into C) per square, so the traced chain-data and
+    inclusion spans time the square path."""
+    calls = []
+    for name in ("surface_chain_data", "inclusion_chain_map"):
+        real = getattr(euler_functor, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(euler_functor, name, counted)
+    squares = [_passing_square(), sphere_halves_square()]
+    for q in squares:
+        functor_on_square(q)
+    assert calls.count("surface_chain_data") == len(squares)
+    assert calls.count("inclusion_chain_map") == 2 * len(squares)
