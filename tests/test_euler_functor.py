@@ -1,11 +1,13 @@
 """Chain functor tests: simplicial chains, gluing squares, commutation."""
 
+import itertools
 import json
 import random
 
 import pytest
 
 import chain_oracle
+import square_oracle
 from cutpaste import chains, euler_functor, surface
 from cutpaste.abgroup import IntMatrix
 from cutpaste.chains import ChainComplex, ChainMap, PushoutResult
@@ -24,6 +26,7 @@ from cutpaste.surface import (
     SurfaceError,
     TriSurface,
     build_standard,
+    circles_vertex_disjoint,
     fan_disk,
     library_for_class,
     octahedron,
@@ -518,3 +521,28 @@ def test_square_builds_its_chains_once_and_two_inclusions(monkeypatch):
         functor_on_square(q)
     assert calls.count("surface_chain_data") == len(squares)
     assert calls.count("inclusion_chain_map") == 2 * len(squares)
+
+
+def _library_circle_squares():
+    """Every one to three library circles of standard_library(g, b), g, b <= 3."""
+    for g in range(4):
+        for b in range(4):
+            lib = standard_library(g, b)
+            circles = list(lib.seams) + list(lib.nulls)
+            for n in (1, 2, 3):
+                for chosen in itertools.combinations(circles, n):
+                    yield lib.surface, chosen
+
+
+def test_square_pieces_match_the_oracle_on_library_circles():
+    """The refined surface and B and C agree with the oracle's rule, which
+    unglues the seams and cores in a second builder, on all 196 squares."""
+    count = 0
+    for s, chosen in _library_circle_squares():
+        assert circles_vertex_disjoint(chosen)
+        q = square_from_circles(s, chosen)
+        want = square_oracle.square_from_circles(s, chosen)
+        assert q.surface.to_json() == want.surface.to_json()
+        assert (q.b_triangles, q.c_triangles) == (want.b_triangles, want.c_triangles)
+        count += 1
+    assert count == 196

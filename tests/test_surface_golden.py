@@ -51,17 +51,22 @@ def _circles(lib):
     return list(lib.seams) + list(lib.nulls)
 
 
-def _libraries():
-    for g in _RANGE:
-        for b in _RANGE:
+def _libraries(sizes=_RANGE):
+    for g in sizes:
+        for b in sizes:
             yield (g, b), standard_library(g, b)
 
 
-def _library():
+def _library(sizes=_RANGE):
     return [
         [key, lib.surface.to_json(), [_refs(c.refs) for c in lib.seams], [_refs(c.refs) for c in lib.nulls]]
-        for key, lib in _libraries()
+        for key, lib in _libraries(sizes)
     ]
+
+
+def _library_to_5():
+    """Genus and boundary up to 5, where more holes compete for sites."""
+    return _library(range(6))
 
 
 def _mirror():
@@ -148,6 +153,7 @@ def _skk():
 
 FAMILIES = {
     "standard_library": _library,
+    "standard_library_to_5": _library_to_5,
     "mirror": _mirror,
     "cut_paste_cut": _cut_paste,
     "double_circle": _double_circle,
@@ -168,6 +174,7 @@ def digest(family: str) -> str:
 
 GOLDEN = {
     "standard_library": "5613df61be2e4c1c76d3e3f36f874c99f7bcb66d97b4f9b73c6d1f9b62e1ec13",
+    "standard_library_to_5": "b207b2b454b8c4447385edd7e33e0a7578de6b8bf7b0d3ebb318197238415220",
     "mirror": "0da530d585cc43b970146f90f18c989e913c28daa574a5d36aad450849aa9474",
     "cut_paste_cut": "c129a8847b84f0fda992b987bc83cf3917b7ffc5c34e3dc96baaf2d8fc4848c5",
     "double_circle": "b7b30bb00f5a2aa726f561a3a17deac7978bdccc51728f1ea00affebde1f8231",
