@@ -36,6 +36,7 @@ from .surface import (
     _Builder,
     _canonical_flat,
     _check_circle_on,
+    _components,
     _insert_collar_raw,
     circles_vertex_disjoint,
 )
@@ -301,9 +302,11 @@ def coproduct_square(x: TriSurface, y: TriSurface) -> SquareInstance:
 def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     """Build a gluing square by thickening each circle to a collar annulus.
 
-    A is the union of the collars; the complementary pieces are split
-    between B and C alternately (every piece keeps the collars, so
-    B & C = A and B | C = D)."""
+    A is the union of the collars.  The pieces between the circles are the
+    components of the refined surface with every ref of a collar triangle
+    unglued, collar triangles left out; they are split between B and C
+    alternately in order of their least triangle, and both keep every
+    collar, so B & C = A and B | C = D."""
     circles = list(circles)
     if not circles:
         raise SurfaceError("need at least one circle")
@@ -312,39 +315,23 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     if not circles_vertex_disjoint(circles):
         raise SurfaceError("circles must be pairwise vertex-disjoint")
     b = _Builder.from_surface(s)
-    raw_seams = []
-    raw_cores = []
-    raw_collars = []
+    raw_collar: set[int] = set()
     for c in circles:
-        seam, core, collar = _insert_collar_raw(b, c.refs)
-        raw_seams.append(seam)
-        raw_cores.append(core)
-        raw_collars.append(collar)
+        raw_collar |= _insert_collar_raw(b, c.refs)[2]
     refined, refmap = b.finish()
     refined.require_valid()
-    collar_tris = [frozenset(refmap.tri_map[t] for t in coll) for coll in raw_collars]
-    seam_refs = [refmap.refs(rs) for rs in raw_seams]
-    core_refs = [refmap.refs(rc) for rc in raw_cores]
-    # the pieces between the circles depend only on the gluing: unglue them
-    b2 = _Builder.from_surface(refined)
-    for r in chain.from_iterable(seam_refs + core_refs):
-        b2.unglue(r)
-    comp = b2.components()
+    collar = {refmap.tri_map[t] for t in raw_collar}
+    partners = [
+        -1 if p < 0 or k // 3 in collar or p // 3 in collar else p
+        for k, p in enumerate(refined.partners)
+    ]
+    # components are numbered in order of their least triangle
     pieces: dict[int, set[int]] = {}
-    for t, c in enumerate(comp):
-        pieces.setdefault(c, set()).add(t)
-    all_collar = set().union(*collar_tris)
-    outer = []
-    for p in pieces.values():
-        overlap = p & all_collar
-        if overlap and overlap != p:
-            raise SurfaceError("internal error: piece straddles a collar")
-        if not overlap:
-            outer.append(p)
-    outer.sort(key=min)
-    b_tris = set(all_collar)
-    c_tris = set(all_collar)
-    for i, piece in enumerate(outer):
+    for t, c in enumerate(_components(partners)):
+        if t not in collar:
+            pieces.setdefault(c, set()).add(t)
+    b_tris, c_tris = set(collar), set(collar)
+    for i, piece in enumerate(pieces.values()):
         (b_tris if i % 2 == 0 else c_tris).update(piece)
     return SquareInstance(
         surface=refined,

@@ -1246,6 +1246,9 @@ def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
 
     Returns (seam refs, core refs, collar triangle indices); the seam sits at
     the original circle's position, the core is the parallel copy.
+    ``double_circle`` reads all three; ``square_from_circles`` reads only
+    the collar, since ungluing its triangles' refs separates the pieces
+    between the circles.
     """
     k = len(refs)
     left, right = _cut_circle_raw(b, tuple(refs))
@@ -1393,8 +1396,10 @@ class LibrarySurface:
     """A standard surface together with named circles for move searches.
 
     ``seams``: one separating circle per handle (cutting splits off a
-    genus-1, one-boundary-circle piece).  ``nulls``: disk-bounding triangle
-    circles, pairwise disjoint and disjoint from the seams.
+    genus-1, one-boundary-circle piece).  ``nulls``: the boundaries of the
+    first two sites that ``_disjoint_site_triangles`` finds with the seams'
+    vertices blocked, so disk-bounding triangle circles, pairwise disjoint
+    and disjoint from the seams.
     """
 
     surface: TriSurface
@@ -1402,16 +1407,17 @@ class LibrarySurface:
     nulls: tuple[EmbeddedCircle, ...]
 
 
-def _disjoint_site_triangles(s: TriSurface, count: int) -> list[int] | None:
-    """Greedy pairwise vertex-disjoint interior triangles, or None if scarce."""
+def _disjoint_site_triangles(s: TriSurface, count: int, blocked=()) -> list[int]:
+    """Up to count pairwise vertex-disjoint sites, greedily in triangle
+    order; the list is short when sites are scarce.  A site has three
+    distinct vertices, none in ``blocked`` and all interior, and every ref
+    glued; a rejected triangle blocks nothing."""
     chosen: list[int] = []
-    blocked: set[int] = set()
+    blocked = set(blocked)
     for t, tri in enumerate(s.triangles):
-        if count == 0:
+        if len(chosen) == count:
             break
-        if len(set(tri)) != 3:
-            continue
-        if any(v in blocked for v in tri):
+        if len(set(tri)) != 3 or any(v in blocked for v in tri):
             continue
         if any(s.partner((t, e)) is None for e in range(3)):
             continue
@@ -1419,27 +1425,22 @@ def _disjoint_site_triangles(s: TriSurface, count: int) -> list[int] | None:
             continue
         chosen.append(t)
         blocked.update(tri)
-        if len(chosen) == count:
-            return chosen
-    return chosen if len(chosen) >= count else None
+    return chosen
+
+
+def _cut_holes_raw(b: _Builder, sites) -> None:
+    """Cut each site triangle out of the builder, leaving a hole."""
+    for t in sites:
+        _cut_circle_raw(b, ((t, 0), (t, 1), (t, 2)))
+    b.drop_triangles(set(sites))
 
 
 @lru_cache(maxsize=None)
 def _handle_piece() -> TriSurface:
     """Genus one, one boundary circle of length 3."""
-    torus = paste(annulus(4), BoundaryGluing(0, 1, 0))
-    torus = subdivide(torus)
-    site = _disjoint_site_triangles(torus, 1)
-    if not site:
-        raise SurfaceError("no hole site on the subdivided torus")
-    circle = EmbeddedCircle.triangle_boundary(torus, site[0])
-    cut_surface, rec = cut(torus, circle)
-    comp = cut_surface.component_of_triangle
-    side_a = comp[rec.left[0][0]]
-    counts = [sum(1 for c in comp if c == x) for x in range(cut_surface.component_count)]
-    disk_comp = side_a if counts[side_a] == 1 else comp[rec.right[0][0]]
-    b = _Builder.from_surface(cut_surface)
-    b.drop_triangles({t for t, c in enumerate(comp) if c == disk_comp})
+    torus = subdivide(paste(annulus(4), BoundaryGluing(0, 1, 0)))
+    b = _Builder.from_surface(torus)
+    _cut_holes_raw(b, _disjoint_site_triangles(torus, 1))
     out, _ = b.finish()
     if out.require_valid().classify() != DiffeoClass.connected(1, 1):
         raise SurfaceError(f"handle piece is {out.classify()}, not {{(1,1)}}")
@@ -1466,16 +1467,10 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
             f"above the ceiling of {MAX_STANDARD_SITES}"
         )
     base = subdivide(octahedron())
-    while _disjoint_site_triangles(base, sites_needed + 2) is None:
+    while len(sites := _disjoint_site_triangles(base, sites_needed + 2)) < sites_needed + 2:
         base = subdivide(base)
-    sites = _disjoint_site_triangles(base, sites_needed) or []
     b = _Builder.from_surface(base)
-    drop: set[int] = set()
-    for t in sites:
-        _cut_circle_raw(b, ((t, 0), (t, 1), (t, 2)))
-        drop.add(t)
-    if drop:
-        b.drop_triangles(drop)
+    _cut_holes_raw(b, sites[:sites_needed])
     flat = _boundary_cycles(b.partners)
     cycles = [[divmod(k, 3) for k in cyc] for cyc in flat]
     if len(cycles) != sites_needed:
@@ -1491,25 +1486,17 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
         EmbeddedCircle(out, tuple(_order_cycle(out.endpoints, refmap.refs(refs))))
         for refs in seam_refs
     )
-    blocked = {v for c in seams for v in c.vertices}
-    nulls: list[EmbeddedCircle] = []
-    for t, tri in enumerate(out.triangles):
-        if len(nulls) == 2:
-            break
-        if len(set(tri)) != 3 or any(v in blocked for v in tri):
-            continue
-        try:
-            circle = EmbeddedCircle.triangle_boundary(out, t)
-        except SurfaceError:
-            continue
-        nulls.append(circle)
-        blocked.update(tri)
+    seam_vertices = {v for c in seams for v in c.vertices}
+    nulls = tuple(
+        EmbeddedCircle.triangle_boundary(out, t)
+        for t in _disjoint_site_triangles(out, 2, seam_vertices)
+    )
     expected = DiffeoClass.connected(genus, boundary)
     if out.classify() != expected:
         raise SurfaceError(
             f"library construction produced {out.classify()} instead of {expected}"
         )
-    return LibrarySurface(surface=out, seams=seams, nulls=tuple(nulls))
+    return LibrarySurface(surface=out, seams=seams, nulls=nulls)
 
 
 def build_standard(genus: int, boundary: int) -> TriSurface:
