@@ -491,14 +491,16 @@ class IntegerLattice:
         return [dict(self.rows[j]) for j in sorted(self.rows)]
 
 
-def kernel_into_quotient(rows: list[dict], m: int, width: int, target: IntegerLattice) -> list[dict]:
-    """Generators of {x in Z^m : sum x_i rows_i lies in the target lattice}.
+def kernel_into_quotient(rows: list[dict], target: IntegerLattice) -> list[dict]:
+    """Generators of {x in Z^m : sum x_i rows_i lies in the target lattice},
+    where m is the number of rows, each a vector of the target's Z^width.
 
     Works by echelon-reducing the stacked, identity-augmented system; rows
     whose lattice part dies carry the kernel combination in their tail.  The
     echelon is ``width + m`` columns wide, so homomorphism checks call it on
     Smith quotient coordinates, never on generator coordinates.
     """
+    width, m = target.width, len(rows)
     aug = IntegerLattice(width + m)
     for r in target.basis_rows():
         aug.add(r)
@@ -795,9 +797,7 @@ class AbHom:
     def _kernel(self) -> list[dict]:
         """Generators, in Q_source coordinates, of the preimage of zero."""
         moduli, _ = self.target._analysis.quotient
-        return kernel_into_quotient(
-            self._induced, len(self._induced), len(moduli), moduli_lattice(moduli)
-        )
+        return kernel_into_quotient(self._induced, moduli_lattice(moduli))
 
     def is_injective(self) -> bool:
         src = moduli_lattice(self.source._analysis.quotient[0])

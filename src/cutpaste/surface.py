@@ -827,6 +827,13 @@ class EmbeddedCircle:
         refs = self.refs
         if not refs:
             raise SurfaceError("empty circle")
+        n = s.triangle_count
+        for r in refs:
+            if not (0 <= r[0] < n and 0 <= r[1] < 3):
+                raise SurfaceError(
+                    f"circle edge {r} is not a ref of this surface, "
+                    f"whose triangles are 0..{n - 1} and edges 0..2"
+                )
         verts = []
         for i, r in enumerate(refs):
             if s.partner(r) is None:
@@ -1316,6 +1323,8 @@ def sk_system_move(s: TriSurface, circles, pairing=None, offsets=None) -> TriSur
     if sorted(pairing) != list(range(k)):
         raise SurfaceError("pairing must be a permutation of the circles")
     offsets = list(offsets) if offsets is not None else [0] * k
+    if len(offsets) != k:
+        raise SurfaceError(f"got {len(offsets)} offsets for {k} circles")
 
     b = _Builder.from_surface(s)
     copies = [_cut_circle_raw(b, c.refs) for c in circles]
@@ -1830,6 +1839,9 @@ def skk_collapse_check(
     for p in (first, second):
         if len(p) != k or sorted(p) != list(range(k)):
             raise ValueError("pairing must be a permutation of the circles")
+    for offsets in (first_offsets, second_offsets):
+        if offsets is not None and len(offsets) != k:
+            raise ValueError(f"got {len(offsets)} offsets for {k} circles")
     s1 = _glue_cylinder_stacks(k, first, first_offsets)
     s2 = _glue_cylinder_stacks(k, second, second_offsets)
     c1, c2 = s1.classify(), s2.classify()

@@ -680,6 +680,13 @@ def test_two_circle_swap_collapse():
     assert rep.second_class == DiffeoClass.from_pairs([(0, 2), (0, 2)])
 
 
+@pytest.mark.parametrize("first, second", [([0], None), (None, [0, 0, 0])])
+def test_collapse_refuses_offsets_of_the_wrong_length(first, second):
+    count = len(first or second)
+    with pytest.raises(ValueError, match=f"got {count} offsets for 2 circles"):
+        skk_collapse_check(2, (0, 1), (1, 0), first, second)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_collapse_for_all_pairings(k):
     identity = tuple(range(k))

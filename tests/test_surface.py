@@ -1,6 +1,7 @@
 """Surface calculus tests: validation, classification, cut/paste, library."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from cutpaste.surface import (
     TriSurface,
     annulus,
     build_standard,
+    circles_vertex_disjoint,
     cut,
     cut_nonseparating_ok,
     disjoint_union,
@@ -345,6 +347,20 @@ def test_circle_touching_boundary_rejected():
         EmbeddedCircle.triangle_boundary(d, 0)
 
 
+@pytest.mark.parametrize("ref", [(62, 0), (-1, 0), (0, 3)])
+def test_circle_refuses_a_ref_outside_the_surface(ref):
+    """A ref past either end of the triangles or edges is not a boundary
+    edge: the refusal names it and the valid ranges."""
+    s = build_standard(1, 0)
+    assert s.triangle_count == 62
+    with pytest.raises(SurfaceError) as info:
+        EmbeddedCircle(s, (ref,))
+    assert not isinstance(info.value, CircleTouchesBoundary)
+    assert str(info.value) == (
+        f"circle edge {ref} is not a ref of this surface, whose triangles are 0..61 and edges 0..2"
+    )
+
+
 def test_chi_unchanged_by_cut():
     s = octahedron()
     circle = equator_circle(s)
@@ -526,6 +542,13 @@ def test_sk_system_move_identity_restores_surface():
     assert out == sk_system_move(lib.surface, [lib.seams[0]])
 
 
+@pytest.mark.parametrize("offsets", [[1], [1, 2, 3]])
+def test_sk_system_move_refuses_offsets_of_the_wrong_length(offsets):
+    lib = standard_library(2, 0)
+    with pytest.raises(SurfaceError, match=f"got {len(offsets)} offsets for 2 circles"):
+        sk_system_move(lib.surface, [lib.seams[0], lib.nulls[0]], (1, 0), offsets)
+
+
 def test_sk_system_move_two_circle_swap_splits_tori():
     # genus-2 surface union a sphere: swap a handle seam with a sphere null
     # circle and land on two tori
@@ -576,6 +599,24 @@ def test_library_has_named_circles():
     # seams split off (1,1) pieces
     out, _ = cut(lib.surface, lib.seams[0])
     assert (1, 1) in out.classify().components
+
+
+@pytest.mark.parametrize("g", range(6))
+@pytest.mark.parametrize("b", range(6))
+def test_library_circles_keep_the_docstring_claims(g, b):
+    """``LibrarySurface``: genus seams and two nulls, all pairwise
+    vertex-disjoint; a seam splits off a (1,1) piece, and a null a
+    one-triangle disk."""
+    lib = standard_library(g, b)
+    assert (len(lib.seams), len(lib.nulls)) == (g, 2)
+    assert circles_vertex_disjoint(lib.seams + lib.nulls)
+    for seam in lib.seams:
+        out, _ = cut(lib.surface, seam)
+        assert out.classify() == DiffeoClass.from_pairs([(1, 1), (g - 1, b + 1)])
+    for null in lib.nulls:
+        out, _ = cut(lib.surface, null)
+        assert out.classify() == DiffeoClass.from_pairs([(0, 1), (g, b + 1)])
+        assert 1 in Counter(out.component_of_triangle).values()
 
 
 def test_library_determinism():
