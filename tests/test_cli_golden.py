@@ -48,6 +48,8 @@ _CASES = {
     "sk exact 4,3,3": ("sk", "exact", "--caps", "4,3,3"),
     "sk exact 5,3,3": ("sk", "exact", "--caps", "5,3,3"),
     "sk k0 3,2,3": ("sk", "k0", "--caps", "3,2,3"),
+    "sk k0 4,3,3": ("sk", "k0", "--caps", "4,3,3"),
+    "sk k0 5,3,3": ("sk", "k0", "--caps", "5,3,3"),
     "k0 squares": ("k0", "{squares}"),
     "k0 squares repeated": ("k0", "{repeated}"),
     "euler commute 2,2,2": ("euler", "commute", "--caps", "2,2,2"),
@@ -66,6 +68,8 @@ GOLDEN = {
     "sk exact 4,3,3": (0, "5baceb2b18c55c0e9035696de87acd863975c59f82de3b8b9e8122a9d1f95325"),
     "sk exact 5,3,3": (0, "aae3cade83b46d5960279bd3e0fbda3caa1ee0cf9d8893b897dc271338cb10f4"),
     "sk k0 3,2,3": (0, "10a80c01026ebd3483dc4438a186bb3b2e115d4901affe2381326877f3faf355"),
+    "sk k0 4,3,3": (0, "101bdaecec52ceb5927b90866319125b503447b7829283a5385c79b00ab87183"),
+    "sk k0 5,3,3": (0, "2c48ab5efd9e077a1745b10a6e4497fff102e4e48a97960d3ab59a6020cc44c5"),
     "k0 squares": (0, "5834cc79fdb9e6d329f0f43586154ba6de3f177836c88a7cb0dfe8911c50c099"),
     "k0 squares repeated": (0, "5834cc79fdb9e6d329f0f43586154ba6de3f177836c88a7cb0dfe8911c50c099"),
     "euler commute 2,2,2": (0, "8919125ccbcf2980cbb009c50b788f9e6315453cf3897a8cf101d10b2c7dfeb0"),

@@ -257,6 +257,53 @@ def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     assert sum(evaluated) == 4676
 
 
+# sha256 of the JSON of [label, free, torsion, moduli] for every class's
+# normal form, in class order: (with-boundary record, closed record).  A
+# change to how either record is presented must leave these unchanged.
+NORMAL_FORM_DIGESTS = {
+    (2, 2, 2): (
+        "f26104c38df4c73a1323b2d579f902ddfc0d5e672ffc3935a850ec632e8c2a8b",
+        "69bc33905b52de2c42386620e7bc25aefc741a93a1720e8aa59dff0181eb7cd3",
+    ),
+    (3, 2, 3): (
+        "6669229ba1ce1de05f600b621b328f3f3a44ac035a0ecc8df6a41a3f3a09f890",
+        "6b7c343859a24c5c18ee79a7f28c391f081e21eeed200e7893d283adc9da186f",
+    ),
+    (3, 3, 3): (
+        "52120c91f574607d66e10eed5059ad3985968ef4b5288a6d9473efb76bf7a2d2",
+        "6b7c343859a24c5c18ee79a7f28c391f081e21eeed200e7893d283adc9da186f",
+    ),
+    (4, 2, 3): (
+        "ce5f5f5d5e711cf022f0d52b71c6c1ee3ca7ed388e15ccdaaa703ed9bf6a6092",
+        "a7feef9426e25f4b526baac55612c4f9f867cc1583bbc99f79c2b7c83a9b7c17",
+    ),
+    (4, 3, 3): (
+        "ce76f2a1df11242f177dcce2f1ebb95de1a113d6691fd07573a8a1434d72473e",
+        "a7feef9426e25f4b526baac55612c4f9f867cc1583bbc99f79c2b7c83a9b7c17",
+    ),
+    (5, 3, 3): (
+        "262f82d5d096cd9ca26b0825969daf70879783f90a7bba693ada2029dc57e6ce",
+        "9124b3857473819756c457f3d8aad32b73eff7387b1439f7465d8a408dfc44ab",
+    ),
+    (6, 4, 3): (
+        "7ac9a80f58e3b15ac33b5418c3aa0ef4f11fb1087a8db3f24260de4956c9b226",
+        "23a20a1bc4d52ba48db4e12a2cf578c9aa11bb86b5525902f739aeb59f809d52",
+    ),
+}
+
+
+def normal_form_digest(record) -> str:
+    blob = json.dumps([[label, nf.free, nf.torsion, nf.moduli] for label, nf in record.coordinates.items()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("caps", sorted(NORMAL_FORM_DIGESTS), ids=lambda c: "%d,%d,%d" % c)
+def test_normal_forms_digest(caps):
+    caps = Caps(*caps)
+    records = (surface_squares_presentation(caps), closed_sk_presentation(caps))
+    assert tuple(map(normal_form_digest, records)) == NORMAL_FORM_DIGESTS[caps]
+
+
 def test_caps_requests_build_no_dense_relation(monkeypatch):
     """Presentations, AbHom checks and K0 coordinates run on sparse relation
     rows and sparse hom images: with the dense relation view and the dense
