@@ -7,8 +7,10 @@ with-boundary cut-and-paste group.  The closed group is presented on
 closed classes with disjoint-union relations plus difference relations
 [result of gluing phi] = [result of gluing psi] for every pair of gluing
 patterns of the same two piece collections (pieces range over bounded
-multisets of connected types, gluing all boundary circles), which the
-record carries as its extra relation rows.
+multisets of connected types, gluing all boundary circles).  Both kinds
+are presented by spanning rows: the union squares of ``union_squares``,
+and a spanning forest of the difference relations, which the record
+carries as its extra relation rows.
 
 The two groups sit in a short exact sequence with the free group on the
 circle: closed classes include into with-boundary classes, and a
@@ -60,8 +62,9 @@ CIRCLE_LABEL = "[S^1]"
 # that differ only beyond four glued circles are consequences of smaller ones
 # (the tests check that a bound of five leaves the (3,3,3) group unchanged)
 _MAX_GLUED_CIRCLES = 4
-# and pieces of at most three components: a fourth adds outcome pairs (302
-# to 481 at (3,3,3)) but no distinct relation row
+# and pieces of at most three components: over every piece pair at (3,3,3),
+# a fourth adds outcome pairs (302 to 481) but no distinct gluing row, and
+# leaves every class's normal form unchanged
 # (test_fourth_piece_component_adds_no_closed_relation)
 _MAX_PIECE_COMPONENTS = 3
 
@@ -166,29 +169,50 @@ def _refuse_oversized_closed(caps: Caps) -> None:
 @lru_cache(maxsize=None)
 def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     """Cut-and-paste group of closed oriented surfaces at the truncation:
-    the closed classes and their disjoint-union squares, with the
-    gluing-difference relations as the record's extra rows.  Caps spanning
-    more than MAX_CLASSES with-boundary classes, or gluing-piece multisets,
-    are refused before anything is enumerated."""
+    the closed classes and their spanning union squares, with a spanning
+    forest of the gluing-difference relations as the record's extra rows.
+    Caps spanning more than MAX_CLASSES with-boundary classes, or
+    gluing-piece multisets, are refused before anything is enumerated."""
     caps = Caps(*caps)
     _refuse_oversized_closed(caps)
     classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
     index = {c: i for i, c in enumerate(classes)}
-    squares, skipped = union_squares(index, caps)
-    # each distinct difference row once, in first-seen order
-    relations = {}
+    squares, square_count, skipped = union_squares(index, caps)
+    # Every result of a piece pair has the pair's chi, so the difference rows
+    # join classes of one chi level.  A row is kept only when it joins two
+    # trees of a union-find: a spanning forest generates the lattice of all
+    # the rows.  A pair is skipped once its level is one tree.
+    parent = list(range(len(classes)))
+    trees: dict[int, int] = {}
+    for c in classes:
+        if not c.is_empty:
+            trees[c.chi] = trees.get(c.chi, 0) + 1
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    relations = []
     for _, combos in sorted(_piece_multisets(caps).items()):
         for x, left in enumerate(combos):
             for right in combos[x:]:
-                results = sorted(_gluing_results(left, right, caps))
+                chi = sum(2 - 2 * g - b for g, b in left + right)
+                if trees.get(chi, 0) <= 1:
+                    continue
+                results = [index[r] for r in sorted(_gluing_results(left, right, caps))]
                 for r1, r2 in zip(results, results[1:]):
-                    relations[(index[r1], 1), (index[r2], -1)] = None
+                    a, b = find(r1), find(r2)
+                    if a != b:
+                        parent[a] = b
+                        trees[chi] -= 1
+                        relations.append(((r1, 1), (r2, -1)))
     pres = SquaresPresentation(
         objects=tuple(c.label() for c in classes),
         basepoint=index[DiffeoClass.empty()],
         squares=tuple(squares),
     )
-    return SurfaceSquares(caps, pres, tuple(classes), skipped, tuple(relations))
+    return SurfaceSquares(caps, pres, tuple(classes), square_count, skipped, tuple(relations))
 
 
 def circles_group() -> AbGroupPresentation:

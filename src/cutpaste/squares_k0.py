@@ -12,7 +12,10 @@ Collar squares are enumerated between connected pieces; gluings of
 disconnected objects decompose into these plus disjoint-union squares:
 ``test_disconnected_gluings_keep_every_coordinate`` adds every such
 gluing at caps (2,2,2) and finds the group still Z^2 with every coordinate
-unchanged.  Its record,
+unchanged.  Of the disjoint-union squares only a spanning set is presented,
+one per class of two or more components (``union_squares``); the rest are
+consequences, and the record counts the category's squares without
+building them.  Its record,
 ``SurfaceSquares``, is the with-boundary cut-and-paste group
 (``k0_of_surfaces``); ``sk_groups`` presents the closed group as one too,
 with extra relation rows.
@@ -110,10 +113,11 @@ def k0_presentation(p: SquaresPresentation, extra=()) -> AbGroupPresentation:
 
 
 # Largest number of classes a caps request may span.  Class lists, union
-# squares and the relation lattice all grow with it.  The tests, the
-# acceptance run and the benchmark reach (4,3,3), 1,771 classes.  A cold k0
-# takes about 2.5 s at (5,3,3), 2,925 classes, and about 18 s at (6,4,3),
-# 8,436 classes (Python 3.11, one core of a 2-core x86-64 host).
+# squares and the relation lattice all grow with it.  The acceptance run and
+# the benchmark reach (4,3,3), 1,771 classes, and the tests (6,4,3).  A cold
+# k0 takes about 45-80 ms at (5,3,3), 2,925 classes, and about 0.13-0.17 s
+# at (6,4,3), 8,436 classes (Python 3.11.7, one process on a 2-vCPU x86-64
+# host, three fresh runs each).
 MAX_CLASSES = 10_000
 
 
@@ -179,23 +183,33 @@ def within_caps(cls: DiffeoClass, caps: Caps) -> bool:
     return all(g <= caps.genus and b <= caps.boundary for g, b in cls.components)
 
 
-def union_squares(index: dict, caps: Caps) -> tuple[list[tuple[int, int, int, int]], int]:
-    """Disjoint-union squares (empty, A, B, A|B) over the nonempty classes
-    of ``index`` (class -> object index, in object order), kept when A|B
-    stays within the caps; returns the squares and the skipped count.
+def union_squares(index: dict, caps: Caps) -> tuple[list[tuple[int, int, int, int]], int, int]:
+    """Disjoint-union squares spanning the union relations over the classes
+    of ``index`` (class -> object index, in object order): one square
+    (empty, X without its last component, last component, X) per class X
+    of two or more components.  By induction on the component count they
+    give [X] = the sum of X's components, hence [A|B] = [A] + [B] for every
+    pair whose union stays within the caps.
+
+    Returns the squares, the count of such fitting pairs (the category's
+    union squares) and the count of pairs skipped for leaving the caps.
     The classes must lie within the caps, by descending component count as
     ``classes_of_types`` orders them: then the partners B that fit next to
-    A form a suffix of the list, and only the kept pairs are built."""
+    A form a suffix of the list, so both counts come from one bisection per
+    class, without building the pairs."""
     basepoint = index[DiffeoClass.empty()]
     nonempty = [c for c in index if not c.is_empty]
     neg_counts = [-c.component_count for c in nonempty]
     squares = []
-    for i, a in enumerate(nonempty):
-        first = bisect_left(neg_counts, a.component_count - caps.components)
-        for b in nonempty[max(i, first):]:
-            squares.append((basepoint, index[a], index[b], index[a.union(b)]))
+    fitting = 0
+    for i, x in enumerate(nonempty):
+        first = bisect_left(neg_counts, x.component_count - caps.components)
+        fitting += len(nonempty) - max(i, first)
+        if x.component_count > 1:
+            rest, last = DiffeoClass(x.components[:-1]), DiffeoClass(x.components[-1:])
+            squares.append((basepoint, index[rest], index[last], index[x]))
     n = len(nonempty)
-    return squares, n * (n + 1) // 2 - len(squares)
+    return squares, fitting, n * (n + 1) // 2 - fitting
 
 
 def glue_connected(m1: tuple[int, int], m2: tuple[int, int], k: int) -> tuple[int, int]:
@@ -213,14 +227,18 @@ ANNULUS = (0, 2)
 
 @dataclass(frozen=True)
 class SurfaceSquares:
-    """A truncated cut-and-paste group: classes in object order, squares,
-    the count skipped for leaving the caps, and ``relations``, rows beyond
-    the squares' own as (index, coefficient) pairs (none for K0 of the
-    squares).  Every field is a tuple, so the record stays hashable."""
+    """A truncated cut-and-paste group: classes in object order, the
+    squares that present it, ``square_count``, the category's squares within
+    the caps (the presented squares span their relations), the count
+    skipped for leaving the caps, and ``relations``, rows beyond the
+    squares' own as (index, coefficient) pairs (none for K0 of the
+    squares).  Every field is a tuple or a count, so the record stays
+    hashable."""
 
     caps: Caps
     presentation: SquaresPresentation
     classes: tuple[DiffeoClass, ...]
+    square_count: int
     skipped: int
     relations: tuple[tuple[tuple[int, int], ...], ...] = ()
 
@@ -249,7 +267,7 @@ class SurfaceSquares:
         return [
             f"caps={self.caps.genus},{self.caps.boundary},{self.caps.components}",
             f"objects={len(self.classes)}",
-            f"squares={len(self.presentation.squares)}",
+            f"squares={self.square_count}",
             f"free_rank={self.free_rank}",
             f"torsion={list(self.torsion)}",
         ]
@@ -263,7 +281,10 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     Squares are (i) disjoint-union squares (empty, A, B, A|B) and (ii)
     collar squares (annulus stack, M, M', glued result) for connected M, M'
     and every circle count that stays within the caps; entries that would
-    leave the caps are skipped and counted.
+    leave the caps are skipped and counted.  The presentation lists the
+    collar squares and the spanning union squares of ``union_squares``,
+    which present the same group as every fitting pair; ``square_count``
+    counts the category's squares of both kinds.
     """
     caps = Caps(*caps)
     if min(caps) < 1:
@@ -271,7 +292,7 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
     refuse_oversized(caps)
     classes = classes_within(caps)
     index = {c: i for i, c in enumerate(classes)}
-    squares, skipped = union_squares(index, caps)
+    squares, square_count, skipped = union_squares(index, caps)
 
     # collar squares between connected pieces
     types = [t for t in connected_types(caps) if t[1] >= 1]
@@ -292,15 +313,14 @@ def surface_squares_presentation(caps: Caps) -> SurfaceSquares:
                         index[d_cls],
                     )
                 )
+                square_count += 1
 
     pres = SquaresPresentation(
         objects=tuple(c.label() for c in classes),
         basepoint=index[DiffeoClass.empty()],
         squares=tuple(squares),
     )
-    return SurfaceSquares(
-        caps=caps, presentation=pres, classes=tuple(classes), skipped=skipped
-    )
+    return SurfaceSquares(caps, pres, tuple(classes), square_count, skipped)
 
 
 def k0_of_surfaces(caps: Caps) -> SurfaceSquares:

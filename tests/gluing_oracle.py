@@ -1,4 +1,4 @@
-"""Reference gluing of whole classes for the tests.
+"""Reference gluings for the tests.
 
 ``glue_class_components`` glues two disjoint unions along a bipartite
 multigraph of circle pairs with its own union-find.  It is the oracle of
@@ -6,9 +6,17 @@ the closed group's gluing blocks (``sk_groups._gluing_results``) and of the
 claim in ``squares_k0`` that collar squares between connected pieces,
 with the disjoint-union squares, cover the gluings of disconnected
 objects.
+
+``all_gluing_rows`` evaluates every piece pair and keeps every distinct
+gluing-difference row, where the closed record keeps a spanning forest of
+them; ``all_rows_closed_record`` is the closed record with those rows.
 """
 
+from dataclasses import replace
+
+from cutpaste import sk_groups
 from cutpaste.classes import DiffeoClass
+from cutpaste.squares_k0 import Caps, classes_of_types
 
 
 def glue_class_components(
@@ -55,3 +63,26 @@ def glue_class_components(
             raise ValueError("gluing pattern does not produce oriented surfaces")
         pairs.append((g2 // 2, b))
     return DiffeoClass.from_pairs(pairs)
+
+
+def all_gluing_rows(caps: Caps) -> tuple:
+    """Every distinct difference row [r1] - [r2] between consecutive sorted
+    gluing results of every piece pair, in first-seen order.  The piece
+    bounds and ``_gluing_results`` are read from ``sk_groups`` on each call,
+    so a patched bound or a counting wrapper applies."""
+    classes = classes_of_types([(g, 0) for g in range(caps.genus + 1)], caps.components)
+    index = {c: i for i, c in enumerate(classes)}
+    rows = {}
+    for _, combos in sorted(sk_groups._piece_multisets(caps).items()):
+        for x, left in enumerate(combos):
+            for right in combos[x:]:
+                results = sorted(sk_groups._gluing_results(left, right, caps))
+                for r1, r2 in zip(results, results[1:]):
+                    rows[(index[r1], 1), (index[r2], -1)] = None
+    return tuple(rows)
+
+
+def all_rows_closed_record(caps: Caps):
+    """The closed record with every distinct gluing row in place of its
+    spanning forest."""
+    return replace(sk_groups.closed_sk_presentation(caps), relations=all_gluing_rows(caps))

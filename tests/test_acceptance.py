@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from cutpaste import abgroup, surface
+from cutpaste import abgroup, sk_groups, surface
 from cutpaste.acceptance import (
     criterion_1_snf,
     criterion_2_surfaces,
@@ -70,6 +70,16 @@ MAX_NORMALIZE_SUBMULS_333 = 3_000
 # 300,452.
 MAX_ADD_SUBMULS_533 = 30_000
 
+# The same count with the with-boundary relations presented by spanning union
+# squares, one per class of two or more components (3,027 relations): 549.
+# All fitting pairs of classes as union squares made 14,349.
+MAX_SPANNING_ADD_SUBMULS_533 = 1_000
+
+# `_gluing_results` calls made by a cold closed build at caps (4,3,3).
+# Skipping a piece pair once its chi level is one tree of the gluing-row
+# forest makes 2,294; evaluating every piece pair made 9,630.
+MAX_GLUING_RESULTS_433 = 3_000
+
 
 @pytest.fixture
 def cold_group_333():
@@ -115,6 +125,22 @@ def test_add_work_bound_at_533(monkeypatch):
     monkeypatch.setattr(abgroup.IntegerLattice, "add", adding)
     group._analysis
     assert 0 < calls <= MAX_ADD_SUBMULS_533
+    assert calls <= MAX_SPANNING_ADD_SUBMULS_533
+
+
+def test_gluing_work_bound_at_433(monkeypatch):
+    calls = 0
+    gluing_results = sk_groups._gluing_results
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return gluing_results(*args)
+
+    monkeypatch.setattr(sk_groups, "_gluing_results", counting)
+    closed = sk_groups.closed_sk_presentation.__wrapped__(Caps(4, 3, 3))
+    assert closed.group.quotient_invariants() == (1, ())
+    assert 0 < calls <= MAX_GLUING_RESULTS_433
 
 
 class _NoWalk(dict):

@@ -9,7 +9,8 @@ import pytest
 
 from cutpaste import sk_groups
 import lattice_oracle
-from gluing_oracle import glue_class_components
+from gluing_oracle import all_gluing_rows, all_rows_closed_record, glue_class_components
+from test_squares_k0 import all_pairs_union_squares
 from cutpaste.abgroup import (
     AbGroupPresentation,
     IntMatrix,
@@ -73,17 +74,21 @@ def test_closed_group_is_z_with_euler_coordinates():
 
 def test_fifth_glued_circle_adds_no_closed_relation(monkeypatch):
     # the closed presentation enumerates gluing patterns of at most
-    # _MAX_GLUED_CIRCLES = 4 circles; one more circle must not change it
+    # _MAX_GLUED_CIRCLES = 4 circles; one more circle must not change it.
+    # A fifth circle adds distinct gluing rows (all_gluing_rows, 42 to 43);
+    # the record keeps a spanning forest of them, which need not grow.
     caps = Caps(3, 3, 3)
     closed_sk_presentation.cache_clear()
     try:
+        rows_at_four = all_gluing_rows(caps)
         at_four = closed_sk_presentation(caps)
         monkeypatch.setattr(sk_groups, "_MAX_GLUED_CIRCLES", 5)
         closed_sk_presentation.cache_clear()
+        rows_at_five = all_gluing_rows(caps)
         at_five = closed_sk_presentation(caps)
     finally:
         closed_sk_presentation.cache_clear()
-    assert len(at_five.group.relations) > len(at_four.group.relations)
+    assert set(rows_at_four) < set(rows_at_five)
     assert at_four.group.quotient_invariants() == (1, ())
     assert at_five.group.quotient_invariants() == (1, ())
     assert at_five.classes == at_four.classes
@@ -95,8 +100,8 @@ def test_fourth_piece_component_adds_no_closed_relation(monkeypatch):
     # the closed presentation glues pieces of at most
     # _MAX_PIECE_COMPONENTS = 3 components; a fourth must not change it
     # (at (4,3,3) a bound of four is refused: 10,625 piece multisets).
-    # Distinct rows are kept once, so the bound of four shows its extra
-    # work in the outcome pairs enumerated, not in the rows kept.
+    # Evaluated over every piece pair (all_gluing_rows), the bound of four
+    # adds outcome pairs but no distinct gluing row.
     caps = Caps(3, 3, 3)
     gluing_results = sk_groups._gluing_results
     outcome_pairs = []
@@ -109,15 +114,19 @@ def test_fourth_piece_component_adds_no_closed_relation(monkeypatch):
     monkeypatch.setattr(sk_groups, "_gluing_results", counting)
     closed_sk_presentation.cache_clear()
     try:
-        at_three = closed_sk_presentation(caps)
+        rows_at_three = all_gluing_rows(caps)
         pairs_at_three = sum(outcome_pairs)
-        outcome_pairs.clear()
+        at_three = closed_sk_presentation(caps)
         monkeypatch.setattr(sk_groups, "_MAX_PIECE_COMPONENTS", 4)
+        outcome_pairs.clear()
+        rows_at_four = all_gluing_rows(caps)
+        pairs_at_four = sum(outcome_pairs)
         closed_sk_presentation.cache_clear()
         at_four = closed_sk_presentation(caps)
     finally:
         closed_sk_presentation.cache_clear()
-    assert (pairs_at_three, sum(outcome_pairs)) == (302, 481)
+    assert (pairs_at_three, pairs_at_four) == (302, 481)
+    assert rows_at_four == rows_at_three
     assert at_three.group.quotient_invariants() == (1, ())
     assert at_four.group.quotient_invariants() == (1, ())
     assert at_four.classes == at_three.classes
@@ -214,27 +223,40 @@ def test_block_partitions_match_slot_bijections():
     assert used <= set(pairs)
 
 
-# sha256 of the JSON of [relations, presentation.squares, class labels]
+# sha256 of the JSON of [every distinct gluing row, every fitting union
+# square, class labels]: the closed group presented by all its rows
 CLOSED_DIGESTS = {
     (2, 2, 2): (5, "9b7f7d5f48ad3f93eabe085953d4a35dbc59ff51c4f431dcad2f5df99a525601"),
     (3, 2, 3): (42, "f2ada44d584a2ac5e0e2fa944c812d1bf988ae690d845a5a9a5b80d47198d84f"),
     (3, 3, 3): (42, "f2ada44d584a2ac5e0e2fa944c812d1bf988ae690d845a5a9a5b80d47198d84f"),
     (4, 3, 3): (92, "7bc59202fdd3c1e1055ccfd0db92c8dafffdfbd8b22743f9074593ec959da9b7"),
 }
+# gluing rows the closed record keeps: a spanning forest of those above
+FOREST_ROWS = {(2, 2, 2): 4, (3, 2, 3): 24, (3, 3, 3): 24, (4, 3, 3): 42}
 
 
 @pytest.mark.parametrize("caps", sorted(CLOSED_DIGESTS))
 def test_closed_presentation_digest(caps):
-    pres = closed_sk_presentation(Caps(*caps))
-    blob = json.dumps([pres.relations, pres.presentation.squares, [c.label() for c in pres.classes]])
-    assert (len(pres.relations), hashlib.sha256(blob.encode()).hexdigest()) == CLOSED_DIGESTS[caps]
+    """The record keeps a spanning forest of the gluing rows and spanning
+    union squares; every class has the normal form it has when the group is
+    presented by all of them."""
+    caps = Caps(*caps)
+    pres = closed_sk_presentation(caps)
+    oracle = all_rows_closed_record(caps)
+    squares, _ = all_pairs_union_squares({c: i for i, c in enumerate(pres.classes)}, caps)
+    blob = json.dumps([oracle.relations, squares, [c.label() for c in pres.classes]])
+    assert (len(oracle.relations), hashlib.sha256(blob.encode()).hexdigest()) == CLOSED_DIGESTS[caps]
+    assert set(pres.relations) <= set(oracle.relations)
+    assert len(pres.relations) == FOREST_ROWS[caps]
+    assert pres.coordinates == oracle.coordinates
 
 
 def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     # The permutation enumeration evaluated one glued class per distinct
-    # edge pattern of every piece pair; the block-partition enumeration skips
-    # piece pairs whose chi cannot fit the caps and evaluates each block
-    # partition once per remaining pair.
+    # edge pattern of every piece pair.  The block-partition enumeration of
+    # every pair (all_gluing_rows) skips piece pairs whose chi cannot fit the
+    # caps and evaluates each block partition once per remaining pair.  The
+    # record also skips pairs whose chi level its forest already spans.
     caps = Caps(3, 2, 3)
     oracle_patterns = sum(permutation_gluings(l, r)[1] for l, r in piece_pairs(caps))
     assert oracle_patterns == 13107
@@ -249,12 +271,17 @@ def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     monkeypatch.setattr(sk_groups, "_block_partitions", counting)
     closed_sk_presentation.cache_clear()
     try:
+        all_rows = all_gluing_rows(caps)
+        every_pair = sum(evaluated)
+        evaluated.clear()
         pres = closed_sk_presentation(caps)
     finally:
         closed_sk_presentation.cache_clear()
-    assert len(pres.group.relations) == 93
-    assert sum(evaluated) < oracle_patterns
-    assert sum(evaluated) == 4676
+    assert len(all_rows) == 42
+    assert every_pair < oracle_patterns
+    assert every_pair == 4676
+    assert len(pres.group.relations) == 55
+    assert sum(evaluated) == 1960
 
 
 # sha256 of the JSON of [label, free, torsion, moduli] for every class's

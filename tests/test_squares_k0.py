@@ -563,16 +563,31 @@ def all_pairs_union_squares(index, caps):
 @pytest.mark.parametrize("closed", [False, True], ids=["with_boundary", "closed"])
 @pytest.mark.parametrize("caps", [Caps(2, 2, 2), Caps(3, 2, 3), Caps(1, 1, 4)])
 def test_union_squares_match_all_pairs_filter(caps, closed):
+    """The spanning union squares are all-pairs squares, count the fitting
+    and the skipped pairs, and give every class the normal form that all
+    the pairs give."""
     types = [(g, 0) for g in range(caps.genus + 1)] if closed else connected_types(caps)
     classes = classes_of_types(types, caps.components)
     index = {c: i for i, c in enumerate(classes)}
-    assert union_squares(index, caps) == all_pairs_union_squares(index, caps)
+    squares, fitting, skipped = union_squares(index, caps)
+    all_pairs, all_skipped = all_pairs_union_squares(index, caps)
+    assert (fitting, skipped) == (len(all_pairs), all_skipped)
+    assert set(squares) <= set(all_pairs)
+    objects, basepoint = tuple(c.label() for c in classes), index[DiffeoClass.empty()]
+    spanning, every = (
+        k0_presentation(SquaresPresentation(objects, basepoint, tuple(q))) for q in (squares, all_pairs)
+    )
+    for i in range(len(classes)):
+        assert spanning.element_normal_form({i: 1}) == every.element_normal_form({i: 1}), classes[i]
 
 
 def test_instance_square_counts_at_333():
     inst = surface_squares_presentation(Caps(3, 3, 3))
-    assert len(inst.presentation.squares) == 2370
+    assert inst.square_count == 2370
     assert inst.skipped == 466750
+    # 952 spanning union squares, one per class of two or three components,
+    # and the 58 collar squares
+    assert len(inst.presentation.squares) == 1010
 
 
 def test_k0_of_surfaces_shares_the_boundary_group():
