@@ -195,12 +195,13 @@ def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
 
     relations = []
     for _, combos in sorted(_piece_multisets(caps).items()):
+        chis = [sum(2 - 2 * g - b for g, b in combo) for combo in combos]
         for x, left in enumerate(combos):
-            for right in combos[x:]:
-                chi = sum(2 - 2 * g - b for g, b in left + right)
+            for y in range(x, len(combos)):
+                chi = chis[x] + chis[y]
                 if trees.get(chi, 0) <= 1:
                     continue
-                results = [index[r] for r in sorted(_gluing_results(left, right, caps))]
+                results = [index[r] for r in sorted(_gluing_results(left, combos[y], caps))]
                 for r1, r2 in zip(results, results[1:]):
                     a, b = find(r1), find(r2)
                     if a != b:

@@ -200,15 +200,15 @@ def union_squares(index: dict, caps: Caps) -> tuple[list[tuple[int, int, int, in
     basepoint = index[DiffeoClass.empty()]
     nonempty = [c for c in index if not c.is_empty]
     neg_counts = [-c.component_count for c in nonempty]
+    n = len(nonempty)
     squares = []
     fitting = 0
     for i, x in enumerate(nonempty):
         first = bisect_left(neg_counts, x.component_count - caps.components)
-        fitting += len(nonempty) - max(i, first)
+        fitting += n - max(i, first)
         if x.component_count > 1:
             rest, last = DiffeoClass(x.components[:-1]), DiffeoClass(x.components[-1:])
             squares.append((basepoint, index[rest], index[last], index[x]))
-    n = len(nonempty)
     return squares, fitting, n * (n + 1) // 2 - fitting
 
 
