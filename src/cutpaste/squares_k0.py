@@ -115,7 +115,7 @@ def k0_presentation(p: SquaresPresentation, extra=()) -> AbGroupPresentation:
 # Largest number of classes a caps request may span.  Class lists, union
 # squares and the relation lattice all grow with it.  The acceptance run and
 # the benchmark reach (4,3,3), 1,771 classes, and the tests (6,4,3).  A cold
-# k0 takes about 45-80 ms at (5,3,3), 2,925 classes, and about 0.13-0.17 s
+# k0 takes about 45-80 ms at (5,3,3), 2,925 classes, and about 0.12-0.17 s
 # at (6,4,3), 8,436 classes (Python 3.11.7, one process on a 2-vCPU x86-64
 # host, three fresh runs each).
 MAX_CLASSES = 10_000
