@@ -18,20 +18,27 @@ import json
 import pytest
 
 import surface_oracle
-from cutpaste.euler_functor import square_from_circles
+from cutpaste.euler_functor import coproduct_square, square_from_circles
 from cutpaste.sk_groups import double_surface, glue_to_mirror, skk_collapse_check
 from cutpaste.surface import (
+    BoundaryGluing,
     DiffeoClass,
     TriSurface,
     _handle_piece,
+    annulus,
     build_standard,
     cut,
+    disjoint_union,
     double_circle,
     library_for_class,
     mirror,
+    paste,
     paste_cut,
+    refine_boundary,
     sk_system_move,
     standard_library,
+    subdivide,
+    surface_from_data,
 )
 
 _RANGE = range(4)
@@ -128,6 +135,61 @@ def _glued_to_mirror():
     return out
 
 
+def _refined():
+    """Every boundary cycle of the library surfaces refined to 4, 5 and 7
+    edges, and of a lone triangle and a thin annulus, whose triangles have
+    two or three boundary edges, so a split moves an unglued sibling."""
+    surfaces = [(key, lib.surface) for key, lib in _libraries()]
+    surfaces += [("triangle", surface_from_data(3, [(0, 1, 2)], [])), ("annulus", annulus(3))]
+    out = []
+    for key, s in surfaces:
+        for i in range(s.boundary_circle_count()):
+            for n in (4, 5, 7):
+                out.append([key, i, n, refine_boundary(s, i, n).to_json()])
+    return out
+
+
+def _pasted():
+    """``paste`` of every ordered pair of boundary cycles at every offset."""
+    out = []
+    for key, lib in _libraries():
+        s = lib.surface
+        for left, right in itertools.permutations(range(s.boundary_circle_count()), 2):
+            for offset in range(3):
+                out.append([key, left, right, offset, paste(s, BoundaryGluing(left, right, offset)).to_json()])
+    return out
+
+
+def _glued_to_mirror_unequal():
+    """``glue_to_mirror`` of a subdivided surface with an unsubdivided one,
+    either way round, so one side of each cycle pair is refined."""
+    out = []
+    for b in (1, 2):
+        for gn in range(2):
+            for gm in range(2):
+                n, m = build_standard(gn, b), build_standard(gm, b)
+                for first, second in ((subdivide(n), m), (n, subdivide(m))):
+                    out.append([gn, gm, b, glue_to_mirror(first, second).to_json()])
+    return out
+
+
+def _unions():
+    keys = [(0, 0), (1, 2), (2, 1), (3, 3)]
+    return [
+        [a, b, disjoint_union(build_standard(*a), build_standard(*b)).to_json()]
+        for a, b in itertools.product(keys, repeat=2)
+    ]
+
+
+def _coproduct_squares():
+    out = []
+    for a, b in itertools.product([(0, 0), (1, 2), (2, 1)], repeat=2):
+        q = coproduct_square(build_standard(*a), build_standard(*b))
+        pieces = [p.to_json() for p in q.piece_surfaces()]
+        out.append([a, b, pieces, sorted(q.b_triangles), sorted(q.c_triangles)])
+    return out
+
+
 def _library_classes():
     out = []
     for pairs in _CLASSES:
@@ -161,6 +223,11 @@ FAMILIES = {
     "square_from_circles": _squares,
     "double_surface": _doubles,
     "glue_to_mirror": _glued_to_mirror,
+    "glue_to_mirror_unequal": _glued_to_mirror_unequal,
+    "refine_boundary": _refined,
+    "paste": _pasted,
+    "disjoint_union": _unions,
+    "coproduct_square": _coproduct_squares,
     "library_for_class": _library_classes,
     "handle_piece": _piece,
     "skk_collapse_check": _skk,
@@ -182,6 +249,11 @@ GOLDEN = {
     "square_from_circles": "e4c2521493e492416c96ab6a60bb9de1f058bdaa36cb2a686d51e9ae71bd102f",
     "double_surface": "bfefd40c54325793b24e09677bb6cc84eb355cf6d9e77c85a77e823aaa71ab10",
     "glue_to_mirror": "90b3af25c201cca2ca8549bd32040cbd5a221810021c76b29aaa88ae7628cbd8",
+    "glue_to_mirror_unequal": "1864ca7ccce7eaf301672352d70739dd20473a9e1940fb872413a9c51dd7e255",
+    "refine_boundary": "ec2a1d2827294a3f1eeeea4250a9d7cc94c5af6d25f587dd6dcf3e7c4ff9a043",
+    "paste": "474eeeb25d369239fe7929927a888ad76ef7b8b3377eb5a52ca9e5a97029d2e5",
+    "disjoint_union": "a9a8f5043c10b46cc717e81c9558daac79b84dbc1cb0c3db37ba60d1887d58a8",
+    "coproduct_square": "0390bf893ecf39668fd7a7bf1461c9f0e02e1c8b8b6b6aee980adce613e8777c",
     "library_for_class": "f356e2a416447903edbf0bd59463124c0a73ae5fd2605407b202de6ab630981e",
     "handle_piece": "356a8d6aaf9039d92fe4fa30b58dce543f46dc6d4b553515593eac1875ad2e7a",
     "skk_collapse_check": "d6a3031a05506563b0b5c4f139fd88601612d649507d8960791007ec4e771457",
