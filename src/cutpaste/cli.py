@@ -52,11 +52,14 @@ def _load_json(path: str) -> dict:
 
 
 def _load_surface(path: str) -> cp.TriSurface:
+    """The checked surface of a file: a malformed file is malformed input,
+    and an invalid surface raises InvalidSurface, a domain error."""
     data = _load_json(path)
     try:
-        return cp.TriSurface.from_json(data)
+        s = cp.TriSurface.from_json(data)
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise MalformedInput(f"{path} is not a surface file: {exc}") from exc
+    return s.require_valid()
 
 
 def _load_chain(path: str) -> cp.ChainComplex:
@@ -132,21 +135,18 @@ def _cmd_surface(args) -> int:
         print(f"violation={violation}")
         return 1
     if args.surface_cmd == "classify":
-        print(f"class={_load_surface(args.file).require_valid().classify().label()}")
+        print(f"class={_load_surface(args.file).classify().label()}")
         return 0
     if args.surface_cmd == "chi":
-        print(f"chi={_load_surface(args.file).require_valid().euler_characteristic()}")
+        print(f"chi={_load_surface(args.file).euler_characteristic()}")
         return 0
     if args.surface_cmd == "union":
-        out = cp.disjoint_union(
-            _load_surface(args.file).require_valid(),
-            _load_surface(args.other).require_valid(),
-        )
+        out = cp.disjoint_union(_load_surface(args.file), _load_surface(args.other))
         print(f"class={out.classify().label()}")
         _write_or_print(out.to_json(), args.out)
         return 0
     if args.surface_cmd == "cut":
-        s = _load_surface(args.file).require_valid()
+        s = _load_surface(args.file)
         circle = cp.EmbeddedCircle(s, _circle_refs(args.circle, s.triangle_count))
         out, rec = cp.cut(s, circle)
         print(f"class={out.classify().label()}")
@@ -155,8 +155,7 @@ def _cmd_surface(args) -> int:
         _write_or_print(out.to_json(), args.out)
         return 0
     if args.surface_cmd == "paste":
-        s = _load_surface(args.file).require_valid()
-        out = cp.paste(s, cp.BoundaryGluing(args.left, args.right, args.offset))
+        out = cp.paste(_load_surface(args.file), cp.BoundaryGluing(args.left, args.right, args.offset))
         print(f"class={out.classify().label()}")
         _write_or_print(out.to_json(), args.out)
         return 0
@@ -172,15 +171,12 @@ def _cmd_surface(args) -> int:
 
 def _cmd_sk(args) -> int:
     if args.sk_cmd == "decide":
-        dec = cp.decide_equivalent(
-            _load_surface(args.left).require_valid(),
-            _load_surface(args.right).require_valid(),
-        )
+        dec = cp.decide_equivalent(_load_surface(args.left), _load_surface(args.right))
         _emit(dec.to_lines())
         return 0
     if args.sk_cmd == "witness":
-        m = _load_surface(args.left).require_valid()
-        n = _load_surface(args.right).require_valid()
+        m = _load_surface(args.left)
+        n = _load_surface(args.right)
         try:
             w = cp.find_witness(m, n, budget=args.budget)
         except cp.SearchExhausted as exc:
@@ -291,7 +287,7 @@ MAX_COMMUTE_SURFACES = 100
 
 def _cmd_euler(args) -> int:
     if args.euler_cmd == "chi":
-        s = _load_surface(args.file).require_valid()
+        s = _load_surface(args.file)
         c = cp.chains_of(s)
         print(f"chi={s.euler_characteristic()}")
         print(f"k0_class={c.k0_class()}")
