@@ -37,6 +37,7 @@ from .surface import (
     _canonical_flat,
     _check_circle_on,
     _components,
+    _flat,
     _insert_collar_raw,
     circles_vertex_disjoint,
 )
@@ -198,7 +199,7 @@ class SquareInstance:
         in 0..n-1, where n is the number of triangles of ``d``; a ValueError
         names the first that is not.  Parsing canonicalizes ``d`` and may
         renumber its triangles, so both subsets are renumbered the same way."""
-        surf, refmap = TriSurface.parse_json(data["d"])
+        surf, new_ref = TriSurface.parse_json(data["d"])
         b_tris, c_tris = data["b_triangles"], data["c_triangles"]
         require_json_ints(b_tris, "triangle index")
         require_json_ints(c_tris, "triangle index")
@@ -206,11 +207,10 @@ class SquareInstance:
         for t in chain(b_tris, c_tris):
             if not 0 <= t < n:
                 raise ValueError(f"triangle index {t} outside 0..{n - 1}")
-        tri_map = refmap.tri_map
         return cls(
             surface=surf,
-            b_triangles=frozenset(map(tri_map.__getitem__, b_tris)),
-            c_triangles=frozenset(map(tri_map.__getitem__, c_tris)),
+            b_triangles=frozenset(new_ref[3 * t] // 3 for t in b_tris),
+            c_triangles=frozenset(new_ref[3 * t] // 3 for t in c_tris),
         )
 
 
@@ -293,9 +293,9 @@ def coproduct_square(x: TriSurface, y: TriSurface) -> SquareInstance:
     nx = x.triangle_count
     b = _Builder.from_surface(x)
     b.add_surface(y)
-    d, refmap = b.finish()
-    b_tris = frozenset(refmap.tri_map[t] for t in range(nx))
-    c_tris = frozenset(refmap.tri_map[t] for t in range(nx, nx + y.triangle_count))
+    d, new_ref = b.finish()
+    b_tris = frozenset(k // 3 for k in new_ref[: 3 * nx : 3])
+    c_tris = frozenset(k // 3 for k in new_ref[3 * nx :: 3])
     return SquareInstance(surface=d, b_triangles=b_tris, c_triangles=c_tris)
 
 
@@ -317,10 +317,10 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     b = _Builder.from_surface(s)
     raw_collar: set[int] = set()
     for c in circles:
-        raw_collar |= _insert_collar_raw(b, c.refs)[2]
-    refined, refmap = b.finish()
+        raw_collar |= _insert_collar_raw(b, _flat(c.refs))[2]
+    refined, new_ref = b.finish()
     refined.require_valid()
-    collar = {refmap.tri_map[t] for t in raw_collar}
+    collar = {new_ref[3 * t] // 3 for t in raw_collar}
     partners = [
         -1 if p < 0 or k // 3 in collar or p // 3 in collar else p
         for k, p in enumerate(refined.partners)

@@ -10,6 +10,13 @@ a strict simplicial complex); validity is governed by the vertex-link
 condition: the corners around every vertex form a single cycle (interior
 vertex) or a single path (boundary vertex).
 
+Inside the package a ref is named by its flat index 3t+e, from the stored
+gluing through the builder and its helpers to the map that
+canonicalization returns.  (t, e) pairs are made or read only at the
+public edge: ``EmbeddedCircle.refs``, ``CutRecord``, ``boundary_cycles``
+and ``boundary_refs``, ``TriSurface.partner`` and ``endpoints``, and the
+file format.
+
 Everything is immutable; operations return new surfaces with canonically
 regenerated labels (breadth-first from the lexicographically least
 triangle), so equal constructions serialize identically.  A written
@@ -102,6 +109,16 @@ def _edge_count(refs, first: int) -> int:
     glued = len(refs) - refs.count(-1)
     self_glued = sum(map(eq, refs, count(first)))
     return len(refs) - (glued + self_glued) // 2
+
+
+def _flat(refs) -> list[int]:
+    """The flat indices of (t, e) refs."""
+    return [3 * t + e for t, e in refs]
+
+
+def _pairs(refs) -> tuple[Ref, ...]:
+    """The (t, e) refs of flat indices."""
+    return tuple(divmod(k, 3) for k in refs)
 
 
 def _unglued(partners) -> list[int]:
@@ -340,13 +357,13 @@ class TriSurface:
     @cached_property
     def boundary_cycles(self) -> tuple[tuple[Ref, ...], ...]:
         """Boundary decomposed into directed edge cycles, canonically ordered."""
-        return tuple(tuple(divmod(k, 3) for k in cyc) for cyc in self._boundary_walk)
+        return tuple(map(_pairs, self._boundary_walk))
 
     @cached_property
     def boundary_refs(self) -> tuple[Ref, ...]:
         """The unglued refs in increasing order; the boundary cycles
         partition them."""
-        return tuple(divmod(k, 3) for k in _unglued(self.partners))
+        return _pairs(_unglued(self.partners))
 
     def boundary_circle_count(self) -> int:
         return len(self._boundary_walk)
@@ -396,7 +413,7 @@ class TriSurface:
         return cls.parse_json(data)[0]
 
     @staticmethod
-    def parse_json(data: dict) -> tuple["TriSurface", "RefMap"]:
+    def parse_json(data: dict) -> tuple["TriSurface", list[int] | range]:
         """Parse the surface file format.  Malformed files raise ValueError
         naming the broken rule before anything is canonicalized: the file is
         a JSON object with ``vertices``, ``triangles`` and ``gluing``;
@@ -409,8 +426,10 @@ class TriSurface:
         0..len(triangles)-1 and its edge index in 0..2.  The gluing entries
         are read in order, each checked for shape, integers and refs glued
         twice; triangle sizes and ref ranges are checked after the last.
-        Returns the canonical surface and the map from the file's numbering
-        to the canonical one."""
+        Returns the canonical surface and ``new_ref``, which takes each of
+        the file's flat refs 3t+e to its canonical flat index: the triangle
+        t lands at ``new_ref[3 * t] // 3``.  For a file already in canonical
+        form it is ``range(3 * len(triangles))``."""
         if not isinstance(data, dict):
             raise ValueError("a surface file is a JSON object with vertices, triangles and gluing")
         violation = _vertex_id_violation(_entry(data, "vertices"), _entry(data, "triangles"))
@@ -466,55 +485,6 @@ class TriSurface:
 # ---------------------------------------------------------------------------
 
 
-class RefMap:
-    """Tracks where triangles, edges and vertices land after canonicalization:
-    ``tri_map`` takes each input triangle to its new index, ``rotations``
-    to the rotation it got, and ``vertex_map`` each input vertex id to its
-    new id.  ``_canonical_flat`` keeps its walk's lists instead, and the
-    dicts are built from them on first read: most callers drop the map."""
-
-    def __init__(self, tri_map: dict[int, int], rotations: dict[int, int], vertex_map: dict[int, int]):
-        self._maps = (tri_map, rotations, vertex_map)
-
-    @classmethod
-    def _of_walk(cls, order, rotations, seen) -> "RefMap":
-        """The map of a walk that gave new index i and rotation rotations[i]
-        to input triangle order[i], and new id j to vertex id seen[j]."""
-        refmap = cls.__new__(cls)
-        refmap._walk = (order, rotations, seen)
-        return refmap
-
-    @cached_property
-    def _maps(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        order, rotations, seen = self._walk
-        return dict(zip(order, count())), dict(zip(order, rotations)), dict(zip(seen, count()))
-
-    @property
-    def tri_map(self) -> dict[int, int]:
-        return self._maps[0]
-
-    @property
-    def rotations(self) -> dict[int, int]:
-        return self._maps[1]
-
-    @property
-    def vertex_map(self) -> dict[int, int]:
-        return self._maps[2]
-
-    def __eq__(self, other):
-        return self._maps == other._maps if isinstance(other, RefMap) else NotImplemented
-
-    def __repr__(self):
-        return f"RefMap(tri_map={self.tri_map!r}, rotations={self.rotations!r}, vertex_map={self.vertex_map!r})"
-
-    def ref(self, ref: Ref) -> Ref:
-        t, e = ref
-        return (self.tri_map[t], (e - self.rotations[t]) % 3)
-
-    def refs(self, refs) -> tuple[Ref, ...]:
-        return tuple(self.ref(r) for r in refs)
-
-
 def _entry(data: dict, key: str):
     try:
         return data[key]
@@ -568,7 +538,7 @@ def _shape_violation(triangles, glued) -> str | None:
 _ROT_EDGES = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
-def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]:
+def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, list[int] | range]:
     """Relabel triangles, vertices and refs canonically.
 
     ``triangles`` holds three vertex ids per triangle.  ``partners`` is a
@@ -601,13 +571,14 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     When the walk order, the first appearances and the rotations all come
     out as the identity (every triangle's first id is less than its other
     two), the input lists are already the canonical surface and are
-    returned as they are, with an identity ``RefMap``; the first-appearance
-    and rotation checks then read the triangles in file order.
+    returned as they are, with ``range(3n)`` as the map; the
+    first-appearance and rotation checks then read the triangles in file
+    order.
 
     The surface stores the canonical partner list the walk ends with as
     ``partners``, and where each component's block of triangles starts as
-    ``component_starts``.  The ``RefMap`` keeps the walk's lists and builds
-    its dicts when one is first read.
+    ``component_starts``.  The map returned with it is ``new_ref``: the
+    canonical flat index of each input flat ref.
     """
     n_tri = len(triangles)
     new_index = [-1] * n_tri
@@ -647,7 +618,7 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
         and all(map(lt, flat[0::3], flat[2::3]))
     ):
         surf = TriSurface(len(seen), tuple(map(tuple, triangles)), tuple(partners), tuple(starts))
-        return surf, RefMap._of_walk(order, bytes(n_tri), seen)
+        return surf, range(3 * n_tri)
     vmap = dict(zip(seen, count()))
     new_tris = []
     rots = []  # by new index
@@ -674,14 +645,15 @@ def _canonical_flat(triangles, partners: list[int]) -> tuple[TriSurface, RefMap]
     for k, o in enumerate(old_ref):
         new_ref[o] = k
     out = tuple(map(new_ref.__getitem__, map(partners.__getitem__, old_ref)))
-    surf = TriSurface(len(vmap), tuple(new_tris), out, tuple(starts))
-    return surf, RefMap._of_walk(order, rots, seen)
+    new_ref.pop()
+    return TriSurface(len(vmap), tuple(new_tris), out, tuple(starts)), new_ref
 
 
 class _Builder:
     """Mutable scratch representation used inside operations: triangles as
     vertex lists and the gluing as a flat partner list (see ``TriSurface``),
-    read and written through the ref-level methods below."""
+    read and written through the ref-level methods below, which name each
+    ref by its flat index."""
 
     def __init__(self):
         self.triangles: list[list[int]] = []
@@ -701,21 +673,20 @@ class _Builder:
 
     def add_surface(self, s: TriSurface, mirrored: bool = False):
         """Disjointly add another surface, orientation-reversed when mirrored;
-        returns the map from refs of s to refs of the builder."""
+        returns the map from flat refs of s to flat refs of the builder."""
         voff = self.next_vertex
-        toff = len(self.triangles)
+        off = 3 * len(self.triangles)
         emap = _MIRROR_EDGE if mirrored else (0, 1, 2)
 
-        def place(ref: Ref) -> Ref:
-            return (ref[0] + toff, emap[ref[1]])
+        def place(k: int) -> int:
+            return off + k - k % 3 + emap[k % 3]
 
         self.triangles += (
             [x + voff, z + voff, y + voff] if mirrored else [x + voff, y + voff, z + voff]
             for x, y, z in s.triangles
         )
-        off = 3 * toff
         if mirrored:
-            # ref (t, e) of s lands at (t + toff, _MIRROR_EDGE[e]), and so does each entry
+            # ref k of s lands at place(k), and so does each entry
             placed = [-1 if p < 0 else off + p - p % 3 + emap[p % 3] for p in s.partners]
             placed[0::3], placed[2::3] = placed[2::3], placed[0::3]
         else:
@@ -730,14 +701,10 @@ class _Builder:
         self.partners += (-1, -1, -1)
         return len(self.triangles) - 1
 
-    def endpoints(self, ref: Ref) -> tuple[int, int]:
-        t, e = ref
+    def endpoints(self, k: int) -> tuple[int, int]:
+        t, e = divmod(k, 3)
         tri = self.triangles[t]
         return tri[e], tri[(e + 1) % 3]
-
-    def partner(self, ref: Ref) -> Ref | None:
-        p = self.partners[3 * ref[0] + ref[1]]
-        return divmod(p, 3) if p >= 0 else None
 
     def _link(self, i: int, j: int) -> None:
         """Glue the unglued refs at flat indices i and j to each other,
@@ -747,30 +714,30 @@ class _Builder:
         self.partners[i] = j
         self.partners[j] = i
 
-    def unglue(self, ref: Ref) -> Ref:
-        """Unglue ref from its partner; returns the partner."""
-        i = 3 * ref[0] + ref[1]
-        p = self.partners[i]
+    def unglue(self, k: int) -> int:
+        """Unglue ref k from its partner; returns the partner."""
+        p = self.partners[k]
         if p < 0:
-            raise SurfaceError(f"edge {ref} is not glued")
-        self.partners[p] = self.partners[i] = -1
-        return divmod(p, 3)
+            raise SurfaceError(f"edge {divmod(k, 3)} is not glued")
+        self.partners[p] = self.partners[k] = -1
+        return p
 
-    def glue_pair(self, r1: Ref, r2: Ref) -> None:
-        u, v = self.endpoints(r1)
-        x, y = self.endpoints(r2)
+    def glue_pair(self, i: int, j: int) -> None:
+        u, v = self.endpoints(i)
+        x, y = self.endpoints(j)
         if (u, v) != (y, x):
             raise OrientationClash(
-                f"cannot glue {r1}:{(u, v)} to {r2}:{(x, y)}; directions must be mutually reversed"
+                f"cannot glue {divmod(i, 3)}:{(u, v)} to {divmod(j, 3)}:{(x, y)}; "
+                "directions must be mutually reversed"
             )
-        self._link(3 * r1[0] + r1[1], 3 * r2[0] + r2[1])
+        self._link(i, j)
 
     def annulus_strip(self, a_row: list[int], b_row: list[int]) -> int:
         """Append one cylinder band between two vertex rows of equal length
         and return its first triangle t0.
 
-        Unglued edges afterwards: (t0 + 2i, 2) = (a_{i+1} -> a_i) on the a
-        side and (t0 + 2i + 1, 0) = (b_i -> b_{i+1}) on the b side.
+        Unglued refs afterwards: 3(t0 + 2i) + 2 = (a_{i+1} -> a_i) on the a
+        side and 3(t0 + 2i + 1) = (b_i -> b_{i+1}) on the b side.
         """
         k = len(a_row)
         base = len(self.triangles)
@@ -802,7 +769,9 @@ class _Builder:
     def components(self) -> list[int]:
         return _components(self.partners)
 
-    def finish(self) -> tuple[TriSurface, RefMap]:
+    def finish(self) -> tuple[TriSurface, list[int] | range]:
+        """The canonical surface and ``new_ref``, the canonical flat index
+        of each of the builder's flat refs (see ``_canonical_flat``)."""
         return _canonical_flat(self.triangles, self.partners)
 
 
@@ -1049,17 +1018,17 @@ def subdivide(s: TriSurface) -> TriSurface:
     return surf.require_valid()
 
 
-def _cut_circle_raw(b: _Builder, refs: tuple[Ref, ...]) -> tuple[list[Ref], list[Ref]]:
+def _cut_circle_raw(b: _Builder, refs: list[int]) -> tuple[list[int], list[int]]:
     """Unglue a circle and split its vertices; triangle indices stay valid.
 
     Once the circle is unglued, the corners at the start of refs[i] form two
     arcs: one holds refs[i], and the other begins at the old partner of
     refs[i-1].  That arc gets a fresh vertex id, for i = 0, 1, ... in turn."""
-    partners = [b.unglue(r) for r in refs]
+    partners = [b.unglue(k) for k in refs]
     tris = b.triangles
-    for t, e in partners[-1:] + partners[:-1]:
+    for p in partners[-1:] + partners[:-1]:
         w = b.new_vertex()
-        for k in _corners_around(b.partners, 3 * t + e):
+        for k in _corners_around(b.partners, p):
             tris[k // 3][k % 3] = w
     return list(refs), partners
 
@@ -1084,9 +1053,9 @@ def cut_nonseparating_ok(s: TriSurface, circle: EmbeddedCircle) -> tuple[TriSurf
     """Cut without the separation requirement."""
     _check_circle_on(s, circle)
     b = _Builder.from_surface(s)
-    left, right = _cut_circle_raw(b, circle.refs)
-    out, refmap = b.finish()
-    return out.require_valid(), CutRecord(left=refmap.refs(left), right=refmap.refs(right))
+    left, right = _cut_circle_raw(b, _flat(circle.refs))
+    out, new_ref = b.finish()
+    return out.require_valid(), CutRecord(*(_pairs(new_ref[k] for k in refs) for refs in (left, right)))
 
 
 def _check_circle_on(s: TriSurface, circle: EmbeddedCircle) -> None:
@@ -1094,38 +1063,35 @@ def _check_circle_on(s: TriSurface, circle: EmbeddedCircle) -> None:
         raise SurfaceError("circle does not live on this surface")
 
 
-def _order_cycle(endpoints, refs) -> list[Ref]:
-    """Order refs into a chained cycle (next starts where previous ends)."""
+def _order_cycle(triangles, refs: list[int]) -> list[int]:
+    """Order the flat refs of triangles into a chained cycle from the least
+    (next starts where previous ends)."""
     by_start = {}
-    for r in refs:
-        u, _ = endpoints(r)
+    for k in refs:
+        u = triangles[k // 3][k % 3]
         if u in by_start:
             raise SurfaceError("refs do not form a simple cycle")
-        by_start[u] = r
+        by_start[u] = k
     start = min(refs)
     out = [start]
-    cur = start
-    while True:
-        nxt = by_start[endpoints(cur)[1]]
-        if nxt == start:
-            break
-        out.append(nxt)
-        cur = nxt
+    k = by_start[triangles[start // 3][_turn(start) % 3]]
+    while k != start:
+        out.append(k)
+        k = by_start[triangles[k // 3][_turn(k) % 3]]
     if len(out) != len(refs):
         raise SurfaceError("refs split into several cycles")
     return out
 
 
 def _glue_ref_pairs(b: _Builder, pairs) -> None:
-    """Glue each (r1, r2) pair reversed and merge the vertices it joins.
+    """Glue each (i, j) pair of flat refs and merge the vertices it joins.
 
     This relies on an invariant of the builder when it is called: the
     corners of each vertex id form one rotation orbit.  Linking the pairs
     then joins orbits just as identifying the pairs' endpoint ids would, so
     each joined orbit takes the least id among its corners."""
-    corners = []  # where r1 and r2 start: every joined vertex has one of them
-    for r1, r2 in pairs:
-        i, j = 3 * r1[0] + r1[1], 3 * r2[0] + r2[1]
+    corners = []  # where i and j start: every joined vertex has one of them
+    for i, j in pairs:
         b._link(i, j)
         corners += (i, j)
     partners, tris = b.partners, b.triangles
@@ -1140,7 +1106,7 @@ def _glue_ref_pairs(b: _Builder, pairs) -> None:
             tris[k // 3][k % 3] = least
 
 
-def _paste_cycles_raw(b: _Builder, left: list[Ref], right: list[Ref], offset: int) -> None:
+def _paste_cycles_raw(b: _Builder, left: list[int], right: list[int], offset: int) -> None:
     """Glue two equal-length boundary cycles, reversing orientation, with a
     cyclic offset; merges vertices as needed."""
     k = len(left)
@@ -1154,7 +1120,7 @@ def _paste_cycles_raw(b: _Builder, left: list[Ref], right: list[Ref], offset: in
 def paste(s: TriSurface, gluing: BoundaryGluing) -> TriSurface:
     """Glue two distinct boundary cycles of s along an orientation-reversing
     matching with the given cyclic offset."""
-    cycles = s.boundary_cycles
+    cycles = s._boundary_walk
     if not (0 <= gluing.left < len(cycles) and 0 <= gluing.right < len(cycles)):
         raise SurfaceError(f"boundary cycle index out of range (have {len(cycles)})")
     if gluing.left == gluing.right:
@@ -1165,12 +1131,11 @@ def paste(s: TriSurface, gluing: BoundaryGluing) -> TriSurface:
         raise LengthMismatch(
             f"cycles have lengths {len(left)} and {len(right)}; use refine_boundary"
         )
-    lverts = {s.endpoints(r)[0] for r in left}
-    rverts = {s.endpoints(r)[0] for r in right}
-    if lverts & rverts:
+    tris = s.triangles
+    if {tris[k // 3][k % 3] for k in left} & {tris[k // 3][k % 3] for k in right}:
         raise SurfaceError("boundary cycles share vertices; refine before pasting")
     b = _Builder.from_surface(s)
-    _paste_cycles_raw(b, list(left), list(right), gluing.offset)
+    _paste_cycles_raw(b, left, right, gluing.offset)
     out, _ = b.finish()
     out.require_valid()
     if out.euler_characteristic() != s.euler_characteristic():
@@ -1180,45 +1145,72 @@ def paste(s: TriSurface, gluing: BoundaryGluing) -> TriSurface:
 
 def paste_cut(s: TriSurface, record: CutRecord, offset: int = 0) -> TriSurface:
     """Re-glue the two cycles produced by cut.  Offset 0 uses the exact edge
-    correspondence, restoring the pre-cut surface up to canonical relabeling."""
+    correspondence, restoring the pre-cut surface up to canonical relabeling.
+
+    The record is checked against s first: every ref is a ref of s and
+    unglued, the sides have equal length, no ref repeats, and each side is
+    one chained cycle, the left in record order and the right against it,
+    so that gluing them position by position matches the two circles.
+    SurfaceError, or LengthMismatch for the lengths, names the first rule
+    broken."""
+    n = s.triangle_count
+    for t, e in chain(record.left, record.right):
+        if not (0 <= t < n and 0 <= e <= 2):
+            raise SurfaceError(
+                f"cut record ref {(t, e)} is not a ref of this surface, "
+                f"whose triangles are 0..{n - 1} and edges 0..2"
+            )
+        if s.partners[3 * t + e] >= 0:
+            raise SurfaceError(f"cut record ref {(t, e)} is glued, not on the boundary")
+    left, right = _flat(record.left), _flat(record.right)
+    if len(left) != len(right):
+        raise LengthMismatch(f"cut record sides have lengths {len(left)} and {len(right)}")
+    if len(set(left + right)) != 2 * len(left):
+        raise SurfaceError("cut record repeats a ref")
+    tris = s.triangles
+    # left[i] ends where left[i+1] starts, and right[i+1] where right[i] starts
+    steps = chain(zip(left, left[1:] + left[:1]), zip(right[1:] + right[:1], right))
+    if not left or any(tris[i // 3][_turn(i) % 3] != tris[j // 3][j % 3] for i, j in steps):
+        raise SurfaceError(
+            "cut record sides are not one chained cycle each, "
+            "the left in record order and the right against it"
+        )
     b = _Builder.from_surface(s)
     if offset == 0:
-        _glue_ref_pairs(b, list(zip(record.left, record.right)))
+        _glue_ref_pairs(b, list(zip(left, right)))
     else:
-        left = _order_cycle(b.endpoints, record.left)
-        right = _order_cycle(b.endpoints, record.right)
-        _paste_cycles_raw(b, left, right, offset)
+        _paste_cycles_raw(b, _order_cycle(tris, left), _order_cycle(tris, right), offset)
     out, _ = b.finish()
     return out.require_valid()
 
 
-def _split_boundary_edge_raw(b: _Builder, ref: Ref):
+def _split_boundary_edge_raw(b: _Builder, k: int):
     """Split an unglued edge (and its triangle) in two.
 
     Returns (first piece, second piece, moved) where moved maps the two
-    relocated sibling edges of the old triangle to their new refs.
+    relocated sibling refs of the old triangle to their new refs.
     """
-    if b.partner(ref) is not None:
+    if b.partners[k] >= 0:
         raise SurfaceError("can only split boundary edges")
-    t, e = ref
+    t, e = divmod(k, 3)
     tri = b.triangles[t]
     u, v, x = tri[e], tri[(e + 1) % 3], tri[(e + 2) % 3]
-    e1 = (t, (e + 1) % 3)
-    e2 = (t, (e + 2) % 3)
+    e1 = 3 * t + (e + 1) % 3
+    e2 = 3 * t + (e + 2) % 3
     # unglue the siblings; when they are glued to each other, the first
     # unglue frees both
-    glued = [(r, b.unglue(r)) for r in (e1, e2) if b.partner(r) is not None]
+    glued = [(r, b.unglue(r)) for r in (e1, e2) if b.partners[r] >= 0]
     w = b.new_vertex()
     b.triangles[t] = [u, w, x]
     t2 = b.add_triangle(w, v, x)
-    b.glue_pair((t, 1), (t2, 2))
-    moved = {e1: (t2, 1), e2: (t, 2)}
+    b.glue_pair(3 * t + 1, 3 * t2 + 2)
+    moved = {e1: 3 * t2 + 1, e2: 3 * t + 2}
     for r, p in glued:
         b.glue_pair(moved[r], moved.get(p, p))
-    return (t, 0), (t2, 0), moved
+    return 3 * t, 3 * t2, moved
 
 
-def _refine_cycle_raw(b: _Builder, refs: list[Ref], target: int) -> list[Ref]:
+def _refine_cycle_raw(b: _Builder, refs: list[int], target: int) -> list[int]:
     """Split the cycle's first edge until it has target edges.
 
     A split relocates the edge's two sibling refs.  A glued sibling is
@@ -1236,7 +1228,7 @@ def _refine_cycle_raw(b: _Builder, refs: list[Ref], target: int) -> list[Ref]:
 
 def refine_boundary(s: TriSurface, cycle_index: int, target_length: int) -> TriSurface:
     """Subdivide boundary edges until the selected cycle has target_length edges."""
-    cycles = s.boundary_cycles
+    cycles = s._boundary_walk
     if not 0 <= cycle_index < len(cycles):
         raise SurfaceError(f"boundary cycle index out of range (have {len(cycles)})")
     b = _Builder.from_surface(s)
@@ -1248,7 +1240,7 @@ def refine_boundary(s: TriSurface, cycle_index: int, target_length: int) -> TriS
 # -- collars and parallel circles ------------------------------------------------
 
 
-def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
+def _insert_collar_raw(b: _Builder, refs: list[int]):
     """Cut along refs and splice in a two-band annulus.
 
     Returns (seam refs, core refs, collar triangle indices); the seam sits at
@@ -1258,7 +1250,7 @@ def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
     between the circles.
     """
     k = len(refs)
-    left, right = _cut_circle_raw(b, tuple(refs))
+    left, right = _cut_circle_raw(b, refs)
     a_row = [b.new_vertex() for _ in range(k)]
     m_row = [b.new_vertex() for _ in range(k)]
     b_row = [b.new_vertex() for _ in range(k)]
@@ -1267,16 +1259,15 @@ def _insert_collar_raw(b: _Builder, refs: tuple[Ref, ...]):
     # the annulus between the seam and the core circle is band one only;
     # band two is a collar padding that stays with the far side
     collar = frozenset(range(base1, base2))
-    a_refs = [(base1 + 2 * i, 2) for i in range(k)]       # (a_{i+1} -> a_i)
-    core_b1 = [(base1 + 2 * i + 1, 0) for i in range(k)]  # (m_i -> m_{i+1})
-    core_b2 = [(base2 + 2 * i, 2) for i in range(k)]      # (m_{i+1} -> m_i)
-    b_refs = [(base2 + 2 * i + 1, 0) for i in range(k)]   # (b_i -> b_{i+1})
-    for r1, r2 in zip(core_b1, core_b2):
-        b.glue_pair(r1, r2)
-    left_cycle = _order_cycle(b.endpoints, left)
-    right_cycle = _order_cycle(b.endpoints, right)
-    a_cycle = _order_cycle(b.endpoints, a_refs)
-    b_cycle = _order_cycle(b.endpoints, b_refs)
+    a_refs = [3 * (base1 + 2 * i) + 2 for i in range(k)]  # (a_{i+1} -> a_i)
+    core_b1 = [3 * (base1 + 2 * i + 1) for i in range(k)]  # (m_i -> m_{i+1})
+    core_b2 = [3 * (base2 + 2 * i) + 2 for i in range(k)]  # (m_{i+1} -> m_i)
+    b_refs = [3 * (base2 + 2 * i + 1) for i in range(k)]   # (b_i -> b_{i+1})
+    for i, j in zip(core_b1, core_b2):
+        b.glue_pair(i, j)
+    left_cycle, right_cycle, a_cycle, b_cycle = (
+        _order_cycle(b.triangles, refs) for refs in (left, right, a_refs, b_refs)
+    )
     _paste_cycles_raw(b, left_cycle, a_cycle, 0)
     _paste_cycles_raw(b, right_cycle, b_cycle, 0)
     return left, core_b1, collar
@@ -1290,12 +1281,14 @@ def double_circle(s: TriSurface, circle: EmbeddedCircle) -> DoubledCircle:
     original circle is not separating."""
     _check_circle_on(s, circle)
     b = _Builder.from_surface(s)
-    seam, core, collar = _insert_collar_raw(b, circle.refs)
-    out, refmap = b.finish()
+    seam, core, collar = _insert_collar_raw(b, _flat(circle.refs))
+    out, new_ref = b.finish()
     out.require_valid()
-    first = EmbeddedCircle(out, tuple(_order_cycle(out.endpoints, refmap.refs(seam))))
-    second = EmbeddedCircle(out, tuple(_order_cycle(out.endpoints, refmap.refs(core))))
-    collar_new = frozenset(refmap.tri_map[t] for t in collar)
+    first, second = (
+        EmbeddedCircle(out, _pairs(_order_cycle(out.triangles, [new_ref[k] for k in refs])))
+        for refs in (seam, core)
+    )
+    collar_new = frozenset(new_ref[3 * t] // 3 for t in collar)
     return DoubledCircle(surface=out, first=first, second=second, collar_triangles=collar_new)
 
 
@@ -1327,14 +1320,14 @@ def sk_system_move(s: TriSurface, circles, pairing=None, offsets=None) -> TriSur
         raise SurfaceError(f"got {len(offsets)} offsets for {k} circles")
 
     b = _Builder.from_surface(s)
-    copies = [_cut_circle_raw(b, c.refs) for c in circles]
+    copies = [_cut_circle_raw(b, _flat(c.refs)) for c in circles]
     comp = b.components()
 
     color: dict[int, int] = {}
     adj: dict[int, list[int]] = {}
     edges = []
     for left, right in copies:
-        ca, cb = comp[left[0][0]], comp[right[0][0]]
+        ca, cb = comp[left[0] // 3], comp[right[0] // 3]
         edges.append((ca, cb))
         adj.setdefault(ca, []).append(cb)
         adj.setdefault(cb, []).append(ca)
@@ -1355,8 +1348,8 @@ def sk_system_move(s: TriSurface, circles, pairing=None, offsets=None) -> TriSur
                         "parallel copies via double_circle"
                     )
 
-    side0: list[list[Ref]] = []
-    side1: list[list[Ref]] = []
+    side0: list[list[int]] = []
+    side1: list[list[int]] = []
     for (left, right), (ca, cb) in zip(copies, edges):
         if color[ca] == 0:
             side0.append(left)
@@ -1367,8 +1360,8 @@ def sk_system_move(s: TriSurface, circles, pairing=None, offsets=None) -> TriSur
 
     exact = [pairing[i] == i and offsets[i] == 0 for i in range(k)]
     # order the cycles that need generic pasting before any refinement
-    cycles0 = {i: _order_cycle(b.endpoints, side0[i]) for i in range(k) if not exact[i]}
-    cycles1 = {j: _order_cycle(b.endpoints, side1[j]) for j in range(k) if not exact[pairing.index(j)]}
+    cycles0 = {i: _order_cycle(b.triangles, side0[i]) for i in range(k) if not exact[i]}
+    cycles1 = {j: _order_cycle(b.triangles, side1[j]) for j in range(k) if not exact[pairing.index(j)]}
     for i in range(k):
         if exact[i]:
             continue
@@ -1428,7 +1421,7 @@ def _disjoint_site_triangles(s: TriSurface, count: int, blocked=()) -> list[int]
             break
         if len(set(tri)) != 3 or any(v in blocked for v in tri):
             continue
-        if any(s.partner((t, e)) is None for e in range(3)):
+        if -1 in s.partners[3 * t : 3 * t + 3]:
             continue
         if not all(s.vertex_is_interior(v) for v in tri):
             continue
@@ -1440,7 +1433,7 @@ def _disjoint_site_triangles(s: TriSurface, count: int, blocked=()) -> list[int]
 def _cut_holes_raw(b: _Builder, sites) -> None:
     """Cut each site triangle out of the builder, leaving a hole."""
     for t in sites:
-        _cut_circle_raw(b, ((t, 0), (t, 1), (t, 2)))
+        _cut_circle_raw(b, [3 * t, 3 * t + 1, 3 * t + 2])
     b.drop_triangles(set(sites))
 
 
@@ -1480,19 +1473,18 @@ def standard_library(genus: int, boundary: int) -> LibrarySurface:
         base = subdivide(base)
     b = _Builder.from_surface(base)
     _cut_holes_raw(b, sites[:sites_needed])
-    flat = _boundary_cycles(b.partners)
-    cycles = [[divmod(k, 3) for k in cyc] for cyc in flat]
+    cycles = _boundary_cycles(b.partners)
     if len(cycles) != sites_needed:
         raise SurfaceError(f"expected {sites_needed} holes, found {len(cycles)}")
     seam_refs = cycles[boundary:]
     piece = _handle_piece() if genus else None
     for hole in seam_refs:
         place = b.add_surface(piece)
-        _paste_cycles_raw(b, hole, [place(r) for r in piece.boundary_cycles[0]], 0)
-    out, refmap = b.finish()
+        _paste_cycles_raw(b, hole, list(map(place, piece._boundary_walk[0])), 0)
+    out, new_ref = b.finish()
     out.require_valid()
     seams = tuple(
-        EmbeddedCircle(out, tuple(_order_cycle(out.endpoints, refmap.refs(refs))))
+        EmbeddedCircle(out, _pairs(_order_cycle(out.triangles, [new_ref[k] for k in refs])))
         for refs in seam_refs
     )
     seam_vertices = {v for c in seams for v in c.vertices}
@@ -1519,10 +1511,10 @@ def library_for_class(cls: DiffeoClass) -> tuple[TriSurface, tuple[LibrarySurfac
     entries = [standard_library(g, bb) for g, bb in cls.components]
     b = _Builder()
     places = [b.add_surface(ent.surface) for ent in entries]
-    out, refmap = b.finish()
+    out, new_ref = b.finish()
 
     def remap_circle(place, circ: EmbeddedCircle) -> EmbeddedCircle:
-        return EmbeddedCircle(out, tuple(refmap.ref(place(r)) for r in circ.refs))
+        return EmbeddedCircle(out, _pairs(new_ref[place(k)] for k in _flat(circ.refs)))
 
     remapped = tuple(
         LibrarySurface(
@@ -1545,7 +1537,7 @@ def double_surface(m: TriSurface) -> TriSurface:
     identity correspondence of boundary edges."""
     b = _Builder.from_surface(m)
     place = b.add_surface(m, mirrored=True)
-    _glue_ref_pairs(b, [(ref, place(ref)) for ref in m.boundary_refs])
+    _glue_ref_pairs(b, [(k, place(k)) for k in _unglued(m.partners)])
     out, _ = b.finish()
     return out.require_valid()
 
@@ -1557,15 +1549,15 @@ def glue_to_mirror(n: TriSurface, m: TriSurface) -> TriSurface:
         raise SurfaceError("boundary circle counts differ; cannot glue")
     b = _Builder.from_surface(n)
     place = b.add_surface(m, mirrored=True)
-    n_cycles = [list(cyc) for cyc in n.boundary_cycles]
-    m_cycles = [[place(r) for r in cyc] for cyc in m.boundary_cycles]
+    n_cycles = [list(cyc) for cyc in n._boundary_walk]
+    m_cycles = [list(map(place, cyc)) for cyc in m._boundary_walk]
     for left, right in zip(n_cycles, m_cycles):
         target = max(len(left), len(right))
         _refine_cycle_raw(b, left, target)
         _refine_cycle_raw(b, right, target)
     for left, right in zip(n_cycles, m_cycles):
-        lcyc = _order_cycle(b.endpoints, left)
-        rcyc = _order_cycle(b.endpoints, right)
+        lcyc = _order_cycle(b.triangles, left)
+        rcyc = _order_cycle(b.triangles, right)
         _paste_cycles_raw(b, lcyc, rcyc, 0)
     out, _ = b.finish()
     return out.require_valid()
@@ -1809,11 +1801,11 @@ def _glue_cylinder_stacks(k: int, pairing, offsets=None) -> TriSurface:
         a_row = [b.new_vertex() for _ in range(length)]
         b_row = [b.new_vertex() for _ in range(length)]
         base = b.annulus_strip(a_row, b_row)
-        cycles_near.append([(base + 2 * i, 2) for i in range(length)])
-        cycles_far.append([(base + 2 * i + 1, 0) for i in range(length)])
+        cycles_near.append([3 * (base + 2 * i) + 2 for i in range(length)])
+        cycles_far.append([3 * (base + 2 * i + 1) for i in range(length)])
     for i in range(k):
-        left = _order_cycle(b.endpoints, cycles_far[i])
-        right = _order_cycle(b.endpoints, cycles_near[k + pairing[i]])
+        left = _order_cycle(b.triangles, cycles_far[i])
+        right = _order_cycle(b.triangles, cycles_near[k + pairing[i]])
         _paste_cycles_raw(b, left, right, offsets[i])
     out, _ = b.finish()
     return out.require_valid()

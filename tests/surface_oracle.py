@@ -4,10 +4,12 @@
 orders the breadth-first starts with a ``(tuple, index)`` key, has a start
 visit its edges 0, 1, 2 and a triangle entered across edge e visit all
 three edges from e+1 on (the package skips edge e, which leads back to a
-triangle already numbered), maps every glued ref through ``RefMap.ref``,
-picks each triangle's rotation as the least of its three rotated copies,
-and sorts the set of glued pairs.  The package's version reaches the same
-surface and the same ``RefMap`` in flat passes over lists.
+triangle already numbered), maps every glued ref (t, e) to (its new
+triangle, e minus its rotation), picks each triangle's rotation as the
+least of its three rotated copies, and sorts the set of glued pairs.  It
+returns that ref map in the package's flat form, the canonical flat index
+of each input flat ref.  The package's version reaches the same surface and
+the same map in flat passes over lists.
 
 ``components``, ``boundary_cycles``, ``diffeo_class`` and ``validate`` are
 the walks over a ``dict[Ref, Ref]`` gluing that ``TriSurface`` ran before it
@@ -16,13 +18,13 @@ keyed by a ref tuple.  ``from_fields`` builds a ``TriSurface`` directly
 from a vertex count, triangles and such a dict, and ``partner_dict`` reads
 one off a surface, through ``glued_pairs``, its glued pairs as ref tuples.
 ``package_canonical_form`` feeds such a dict to the package's
-``_canonical_flat``, and ``identity_refmap`` is what that returns on a
-surface already in canonical form.
+``_canonical_flat``, and ``identity_map`` is the map that returns on a
+surface already in canonical form, as a list.
 """
 
 from collections import deque
 
-from cutpaste.surface import DiffeoClass, InvalidSurface, RefMap, TriSurface, _canonical_flat
+from cutpaste.surface import DiffeoClass, InvalidSurface, TriSurface, _canonical_flat
 
 
 def flat_partners(n_tri: int, glue: dict) -> list[int]:
@@ -33,15 +35,16 @@ def flat_partners(n_tri: int, glue: dict) -> list[int]:
     return partners
 
 
-def package_canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
-    """The package's ``_canonical_flat`` of a ref-dict gluing."""
-    return _canonical_flat(triangles, flat_partners(len(triangles), glue))
+def package_canonical_form(triangles, glue) -> tuple[TriSurface, list[int]]:
+    """The package's ``_canonical_flat`` of a ref-dict gluing, with its
+    map as a list."""
+    surf, new_ref = _canonical_flat(triangles, flat_partners(len(triangles), glue))
+    return surf, list(new_ref)
 
 
-def identity_refmap(s: TriSurface) -> RefMap:
-    """The ``RefMap`` of a file that is already in canonical form."""
-    tris, verts = range(len(s.triangles)), range(s.vertex_count)
-    return RefMap(dict(zip(tris, tris)), dict.fromkeys(tris, 0), dict(zip(verts, verts)))
+def identity_map(s: TriSurface) -> list[int]:
+    """The flat ref map of a file that is already in canonical form."""
+    return list(range(3 * len(s.triangles)))
 
 
 def from_fields(vertex_count: int, triangles, glue: dict) -> TriSurface:
@@ -224,7 +227,7 @@ def validate(s: TriSurface) -> str | None:
     return None
 
 
-def canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
+def canonical_form(triangles, glue) -> tuple[TriSurface, list[int]]:
     n_tri = len(triangles)
     visited = [False] * n_tri
     order: list[int] = []
@@ -255,6 +258,10 @@ def canonical_form(triangles, glue) -> tuple[TriSurface, RefMap]:
         rot = min(range(3), key=lambda r: tri[r:] + tri[:r])
         rots[old] = rot
         new_tris.append(tuple(tri[rot:] + tri[:rot]))
-    refmap = RefMap(tri_map, rots, vmap)
-    new_glue = {refmap.ref(r1): refmap.ref(r2) for r1, r2 in glue.items()}
-    return from_fields(len(vmap), new_tris, new_glue), refmap
+
+    def ref(r):
+        return tri_map[r[0]], (r[1] - rots[r[0]]) % 3
+
+    new_glue = {ref(r1): ref(r2) for r1, r2 in glue.items()}
+    new_ref = [3 * t + e for t, e in (ref((old, e)) for old in range(n_tri) for e in range(3))]
+    return from_fields(len(vmap), new_tris, new_glue), new_ref

@@ -168,15 +168,16 @@ def test_normal_forms_never_walk_the_pivots(cold_group_333):
 
 def test_reading_and_checking_a_surface_runs_in_flat_passes(monkeypatch, tmp_path):
     """Parsing a written 3,440-triangle surface and validating it make no
-    `_turn` call per corner and build no `RefMap` dicts."""
+    `_turn` call per corner, and the parse maps the canonical file's refs by
+    the identity range, with no per-ref list built."""
     path = tmp_path / "s.surf"
     path.write_text(json.dumps(subdivide(subdivide(build_standard(3, 3))).to_json()))
 
     def refuse(*args):
-        raise AssertionError("stepped corner by corner or built the RefMap dicts")
+        raise AssertionError("stepped corner by corner")
 
     monkeypatch.setattr(surface, "_turn", refuse)
-    monkeypatch.setattr(surface.RefMap, "_maps", property(refuse))
-    s = TriSurface.from_json(json.loads(path.read_text()))
+    s, new_ref = TriSurface.parse_json(json.loads(path.read_text()))
     assert s.triangle_count == 3440
+    assert new_ref == range(3 * 3440)
     assert s.validate() is None

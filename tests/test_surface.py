@@ -8,6 +8,7 @@ import pytest
 from cutpaste.surface import (
     BoundaryGluing,
     CircleTouchesBoundary,
+    CutRecord,
     DiffeoClass,
     EmbeddedCircle,
     InvalidSurface,
@@ -398,6 +399,88 @@ def test_cut_paste_round_trip_is_identity():
         assert again.euler_characteristic() == s.euler_characteristic()
 
 
+def _torus_cut():
+    """The genus-one library surface cut along its seam: a torus with one
+    hole and a disk, and the record of the two length-3 boundary cycles."""
+    lib = standard_library(1, 0)
+    return cut(lib.surface, lib.seams[0])
+
+
+def test_paste_cut_refuses_a_half_record():
+    """A record with one side cut short would paste part of the circle and
+    leave a smaller, still valid surface."""
+    s, rec = _torus_cut()
+    with pytest.raises(LengthMismatch, match="cut record sides have lengths 3 and 2"):
+        paste_cut(s, CutRecord(rec.left, rec.right[:2]), 0)
+
+
+def test_paste_cut_refuses_a_half_record_at_an_offset():
+    s, rec = _torus_cut()
+    with pytest.raises(LengthMismatch, match="cut record sides have lengths 3 and 2"):
+        paste_cut(s, CutRecord(rec.left, rec.right[:2]), 1)
+
+
+@pytest.mark.parametrize("ref", [(10**6, 0), (-1, 0), (0, 3), (0, -1)])
+def test_paste_cut_refuses_a_ref_outside_the_surface(ref):
+    s, rec = _torus_cut()
+    with pytest.raises(SurfaceError, match=rf"cut record ref \({ref[0]}, {ref[1]}\) is not a ref of this surface"):
+        paste_cut(s, CutRecord(rec.left[:2] + (ref,), rec.right), 0)
+
+
+def test_paste_cut_refuses_a_record_of_another_surface():
+    """The record names refs that the other surface glues, or that it does
+    not have."""
+    _, rec = _torus_cut()
+    with pytest.raises(SurfaceError, match="cut record ref .* (is glued|is not a ref of this surface)"):
+        paste_cut(build_standard(0, 2), rec, 0)
+
+
+def test_paste_cut_refuses_a_glued_ref():
+    s, rec = _torus_cut()
+    glued = next(divmod(k, 3) for k, p in enumerate(s.partners) if p >= 0)
+    with pytest.raises(SurfaceError, match=rf"cut record ref \({glued[0]}, {glued[1]}\) is glued"):
+        paste_cut(s, CutRecord(rec.left[:2] + (glued,), rec.right), 0)
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_paste_cut_refuses_sides_that_do_not_chain(offset):
+    """Two refs of one cycle and one of the other chain into no cycle."""
+    s, rec = _torus_cut()
+    left = rec.left[:2] + rec.right[:1]
+    right = rec.right[1:] + rec.left[2:]
+    with pytest.raises(SurfaceError, match="cut record sides are not one chained cycle each"):
+        paste_cut(s, CutRecord(left, right), offset)
+
+
+def test_paste_cut_refuses_a_side_listed_the_wrong_way_round():
+    """With the right side reversed, gluing position by position folds the
+    circles onto each other and would give a valid surface of genus two."""
+    s, rec = _torus_cut()
+    with pytest.raises(SurfaceError, match="cut record sides are not one chained cycle each"):
+        paste_cut(s, CutRecord(rec.left, rec.right[::-1]), 0)
+
+
+def test_paste_cut_takes_a_side_rotated_in_record_order():
+    """A rotated side still matches the circles, shifted by one edge."""
+    s, rec = _torus_cut()
+    out = paste_cut(s, CutRecord(rec.left, rec.right[1:] + rec.right[:1]), 0)
+    assert out.classify() == DiffeoClass.connected(1, 0)
+
+
+@pytest.mark.parametrize("sides", ["same", "repeat"])
+def test_paste_cut_refuses_a_repeated_ref(sides):
+    s, rec = _torus_cut()
+    left = rec.left if sides == "same" else rec.left[:2] + rec.left[:1]
+    with pytest.raises(SurfaceError, match="cut record repeats a ref"):
+        paste_cut(s, CutRecord(left, rec.left if sides == "same" else rec.right), 0)
+
+
+def test_paste_cut_refuses_an_empty_record():
+    s, _ = _torus_cut()
+    with pytest.raises(SurfaceError, match="cut record sides are not one chained cycle each"):
+        paste_cut(s, CutRecord((), ()), 0)
+
+
 def test_annulus_self_paste_is_torus():
     out = paste(annulus(4), BoundaryGluing(0, 1, 0))
     assert out.validate() is None
@@ -506,8 +589,8 @@ def _cut_pair(doubled):
     from cutpaste.surface import _Builder, _cut_circle_raw
 
     b = _Builder.from_surface(doubled.surface)
-    _cut_circle_raw(b, doubled.first.refs)
-    _cut_circle_raw(b, doubled.second.refs)
+    _cut_circle_raw(b, [3 * t + e for t, e in doubled.first.refs])
+    _cut_circle_raw(b, [3 * t + e for t, e in doubled.second.refs])
     out, _ = b.finish()
     return out.require_valid()
 
@@ -533,7 +616,7 @@ def test_sk_system_move_identity_restores_surface():
     # at the raw level the identity regluing restores the exact gluing state
     b = _Builder.from_surface(lib.surface)
     before = ([list(t) for t in b.triangles], list(b.partners))
-    left, right = _cut_circle_raw(b, lib.seams[0].refs)
+    left, right = _cut_circle_raw(b, [3 * t + e for t, e in lib.seams[0].refs])
     _glue_ref_pairs(b, list(zip(left, right)))
     assert ([list(t) for t in b.triangles], list(b.partners)) == before
     # and the public op is deterministic and class-preserving

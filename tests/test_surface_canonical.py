@@ -1,12 +1,12 @@
 """Canonicalization against its reference form, and the round-trip fixpoint.
 
-``surface._canonical_flat`` must return the surface and the ``RefMap``
-(``tri_map``, ``rotations``, ``vertex_map``) that the plain version in
-``surface_oracle`` returns, on any triangles with an involutive gluing:
+``surface._canonical_flat`` must return the surface and the flat ref map
+(the canonical flat index of each input flat ref) that the plain version
+in ``surface_oracle`` returns, on any triangles with an involutive gluing:
 valid surfaces under renumbering, and raw complexes with repeated vertex
 ids, refs glued to their own triangle and refs glued to themselves.  On a
 valid surface in which no triangle repeats a vertex id it is a fixpoint:
-its output canonicalizes to itself, with an identity ``RefMap``.  A
+its output canonicalizes to itself, with the identity map.  A
 Delta-complex surface, in which a triangle repeats an id, may need one
 more round trip.
 """
@@ -31,13 +31,11 @@ from cutpaste.surface import (
 
 
 def _assert_matches_oracle(triangles, glue):
-    surf, refmap = surface_oracle.package_canonical_form(triangles, glue)
+    surf, new_ref = surface_oracle.package_canonical_form(triangles, glue)
     want, want_map = surface_oracle.canonical_form(triangles, glue)
     assert surf == want
     assert surf.component_starts == want.component_starts
-    assert refmap.tri_map == want_map.tri_map
-    assert refmap.rotations == want_map.rotations
-    assert refmap.vertex_map == want_map.vertex_map
+    assert new_ref == want_map
 
 
 def _disguise(s: TriSurface, rng: random.Random, as_lists: bool):
@@ -181,12 +179,12 @@ def test_one_round_trip_reaches_a_fixpoint():
     written = [(lib.surface, [lib]) for lib in libraries]
     written += [library_for_class(DiffeoClass.from_pairs(pairs)) for pairs in _CLASSES]
     for s, libs in written:
-        back, refmap = TriSurface.parse_json(s.to_json())
+        back, new_ref = TriSurface.parse_json(s.to_json())
         assert back == s
         assert back.component_starts == s.component_starts
-        assert refmap == surface_oracle.identity_refmap(s)
+        assert list(new_ref) == surface_oracle.identity_map(s)
         for circle in (c for lib in libs for c in lib.seams + lib.nulls):
-            assert refmap.refs(circle.refs) == circle.refs
+            assert [divmod(new_ref[3 * t + e], 3) for t, e in circle.refs] == list(circle.refs)
 
 
 # Annuli whose parse renumbers them: a later triangle with a repeated id
@@ -211,10 +209,10 @@ def test_a_repeated_id_reaches_the_fixpoint_one_round_trip_later(data):
     once = TriSurface.from_json(data)
     assert once.classify() == DiffeoClass.connected(0, 2)
     written = once.to_json()
-    back, refmap = TriSurface.parse_json(written)
+    back, new_ref = TriSurface.parse_json(written)
     assert back == once
     assert back.to_json() == written
-    assert refmap == surface_oracle.identity_refmap(once)
+    assert list(new_ref) == surface_oracle.identity_map(once)
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,10 +221,10 @@ def test_canonicalizing_twice_equals_once(drawn, as_lists):
     s, rng = drawn
     # shuffled, relabelled and rotated, so the first canonicalization renumbers
     once, _ = surface_oracle.package_canonical_form(*_disguise(s, rng, as_lists))
-    twice, refmap = _canonical_flat(list(once.triangles), list(once.partners))
+    twice, new_ref = _canonical_flat(list(once.triangles), list(once.partners))
     assert twice == once
     assert twice.component_starts == once.component_starts
-    assert refmap == surface_oracle.identity_refmap(once)
+    assert list(new_ref) == surface_oracle.identity_map(once)
     assert _canonical_flat(list(s.triangles), list(s.partners))[0] == s
 
 
@@ -270,7 +268,7 @@ def _repeat_an_id(triangles, glue):
 )
 def test_identity_exit_matches_the_full_walk(near_miss):
     """Canonical files, which the identity exit returns as they are, and
-    near misses of them give the oracle's surface and RefMap."""
+    near misses of them give the oracle's surface and flat ref map."""
     written = [standard_library(g, b).surface for g, b in ((0, 0), (1, 1), (2, 3))]
     written += [subdivide(standard_library(1, 0).surface)]
     written += [library_for_class(DiffeoClass.from_pairs(pairs))[0] for pairs in _CLASSES]
@@ -280,6 +278,6 @@ def test_identity_exit_matches_the_full_walk(near_miss):
             triangles, glue = near_miss(triangles, glue)
         _assert_matches_oracle(triangles, glue)
         if near_miss is None:
-            surf, refmap = surface_oracle.package_canonical_form(triangles, glue)
+            surf, new_ref = surface_oracle.package_canonical_form(triangles, glue)
             assert surf == s
-            assert refmap == surface_oracle.identity_refmap(s)
+            assert new_ref == surface_oracle.identity_map(s)

@@ -5,7 +5,7 @@ builds, plus the refs, triangle sets or report lines that go with it) and
 hashed with sha256.  The digests pin the exact bytes: a refactor of the
 surface walks, the builder or the mirror path must leave every one of them
 unchanged.  Every surface file a family writes must parse to itself, with
-an identity ``RefMap``.  Library surfaces also feed the benchmark's request
+the identity flat ref map.  Library surfaces also feed the benchmark's request
 pool, which refuses a ``library_for_class`` surface that is not canonical.
 
 Run ``python tests/test_surface_golden.py`` to print the current digests.
@@ -277,9 +277,9 @@ def _surface_files(data):
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_written_surfaces_parse_to_themselves(family):
     for data in _surface_files(FAMILIES[family]()):
-        s, refmap = TriSurface.parse_json(data)
+        s, new_ref = TriSurface.parse_json(data)
         assert s.to_json() == data
-        assert refmap == surface_oracle.identity_refmap(s)
+        assert list(new_ref) == surface_oracle.identity_map(s)
 
 
 if __name__ == "__main__":
