@@ -155,7 +155,8 @@ def _cmd_surface(args) -> int:
         _write_or_print(out.to_json(), args.out)
         return 0
     if args.surface_cmd == "paste":
-        out = cp.paste(_load_surface(args.file), cp.BoundaryGluing(args.left, args.right, args.offset))
+        s = _load_surface(args.file)
+        out = cp.paste(s, cp.BoundaryGluing(args.left, args.right, args.offset))
         print(f"class={out.classify().label()}")
         _write_or_print(out.to_json(), args.out)
         return 0
