@@ -2,7 +2,9 @@
 
 Complexes are given by their ranks per degree and exact integer boundary
 matrices (rows index degree n-1, columns degree n); the composite of two
-consecutive boundaries must vanish identically.  Homology and the
+consecutive boundaries must vanish identically, which every constructor
+checks except ``ChainComplex._relabelling``, kept for pieces read off a
+checked complex that inherit its check.  Homology and the
 injectivity and cokernel torsion tests of chain maps run on
 ``abgroup._Analysis``, the lattice kernel that also diagonalizes group
 presentations.
@@ -29,12 +31,16 @@ surface subcomplex inclusions produce), an exact quotient through Smith
 transforms when the cokernel is torsion-free, and a mapping-cone model
 (free, quasi-isomorphic to the pushout, one extra degree) when the
 cokernel has torsion and the honest quotient would leave the free world.
+Every flavour builds and checks the pushout complex at once; its two legs
+from B and C are built, and checked to commute with the boundaries, only
+when first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 from heapq import heapify, heappop, heappush
 from itertools import chain
 
@@ -125,7 +131,7 @@ class ChainComplex:
     ranks: tuple[int, ...]
     boundaries: tuple[IntMatrix, ...]
 
-    def __post_init__(self):
+    def _check_shapes(self):
         if self.hi < self.lo:
             raise ChainComplexError("empty degree range")
         if len(self.ranks) != self.hi - self.lo + 1:
@@ -140,17 +146,23 @@ class ChainComplex:
                     f"boundary {k} has shape {d.rows}x{d.cols}, expected "
                     f"{self.ranks[k]}x{self.ranks[k + 1]}"
                 )
-        for k in range(len(self.boundaries) - 1):
-            lower = self.boundaries[k].columns
-            for j, col in enumerate(self.boundaries[k + 1].columns):
-                acc: dict[int, int] = {}
-                for i, b in col.items():
-                    for r, a in lower[i].items():
-                        acc[r] = acc.get(r, 0) + a * b
-                if any(acc.values()):
-                    raise ChainComplexError(
-                        f"boundary composite does not vanish at degree {self.lo + k + 2}, column {j}"
-                    )
+
+    def __post_init__(self):
+        self._check_shapes()
+        _check_composites(self.lo, self.boundaries)
+
+    @classmethod
+    def _relabelling(cls, lo, hi, ranks, boundaries) -> "ChainComplex":
+        """A complex whose boundary columns are columns of a checked
+        complex with rows and columns renumbered one to one, every face of
+        a kept cell kept: each composite is then the checked complex's
+        composite relabelled, and vanishes because that one does.  Shapes
+        are checked; the composites are not."""
+        c = object.__new__(cls)
+        for name, value in zip(("lo", "hi", "ranks", "boundaries"), (lo, hi, ranks, boundaries)):
+            object.__setattr__(c, name, value)
+        c._check_shapes()
+        return c
 
     @classmethod
     def make(cls, lo, hi, ranks, boundaries) -> "ChainComplex":
@@ -358,6 +370,21 @@ class ChainMap:
         )
 
 
+def _check_composites(lo: int, boundaries: tuple[IntMatrix, ...]) -> None:
+    """Raise unless every composite of two consecutive boundaries vanishes."""
+    for k in range(len(boundaries) - 1):
+        lower = boundaries[k].columns
+        for j, col in enumerate(boundaries[k + 1].columns):
+            acc: dict[int, int] = {}
+            for i, b in col.items():
+                for r, a in lower[i].items():
+                    acc[r] = acc.get(r, 0) + a * b
+            if any(acc.values()):
+                raise ChainComplexError(
+                    f"boundary composite does not vanish at degree {lo + k + 2}, column {j}"
+                )
+
+
 def _monomial(m: IntMatrix) -> tuple[list[int], list[int]] | None:
     """(rows, entries) of a matrix with one entry in every column, else None."""
     cols = m.columns
@@ -558,10 +585,31 @@ def quasi_iso_type_equal(c: ChainComplex, d: ChainComplex) -> bool:
 
 @dataclass(frozen=True)
 class PushoutResult:
+    """A levelwise-free model of the pushout P of B <-f- A -g-> C.
+
+    ``model`` is "quotient" (P is (B (+) C)/A) or "cone" (P is the mapping
+    cone of A -> B (+) C, quasi-isomorphic to the pushout).  The legs
+    ``from_first`` : B -> P and ``from_second`` : C -> P are built when
+    first read, and checked then, as every ChainMap is, to commute with the
+    boundaries; the square check reads only ``complex`` and ``model``.
+    ``first_leg(p)`` and ``second_leg(p)`` build the legs into p, so a
+    ``dataclasses.replace`` with another complex builds them into that one.
+    """
+
     complex: ChainComplex
-    from_first: ChainMap   # from the target of f (the cofibration side)
-    from_second: ChainMap  # from the target of g
-    model: str             # "quotient" or "cone"
+    model: str
+    first_leg: Callable[[ChainComplex], ChainMap] = field(repr=False, compare=False)
+    second_leg: Callable[[ChainComplex], ChainMap] = field(repr=False, compare=False)
+
+    @cached_property
+    def from_first(self) -> ChainMap:
+        """The map from the target of f (the cofibration side)."""
+        return self.first_leg(self.complex)
+
+    @cached_property
+    def from_second(self) -> ChainMap:
+        """The map from the target of g."""
+        return self.second_leg(self.complex)
 
 
 def pushout(f: ChainMap, g: ChainMap) -> PushoutResult:
@@ -611,7 +659,6 @@ def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
     are rerouted through g."""
     lo, hi = a.lo, a.hi
     proj_b = []
-    proj_c = []
     survivors = []
     for n in range(lo, hi + 1):
         image = [next(iter(col.items())) for col in f.mat_at(n).columns]
@@ -626,7 +673,6 @@ def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
         for (i, s), gcol in zip(image, g.mat_at(n).columns):
             cols_b[i] = _shift(gcol, ns, s)
         proj_b.append(IntMatrix.from_columns(rank_p, b.rank_at(n), cols_b))
-        proj_c.append(IntMatrix.from_columns(rank_p, c.rank_at(n), ({ns + i: 1} for i in range(c.rank_at(n)))))
         survivors.append(surv)
     # boundary of a P-basis vector: lift it (survivors to B, the C part to
     # C), apply the boundary of B (+) C, project
@@ -640,9 +686,16 @@ def _pushout_monomial(f, g, a, b, c) -> PushoutResult:
         bnds.append(IntMatrix.from_columns(pb.rows, proj_b[k].rows, cols))
     ranks = tuple(m.rows for m in proj_b)
     p = ChainComplex(lo, hi, ranks, tuple(bnds))
-    map_b = ChainMap(b, p, tuple(proj_b))
-    map_c = ChainMap(c, p, tuple(proj_c))
-    return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="quotient")
+
+    def second_leg(p):
+        """C's basis lands after the survivors of B."""
+        mats = (
+            IntMatrix.from_columns(rank_p, rc, ({len(surv) + i: 1} for i in range(rc)))
+            for rank_p, rc, surv in zip(p.ranks, c.ranks, survivors)
+        )
+        return ChainMap(c, p, tuple(mats))
+
+    return PushoutResult(p, "quotient", lambda p: ChainMap(b, p, tuple(proj_b)), second_leg)
 
 
 def _pushout_snf(f, g, a, b, c, bc, stacked) -> PushoutResult:
@@ -670,15 +723,17 @@ def _pushout_snf(f, g, a, b, c, bc, stacked) -> PushoutResult:
         d_bc = bc.boundary_at(n)
         bnds.append(projections[k - 1] * d_bc * sections[k])
     p = ChainComplex(lo, hi, tuple(proj.rows for proj in projections), tuple(bnds))
-    include_b = []
-    include_c = []
-    for n, proj in zip(range(lo, hi + 1), projections):
-        rb = b.rank_at(n)
-        include_b.append(IntMatrix.from_columns(proj.rows, rb, proj.columns[:rb]))
-        include_c.append(IntMatrix.from_columns(proj.rows, c.rank_at(n), proj.columns[rb:]))
-    map_b = ChainMap(b, p, tuple(include_b))
-    map_c = ChainMap(c, p, tuple(include_c))
-    return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="quotient")
+
+    def leg(source, first, p):
+        """The projection's first rank B_n columns (first) or the rest."""
+        mats = []
+        for n, proj in zip(range(lo, hi + 1), projections):
+            rb = b.rank_at(n)
+            cols = proj.columns[:rb] if first else proj.columns[rb:]
+            mats.append(IntMatrix.from_columns(proj.rows, source.rank_at(n), cols))
+        return ChainMap(source, p, tuple(mats))
+
+    return PushoutResult(p, "quotient", partial(leg, b, True), partial(leg, c, False))
 
 
 def _pushout_cone(f, g, a, b, c, bc, stacked) -> PushoutResult:
@@ -700,15 +755,14 @@ def _pushout_cone(f, g, a, b, c, bc, stacked) -> PushoutResult:
         ]
         bnds.append(IntMatrix.from_columns(top + a.rank_at(n - 2), ranks[n - lo], cols))
     p = ChainComplex(lo, hi, tuple(ranks), tuple(bnds))
-    include_b = []
-    include_c = []
-    for n in range(lo, hi + 1):
-        rb = b.rank_at(n)
-        total = ranks[n - lo]
-        include_b.append(IntMatrix.from_columns(total, rb, ({j: 1} for j in range(rb))))
-        include_c.append(IntMatrix.from_columns(total, c.rank_at(n), ({rb + j: 1} for j in range(c.rank_at(n)))))
-    bp = b.pad(lo, hi)
-    cp = c.pad(lo, hi)
-    map_b = ChainMap(bp, p, tuple(include_b))
-    map_c = ChainMap(cp, p, tuple(include_c))
-    return PushoutResult(complex=p, from_first=map_b, from_second=map_c, model="cone")
+
+    def leg(source, offset, p):
+        """source padded to P's degrees, its basis placed from row
+        offset(n) of degree n of P."""
+        mats = []
+        for n, total in zip(range(lo, hi + 1), p.ranks):
+            rank = source.rank_at(n)
+            mats.append(IntMatrix.from_columns(total, rank, ({offset(n) + j: 1} for j in range(rank))))
+        return ChainMap(source.pad(lo, hi), p, tuple(mats))
+
+    return PushoutResult(p, "cone", partial(leg, b, lambda n: 0), partial(leg, c, b.rank_at))

@@ -21,6 +21,14 @@ that basis maps one to one onto D's cells and carries every boundary
 column of the pushout onto the matching column of D, the pushout is D
 relabelled: one homology, D's, serves both report lines.  Otherwise (a square whose pieces meet outside
 A, say) both homologies are computed.
+
+What a square checks, and what it inherits: D's chains and the pushout
+complex are checked for d o d = 0, and both inclusions for commuting with
+the boundaries (``inclusion_chain_map`` is public, and its pieces need not
+share a D).  A, B and C are D's columns relabelled, so they inherit D's
+d o d check; the pushout's legs are built only when read, and the square
+check does not read them; and ``square_from_circles`` builds a valid
+refined surface from a valid input without validating it again.
 """
 
 from __future__ import annotations
@@ -103,7 +111,10 @@ def _restrict(s: TriSurface, whole: ChainData, subset) -> ChainData:
     The cells are those of the triangles' corners and refs.  A piece keeps
     the whole surface's order and edge representatives, so its basis and
     its boundary columns (entry order included) are those the subset would
-    get built on its own."""
+    get built on its own.  Each column is a column of ``whole`` with its
+    cells renumbered one to one, and every face of a kept cell is kept, so
+    the piece's d o d vanishes because the whole's does: it is not checked
+    again."""
     tris = sorted(subset)
     triangles = s.triangles
     ref_edges = whole.ref_edges
@@ -116,8 +127,8 @@ def _restrict(s: TriSurface, whole: ChainData, subset) -> ChainData:
     d1 = [{vloc[i]: x for i, x in d1_whole[p].items()} for p in edges]
     d2 = [{eloc[i]: x for i, x in d2_whole[t].items()} for t in tris]
     nv, ne, nf = len(verts), len(edges), len(tris)
-    cx = ChainComplex.make(
-        0, 2, (nv, ne, nf), [IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2)]
+    cx = ChainComplex._relabelling(
+        0, 2, (nv, ne, nf), (IntMatrix.from_columns(nv, ne, d1), IntMatrix.from_columns(ne, nf, d2))
     )
     cells = (tuple(verts), tuple(edges), tuple(tris))
     return ChainData(complex=cx, cells=cells, ref_edges=tuple(map(eloc.__getitem__, refs)))
@@ -198,7 +209,10 @@ class SquareInstance:
         """Parse the gluing-square format.  Both subsets hold JSON integers
         in 0..n-1, where n is the number of triangles of ``d``; a ValueError
         names the first that is not.  Parsing canonicalizes ``d`` and may
-        renumber its triangles, so both subsets are renumbered the same way."""
+        renumber its triangles, so both subsets are renumbered the same way.
+        Each of the pieces ``a``, ``b`` and ``c`` that the file holds must
+        parse to the piece read off the parsed ``d``, else a ValueError
+        names the piece; a file without them loads the same."""
         surf, new_ref = TriSurface.parse_json(data["d"])
         b_tris, c_tris = data["b_triangles"], data["c_triangles"]
         require_json_ints(b_tris, "triangle index")
@@ -207,11 +221,22 @@ class SquareInstance:
         for t in chain(b_tris, c_tris):
             if not 0 <= t < n:
                 raise ValueError(f"triangle index {t} outside 0..{n - 1}")
-        return cls(
+        q = cls(
             surface=surf,
             b_triangles=frozenset(new_ref[3 * t] // 3 for t in b_tris),
             c_triangles=frozenset(new_ref[3 * t] // 3 for t in c_tris),
         )
+        written = [key for key in "abc" if key in data]
+        if written:
+            pieces = dict(zip("abc", q.piece_surfaces()))
+            for key in written:
+                try:
+                    piece = TriSurface.from_json(data[key])
+                except (KeyError, TypeError, IndexError, ValueError) as exc:
+                    raise ValueError(f"piece {key} is not a surface: {exc}") from exc
+                if piece != pieces[key]:
+                    raise ValueError(f"piece {key} is not the piece {key} of d")
+        return q
 
 
 @dataclass(frozen=True)
@@ -306,7 +331,12 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     components of the refined surface with every ref of a collar triangle
     unglued, collar triangles left out; they are split between B and C
     alternately in order of their least triangle, and both keep every
-    collar, so B & C = A and B | C = D."""
+    collar, so B & C = A and B | C = D.
+
+    ``s`` must be a valid surface, as every surface the package builds and
+    every parsed surface that passed ``require_valid`` is.  The refined
+    surface is then valid by construction and is not checked again; an
+    invalid ``s`` may give an invalid square rather than an error."""
     circles = list(circles)
     if not circles:
         raise SurfaceError("need at least one circle")
@@ -319,7 +349,6 @@ def square_from_circles(s: TriSurface, circles) -> SquareInstance:
     for c in circles:
         raw_collar |= _insert_collar_raw(b, _flat(c.refs))[2]
     refined, new_ref = b.finish()
-    refined.require_valid()
     collar = {new_ref[3 * t] // 3 for t in raw_collar}
     partners = [
         -1 if p < 0 or k // 3 in collar or p // 3 in collar else p

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chain_oracle
-from test_chains import FIXTURES, conjugated_sums, unimodular_pair
+from test_chains import FIXTURES, conjugated_sums, read_legs, unimodular_pair
 from cutpaste.abgroup import IntMatrix
 from cutpaste.chains import ChainComplex, ChainMap, _reduce_unit_pairs, pushout
 from cutpaste.euler_functor import chains_of
@@ -151,6 +151,7 @@ def test_cone_pushouts_against_oracle(pair, k, m):
     res = pushout(f, g)
     assert res.model == ("cone" if any(a.ranks) else "quotient")
     matches_oracle(res.complex)
+    read_legs(res, f, g)
 
 
 def test_fixed_cell_complexes():

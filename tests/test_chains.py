@@ -432,6 +432,19 @@ def test_boundary_composite_check_against_product_oracle(r0, r1, r2, data):
 # ---------------------------------------------------------------------------
 
 
+def read_legs(res, f: ChainMap, g: ChainMap) -> None:
+    """Build both legs of a pushout, which the package builds only when
+    they are read; each ChainMap checks that it commutes with the
+    boundaries.  A quotient's legs agree after composing with f and g; a
+    cone's square commutes only up to homotopy, so its legs are only built."""
+    first, second = res.from_first, res.from_second
+    lo, hi = res.complex.lo, res.complex.hi
+    assert first.source == f.target.pad(lo, hi) and second.source == g.target.pad(lo, hi)
+    assert first.target == second.target == res.complex
+    if res.model == "quotient":
+        assert first.compose(f).mats == second.compose(g).mats
+
+
 def zero_complex_like(c: ChainComplex) -> ChainComplex:
     return ChainComplex(
         c.lo,
@@ -453,6 +466,7 @@ def test_pushout_over_zero_is_direct_sum():
     assert res.complex.ranks == tuple(
         x + y for x, y in zip(b.ranks, c.ranks)
     )
+    read_legs(res, f, g)
 
 
 def test_pushout_along_identity_is_other_leg():
@@ -469,6 +483,7 @@ def test_pushout_along_identity_is_other_leg():
     )
     res = pushout(f, g)
     assert quasi_iso_type_equal(res.complex, c)
+    read_legs(res, f, g)
 
 
 def test_pushout_circle_in_two_disks_is_sphere():
@@ -565,6 +580,7 @@ def test_pushout_cone_model_handles_torsion():
     assert h.at(0) == (0, (2,))
     assert h.at(1) == (0, ())
     assert res.complex.k0_class() == 0
+    read_legs(res, f, g)
 
 
 def test_pushout_requires_injective_first_leg():

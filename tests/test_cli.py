@@ -915,3 +915,30 @@ def test_square_file_round_trip_verifies(tmp_path, capsys):
     path.write_text(json.dumps(q.to_json()))
     code, out = run(capsys, "euler", "verify-square", str(path))
     assert code == 0 and "square_check=PASS" in out, out
+
+
+@pytest.mark.parametrize(
+    "key, piece, rule",
+    [
+        ("a", octahedron().to_json(), "piece a is not the piece a of d"),
+        ("b", {"nonsense": 1}, "piece b is not a surface: a surface file needs a 'vertices' entry"),
+        ("c", fan_disk(3).to_json(), "piece c is not the piece c of d"),
+    ],
+    ids=["wrong-a", "malformed-b", "wrong-c"],
+)
+def test_square_file_with_a_piece_that_is_not_read_off_d_exits_2(key, piece, rule, tmp_path, capsys):
+    """A square file's a, b and c are the pieces its subsets cut from d: one
+    that is not (another surface, or no surface at all) is malformed input
+    naming the piece, where it used to be ignored and the square passed."""
+    lib = standard_library(2, 0)
+    data = square_from_circles(lib.surface, [lib.seams[0]]).to_json()
+    data[key] = piece
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 2, out
+    assert out.startswith("error=malformed_input") and out.rstrip().endswith(rule), out
+    del data["a"], data["b"], data["c"]  # a file without pieces still loads
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "euler", "verify-square", str(path))
+    assert code == 0 and "square_check=PASS" in out, out

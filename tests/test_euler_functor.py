@@ -1,5 +1,6 @@
 """Chain functor tests: simplicial chains, gluing squares, commutation."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -10,7 +11,7 @@ import chain_oracle
 import square_oracle
 from cutpaste import chains, euler_functor, surface
 from cutpaste.abgroup import IntMatrix
-from cutpaste.chains import ChainComplex, ChainMap, PushoutResult
+from cutpaste.chains import ChainComplex, ChainMap, pushout
 from cutpaste.euler_functor import (
     SquareInstance,
     chains_of,
@@ -357,12 +358,16 @@ def _check_restrictions(s, subsets):
     """Each subset's chains read off the whole surface's, as the square
     check reads them, equal the oracle's, which builds the subset on its
     own, cells included; and the cells place the piece in the whole: its
-    inclusion commutes with the boundaries (ChainMap checks that)."""
+    inclusion commutes with the boundaries (ChainMap checks that).  A
+    restriction skips the d o d check, which it inherits from the whole
+    surface's: the checked public constructor must accept it too."""
     whole = surface_chain_data(s)
     assert whole.cells == chain_oracle.surface_chain_data(s).cells
     for subset in subsets:
         data = euler_functor._restrict(s, whole, subset)
         _assert_same_chain_data(data, chain_oracle.surface_chain_data(s, subset))
+        c = data.complex
+        assert ChainComplex(c.lo, c.hi, c.ranks, c.boundaries) == c
         assert inclusion_chain_map(data, whole).is_monomial_injection()
 
 
@@ -464,7 +469,7 @@ def test_relabelling_certificate_refuses_a_flipped_sign(monkeypatch):
         cols = ({i: -x for i, x in d2.columns[0].items()},) + d2.columns[1:]
         p2 = ChainComplex(p.lo, p.hi, p.ranks, (d1, IntMatrix.from_columns(d2.rows, d2.cols, cols)))
         built.append(p2)
-        return PushoutResult(p2, res.from_first, res.from_second, res.model)
+        return dataclasses.replace(res, complex=p2)
 
     monkeypatch.setattr(euler_functor, "pushout", flipped)
     calls = _count_reductions(monkeypatch)
@@ -544,5 +549,61 @@ def test_square_pieces_match_the_oracle_on_library_circles():
         want = square_oracle.square_from_circles(s, chosen)
         assert q.surface.to_json() == want.surface.to_json()
         assert (q.b_triangles, q.c_triangles) == (want.b_triangles, want.c_triangles)
+        assert q.surface.validate() is None
         count += 1
     assert count == 196
+
+
+def test_square_surfaces_are_valid_on_seeded_circle_sets():
+    """square_from_circles does not validate the collar-refined surface,
+    which is valid by construction when the input is: seeded sets of one
+    and two library circles on every standard_library(g, b) up to (5, 4),
+    the shapes the chain_squares benchmark draws from."""
+    rng = random.Random(33)
+    for g in range(6):
+        for b in range(5):
+            lib = standard_library(g, b)
+            circles = list(lib.seams) + list(lib.nulls)
+            for k in (1, 2):
+                if len(circles) < k:
+                    continue
+                q = square_from_circles(lib.surface, rng.sample(circles, k))
+                assert q.surface.validate() is None, (g, b, k)
+
+
+def test_pushout_legs_of_library_squares_agree_on_a():
+    """The legs of a square's pushout are built only when read, and the
+    square check never reads them: read both on library squares, where
+    each must commute with the boundaries and the two must agree on A."""
+    for s, chosen in _library_circle_squares():
+        q = square_from_circles(s, chosen)
+        whole = surface_chain_data(q.surface)
+        pieces = (q.a_triangles, q.b_triangles, q.c_triangles)
+        a, b, c = (euler_functor._restrict(q.surface, whole, t) for t in pieces)
+        f, g = inclusion_chain_map(a, b), inclusion_chain_map(a, c)
+        res = pushout(f, g)
+        assert res.model == "quotient"
+        assert res.from_first.compose(f).mats == res.from_second.compose(g).mats
+
+
+def test_passing_square_checks_only_what_it_does_not_inherit(monkeypatch):
+    """Building and checking a library square runs d o d on D and on the
+    pushout only (A, B and C inherit D's), builds the two inclusions and
+    no pushout leg, and validates no surface (the refined surface inherits
+    the input's validity).  The parent of this change ran 5, 4 and 1."""
+    standard_library(2, 1)  # built and validated before counting
+    counts = {"d o d": 0, "chain map": 0, "validate": 0}
+
+    def counted(key, real):
+        def wrapper(*args):
+            counts[key] += 1
+            return real(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(chains, "_check_composites", counted("d o d", chains._check_composites))
+    monkeypatch.setattr(ChainMap, "__post_init__", counted("chain map", ChainMap.__post_init__))
+    monkeypatch.setattr(TriSurface, "validate", counted("validate", TriSurface.validate))
+    rep = functor_on_square(_passing_square())
+    assert rep.passed
+    assert counts == {"d o d": 2, "chain map": 2, "validate": 0}

@@ -276,10 +276,14 @@ def _surface_files(data):
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_written_surfaces_parse_to_themselves(family):
+    """Every written surface is a canonical fixpoint, and valid: the
+    constructions (``square_from_circles`` among them) do not validate
+    what they build from a valid input."""
     for data in _surface_files(FAMILIES[family]()):
         s, new_ref = TriSurface.parse_json(data)
         assert s.to_json() == data
         assert list(new_ref) == surface_oracle.identity_map(s)
+        assert s.validate() is None
 
 
 if __name__ == "__main__":
