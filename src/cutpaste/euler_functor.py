@@ -211,8 +211,10 @@ class SquareInstance:
         names the first that is not.  Parsing canonicalizes ``d`` and may
         renumber its triangles, so both subsets are renumbered the same way.
         Each of the pieces ``a``, ``b`` and ``c`` that the file holds must
-        parse to the piece read off the parsed ``d``, else a ValueError
-        names the piece; a file without them loads the same."""
+        parse to what the piece read off the parsed ``d`` parses to (a piece
+        whose components share a vertex need not be a fixpoint of the
+        parse), else a ValueError names the piece; a file without them
+        loads the same."""
         surf, new_ref = TriSurface.parse_json(data["d"])
         b_tris, c_tris = data["b_triangles"], data["c_triangles"]
         require_json_ints(b_tris, "triangle index")
@@ -234,7 +236,7 @@ class SquareInstance:
                     piece = TriSurface.from_json(data[key])
                 except (KeyError, TypeError, IndexError, ValueError) as exc:
                     raise ValueError(f"piece {key} is not a surface: {exc}") from exc
-                if piece != pieces[key]:
+                if piece != TriSurface.from_json(pieces[key].to_json()):
                     raise ValueError(f"piece {key} is not the piece {key} of d")
         return q
 

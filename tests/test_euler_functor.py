@@ -325,6 +325,16 @@ def test_square_json_round_trip_renumbers_subsets():
     assert SquareInstance.from_json(back.to_json()) == back
 
 
+def test_square_file_whose_pieces_are_no_parse_fixpoint_loads():
+    """Halves of the octahedron that meet only at vertices: piece c's two
+    components share a vertex, so parsing its written form renumbers it.
+    Reading the file compares parsed with parsed and loads the square."""
+    q = SquareInstance(octahedron(), frozenset({0, 1, 3, 7}), frozenset({2, 4, 5, 6}))
+    c = q.piece_surfaces()[2]
+    assert TriSurface.from_json(c.to_json()) != c
+    assert SquareInstance.from_json(json.loads(json.dumps(q.to_json()))) == q
+
+
 def test_monomial_pushout_builds_no_direct_sum(monkeypatch):
     """Only the Smith and cone pushouts read B (+) C; the monomial quotient
     taken by every surface square must not build it.  Nor does it
