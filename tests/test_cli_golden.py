@@ -5,7 +5,8 @@ it prints to stdout, with its exit code.  A refactor of the group layer or
 of the chain functor must leave every digest unchanged: these are the
 commands whose bytes such a change claims to keep.  Two ``sk exact`` cases
 exit 1: caps 1,1,1 and 2,1,3 lie below the boundary cap of 2 that the
-exact sequence needs, so both are refused with a domain error.
+exact sequence needs, so both are refused with a domain error.  Caps
+6,4,3 sit at the ceilings of ``sk exact``: raising any one cap is refused.
 
 The squares file is read twice, once with one of its squares repeated: a
 repeated square adds a relation row that reduces to zero, so both runs
@@ -47,6 +48,7 @@ _CASES = {
     "sk exact 3,3,3": ("sk", "exact", "--caps", "3,3,3"),
     "sk exact 4,3,3": ("sk", "exact", "--caps", "4,3,3"),
     "sk exact 5,3,3": ("sk", "exact", "--caps", "5,3,3"),
+    "sk exact 6,4,3": ("sk", "exact", "--caps", "6,4,3"),
     "sk k0 3,2,3": ("sk", "k0", "--caps", "3,2,3"),
     "sk k0 4,3,3": ("sk", "k0", "--caps", "4,3,3"),
     "sk k0 5,3,3": ("sk", "k0", "--caps", "5,3,3"),
@@ -67,6 +69,7 @@ GOLDEN = {
     "sk exact 3,3,3": (0, "8b1f35ed7a2d0ecac13023646f8e1c08a8ac1596920ee3cd964dedc8b13f42e5"),
     "sk exact 4,3,3": (0, "5baceb2b18c55c0e9035696de87acd863975c59f82de3b8b9e8122a9d1f95325"),
     "sk exact 5,3,3": (0, "aae3cade83b46d5960279bd3e0fbda3caa1ee0cf9d8893b897dc271338cb10f4"),
+    "sk exact 6,4,3": (0, "6698655238a0957f01c6e036c5a0727cbfde25610061a15f0b52f3942ea79c4a"),
     "sk k0 3,2,3": (0, "10a80c01026ebd3483dc4438a186bb3b2e115d4901affe2381326877f3faf355"),
     "sk k0 4,3,3": (0, "101bdaecec52ceb5927b90866319125b503447b7829283a5385c79b00ab87183"),
     "sk k0 5,3,3": (0, "2c48ab5efd9e077a1745b10a6e4497fff102e4e48a97960d3ab59a6020cc44c5"),
