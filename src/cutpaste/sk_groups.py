@@ -86,6 +86,19 @@ def _piece_multisets(caps: Caps):
     return by_circles
 
 
+def _piece_pairs(caps: Caps):
+    """The pairs x <= y of piece multisets with equal circle counts, with
+    their total chi, in the closed build's visiting order: the most glued
+    circles first, and within a circle count the most pieces first (a stable
+    sort, so ``_piece_multisets`` order breaks ties)."""
+    for _, combos in sorted(_piece_multisets(caps).items(), reverse=True):
+        combos = sorted(combos, key=len, reverse=True)
+        chis = [sum(2 - 2 * g - b for g, b in combo) for combo in combos]
+        for x, left in enumerate(combos):
+            for y in range(x, len(combos)):
+                yield left, combos[y], chis[x] + chis[y]
+
+
 @lru_cache(maxsize=None)
 def _block_partitions(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> tuple:
     """The distinct ways gluing every circle of the left pieces (nodes
@@ -171,6 +184,9 @@ def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     """Cut-and-paste group of closed oriented surfaces at the truncation:
     the closed classes and their spanning union squares, with a spanning
     forest of the gluing-difference relations as the record's extra rows.
+    The piece pairs are visited richest first (``_piece_pairs``), and the
+    walk stops once the forest joins every chi level into one tree, which
+    leaves the lattice of the rows unchanged (see below).
     Caps spanning more than MAX_CLASSES with-boundary classes, or
     gluing-piece multisets, are refused before anything is enumerated."""
     caps = Caps(*caps)
@@ -181,12 +197,19 @@ def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
     # Every result of a piece pair has the pair's chi, so the difference rows
     # join classes of one chi level.  A row is kept only when it joins two
     # trees of a union-find: a spanning forest generates the lattice of all
-    # the rows.  A pair is skipped once its level is one tree.
+    # the rows.  Once a level is one tree, every difference of two of its
+    # classes is a sum of forest rows along the tree path, so any row its
+    # pairs could still give is already in the lattice: the pair is skipped,
+    # and the walk stops when ``split``, the count of levels of more than one
+    # tree, reaches 0.  A level that never joins keeps the walk to the end.
+    # Pairs with more glued circles and more pieces give more results, so
+    # ``_piece_pairs`` visits them first and the levels join early.
     parent = list(range(len(classes)))
     trees: dict[int, int] = {}
     for c in classes:
         if not c.is_empty:
             trees[c.chi] = trees.get(c.chi, 0) + 1
+    split = sum(1 for n in trees.values() if n > 1)
 
     def find(x):
         while parent[x] != x:
@@ -194,20 +217,20 @@ def closed_sk_presentation(caps: Caps) -> SurfaceSquares:
         return x
 
     relations = []
-    for _, combos in sorted(_piece_multisets(caps).items()):
-        chis = [sum(2 - 2 * g - b for g, b in combo) for combo in combos]
-        for x, left in enumerate(combos):
-            for y in range(x, len(combos)):
-                chi = chis[x] + chis[y]
-                if trees.get(chi, 0) <= 1:
-                    continue
-                results = [index[r] for r in sorted(_gluing_results(left, combos[y], caps))]
-                for r1, r2 in zip(results, results[1:]):
-                    a, b = find(r1), find(r2)
-                    if a != b:
-                        parent[a] = b
-                        trees[chi] -= 1
-                        relations.append(((r1, 1), (r2, -1)))
+    for left, right, chi in _piece_pairs(caps):
+        if not split:
+            break
+        if trees.get(chi, 0) <= 1:
+            continue
+        results = [index[r] for r in sorted(_gluing_results(left, right, caps))]
+        for r1, r2 in zip(results, results[1:]):
+            a, b = find(r1), find(r2)
+            if a != b:
+                parent[a] = b
+                trees[chi] -= 1
+                relations.append(((r1, 1), (r2, -1)))
+        if trees[chi] == 1:
+            split -= 1
     pres = SquaresPresentation(
         objects=tuple(c.label() for c in classes),
         basepoint=index[DiffeoClass.empty()],
@@ -279,12 +302,18 @@ class ExactSequenceReport:
 # Below it the annulus lies outside the caps, so the with-boundary
 # presentation has no collar square and is not the cut-and-paste group.
 MIN_EXACT_BOUNDARY = 2
+# Least component cap.  Below it no disjoint-union square fits, so the closed
+# record lacks relations such as [S_2] + [S^2] = 2[T] that the collar squares
+# imply (two one-holed tori glue to S_2): at (2,2,1) and (3,2,1) the
+# inclusion is not injective.
+MIN_EXACT_COMPONENTS = 2
 
 
 def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
     """Check 0 -> closed -> with-boundary -> circles -> 0 at the truncation.
     Caps above the ceilings, then a boundary cap below MIN_EXACT_BOUNDARY,
-    are refused with ValueError before anything is enumerated."""
+    then a component cap below MIN_EXACT_COMPONENTS, are refused with
+    ValueError before anything is enumerated."""
     caps = Caps(*caps)
     _refuse_oversized_closed(caps)
     if caps.boundary < MIN_EXACT_BOUNDARY:
@@ -292,6 +321,12 @@ def verify_exact_sequence(caps: Caps) -> ExactSequenceReport:
             f"the exact sequence needs a boundary cap of at least {MIN_EXACT_BOUNDARY}, "
             f"got {caps.boundary}: below it the annulus lies outside the caps, "
             f"so the with-boundary group has no collar square"
+        )
+    if caps.components < MIN_EXACT_COMPONENTS:
+        raise ValueError(
+            f"the exact sequence needs a component cap of at least {MIN_EXACT_COMPONENTS}, "
+            f"got {caps.components}: below it no disjoint-union square fits the caps, "
+            f"so the closed group lacks relations that the collar squares imply"
         )
     alpha = closed_inclusion_hom(caps)
     beta = boundary_count_hom(surface_squares_presentation(caps))

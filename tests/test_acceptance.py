@@ -76,9 +76,15 @@ MAX_ADD_SUBMULS_533 = 30_000
 MAX_SPANNING_ADD_SUBMULS_533 = 1_000
 
 # `_gluing_results` calls made by a cold closed build at caps (4,3,3).
-# Skipping a piece pair once its chi level is one tree of the gluing-row
-# forest makes 2,294; evaluating every piece pair made 9,630.
-MAX_GLUING_RESULTS_433 = 3_000
+# Visiting the pairs with the most glued circles and pieces first, skipping a
+# pair once its chi level is one tree of the gluing-row forest, and stopping
+# once every level is one tree makes 226; the same skip in enumeration order
+# made 2,294, and evaluating every piece pair 9,630.
+MAX_GLUING_RESULTS_433 = 250
+# The same count at (5,3,3), 462 (5,263 in enumeration order), and at (6,4,3),
+# 1,012 (10,598).
+MAX_GLUING_RESULTS_533 = 500
+MAX_GLUING_RESULTS_643 = 1_100
 
 
 @pytest.fixture
@@ -128,7 +134,9 @@ def test_add_work_bound_at_533(monkeypatch):
     assert calls <= MAX_SPANNING_ADD_SUBMULS_533
 
 
-def test_gluing_work_bound_at_433(monkeypatch):
+def cold_gluing_calls(monkeypatch, caps) -> int:
+    """`_gluing_results` calls made by a cold closed build at the caps,
+    whose group must be Z."""
     calls = 0
     gluing_results = sk_groups._gluing_results
 
@@ -138,9 +146,21 @@ def test_gluing_work_bound_at_433(monkeypatch):
         return gluing_results(*args)
 
     monkeypatch.setattr(sk_groups, "_gluing_results", counting)
-    closed = sk_groups.closed_sk_presentation.__wrapped__(Caps(4, 3, 3))
+    closed = sk_groups.closed_sk_presentation.__wrapped__(caps)
     assert closed.group.quotient_invariants() == (1, ())
-    assert 0 < calls <= MAX_GLUING_RESULTS_433
+    return calls
+
+
+def test_gluing_work_bound_at_433(monkeypatch):
+    assert 0 < cold_gluing_calls(monkeypatch, Caps(4, 3, 3)) <= MAX_GLUING_RESULTS_433
+
+
+def test_gluing_work_bound_at_533(monkeypatch):
+    assert 0 < cold_gluing_calls(monkeypatch, Caps(5, 3, 3)) <= MAX_GLUING_RESULTS_533
+
+
+def test_gluing_work_bound_at_643(monkeypatch):
+    assert 0 < cold_gluing_calls(monkeypatch, Caps(6, 4, 3)) <= MAX_GLUING_RESULTS_643
 
 
 class _NoWalk(dict):

@@ -868,6 +868,28 @@ def test_sk_exact_with_one_boundary_circle_per_component(capsys):
         ), caps
 
 
+def test_sk_exact_with_one_component(monkeypatch, capsys):
+    """At a component cap of 1 no disjoint-union square fits, so the closed
+    record lacks relations such as [S_2] + [S^2] = 2[T] that the collar
+    squares imply; at 2,2,1 and 3,2,1 the inclusion would read FAIL.  `sk
+    exact` refuses such caps before building either group, with a domain
+    error that names the floor."""
+    from cutpaste import sk_groups
+
+    def build(*args, **kwargs):
+        raise AssertionError("a group was built below the component floor")
+
+    monkeypatch.setattr(sk_groups, "closed_inclusion_hom", build)
+    for caps in ("1,2,1", "2,2,1", "3,2,1"):
+        code, out = run(capsys, "sk", "exact", "--caps", caps)
+        assert (code, out) == (
+            1,
+            "error=domain detail=the exact sequence needs a component cap of at least 2, got 1: "
+            "below it no disjoint-union square fits the caps, so the closed group lacks "
+            "relations that the collar squares imply\n",
+        ), caps
+
+
 def test_standard_surface_above_the_ceiling_exits_1_before_subdividing(monkeypatch, capsys):
     """genus + boundary above 5,000 is a domain error, refused before the
     base surface is subdivided."""

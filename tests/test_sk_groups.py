@@ -251,12 +251,68 @@ def test_closed_presentation_digest(caps):
     assert pres.coordinates == oracle.coordinates
 
 
+def test_closed_coordinates_match_all_rows_at_533():
+    """Beyond the digested caps: at (5,3,3) the forest of 67 rows gives every
+    class the normal form that all distinct gluing rows give it."""
+    caps = Caps(5, 3, 3)
+    pres = closed_sk_presentation(caps)
+    oracle = all_rows_closed_record(caps)
+    assert len(pres.relations) == 67
+    assert set(pres.relations) < set(oracle.relations)
+    assert pres.coordinates == oracle.coordinates
+
+
+def test_stop_cannot_hide_a_split_level(monkeypatch):
+    """The walk stops once every chi level is one tree.  With the rows of one
+    level withheld, that level never joins: the build still evaluates every
+    piece pair of the level, and its forest lacks exactly that level's rows."""
+    caps = Caps(3, 2, 3)
+    closed_sk_presentation.cache_clear()
+    try:
+        full = closed_sk_presentation(caps)
+    finally:
+        closed_sk_presentation.cache_clear()
+    assert len(full.relations) == FOREST_ROWS[caps]
+
+    def chi(pieces):
+        return sum(2 - 2 * g - b for g, b in pieces)
+
+    def row_level(row):
+        return full.classes[row[0][0]].chi
+
+    levels = sorted({row_level(row) for row in full.relations})
+    assert len(levels) > 1
+    gluing_results = sk_groups._gluing_results
+    for level in levels:
+        evaluated = []
+
+        def withholding(left, right, caps):
+            if chi(left) + chi(right) != level:
+                return gluing_results(left, right, caps)
+            evaluated.append((left, right))
+            return set()
+
+        monkeypatch.setattr(sk_groups, "_gluing_results", withholding)
+        mutant = closed_sk_presentation.__wrapped__(caps)
+        # the build may visit a pair as (right, left)
+        eligible = [(l, r) for l, r in piece_pairs(caps) if chi(l) + chi(r) == level]
+        assert sorted(map(sorted, evaluated)) == sorted(map(sorted, eligible)), level
+        lost = [row for row in full.relations if row_level(row) == level]
+        # the empty class has chi 0 but no gluing gives it
+        assert len(lost) == sum(c.chi == level and not c.is_empty for c in full.classes) - 1
+        assert len(mutant.relations) == len(full.relations) - len(lost), level
+        assert set(mutant.relations) == set(full.relations) - set(lost), level
+
+
 def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     # The permutation enumeration evaluated one glued class per distinct
     # edge pattern of every piece pair.  The block-partition enumeration of
     # every pair (all_gluing_rows) skips piece pairs whose chi cannot fit the
     # caps and evaluates each block partition once per remaining pair.  The
-    # record also skips pairs whose chi level its forest already spans.
+    # record also skips pairs whose chi level its forest already spans, and
+    # stops once every level is one tree; visiting the richest pairs first,
+    # it evaluates 37 pairs (239 partitions) where the enumeration order
+    # evaluated 814 (1,960).
     caps = Caps(3, 2, 3)
     oracle_patterns = sum(permutation_gluings(l, r)[1] for l, r in piece_pairs(caps))
     assert oracle_patterns == 13107
@@ -281,7 +337,7 @@ def test_closed_presentation_evaluates_fewer_patterns(monkeypatch):
     assert every_pair < oracle_patterns
     assert every_pair == 4676
     assert len(pres.group.relations) == 55
-    assert sum(evaluated) == 1960
+    assert sum(evaluated) == 239
 
 
 # sha256 of the JSON of [label, free, torsion, moduli] for every class's
@@ -473,6 +529,16 @@ def test_exact_sequence_matches_lattice_oracle(caps):
         lattice_oracle.is_surjective(beta),
         lattice_oracle.is_zero(beta.compose(alpha)),
     )
+
+
+@pytest.mark.parametrize("caps", [Caps(2, 2, 1), Caps(3, 2, 1)])
+def test_exact_sequence_refuses_one_component(caps):
+    """At a component cap of 1 no disjoint-union square fits: the closed
+    record lacks relations that the collar squares imply, and the inclusion
+    is not injective.  verify_exact_sequence refuses such caps."""
+    assert not closed_inclusion_hom(caps).is_injective()
+    with pytest.raises(ValueError, match="component cap of at least 2, got 1"):
+        verify_exact_sequence(caps)
 
 
 # Widest lattice the hom checks of the exact sequence may build, in columns:
