@@ -267,11 +267,7 @@ def test_stop_cannot_hide_a_split_level(monkeypatch):
     level withheld, that level never joins: the build still evaluates every
     piece pair of the level, and its forest lacks exactly that level's rows."""
     caps = Caps(3, 2, 3)
-    closed_sk_presentation.cache_clear()
-    try:
-        full = closed_sk_presentation(caps)
-    finally:
-        closed_sk_presentation.cache_clear()
+    full = closed_sk_presentation.__wrapped__(caps)
     assert len(full.relations) == FOREST_ROWS[caps]
 
     def chi(pieces):
